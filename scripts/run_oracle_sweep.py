@@ -2,7 +2,9 @@
 """Sweep random programs and check the miner against the reference
 analyzer and the generator manifest.
 
-Every seed builds a fresh program, mines it with the production pipeline
+Every seed builds a fresh program and round-trips it through
+``serialize`` -> ``load_program``, which must give back the same text byte
+for byte. It mines the reloaded program with the production pipeline
 (callgraph -> virtual call recovery -> channel filter -> taint), runs the
 independent reference implementation, and requires three-way agreement on
 command signatures, virtual edges, unresolved sites, and discards.
@@ -18,16 +20,24 @@ from rilmine import oracle
 from rilmine.callgraph import build_direct_cg, recover_vcalls
 from rilmine.channel import filter_commands
 from rilmine.fixtures import db_signatures, gen_random
+from rilmine.ir import ParseError, ValidationError, load_program, serialize
 
 
 def run_seed(seed: int, max_functions: int) -> list[str]:
     p, m = gen_random(seed=seed, max_functions=max_functions)
+    problems = []
+    text = serialize(p)
+    try:
+        p = load_program(text)
+    except (ParseError, ValidationError) as e:
+        return [f"load_program rejects the serialized program: {e}"]
+    if serialize(p) != text:
+        problems.append("serialize -> load_program -> serialize is not byte-identical")
     cg = build_direct_cg(p)
     recover_vcalls(p, cg)
     db, report = filter_commands(p, cg)
     res = oracle.analyze(p)
 
-    problems = []
     want = m.command_signatures()
     if db_signatures(db) != want:
         problems.append("pipeline signatures differ from manifest")

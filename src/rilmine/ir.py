@@ -8,11 +8,23 @@ downstream analyses need it to resolve virtual calls.
 
 IRProgram and everything hanging off it is immutable after load; analyses
 only read, so a program can be shared across worker threads freely.
+
+``load_program`` is built for large binaries:
+
+* Varnodes are interned per load. Equal varnodes in one program are one
+  shared (frozen) object, whichever instructions use them; two loads
+  share nothing.
+* It pauses the cyclic garbage collector while it builds the program,
+  and restores the collector's previous state on the way out, whether
+  the load succeeds or raises.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 SPACES = ("const", "reg", "stack", "ram", "unique")
@@ -193,18 +205,20 @@ class IRProgram:
     def ancestors(self, name: str) -> list[str]:
         """Ancestor classes, root-most first (depth-first over parents)."""
         seen: list[str] = []
-
-        def walk(n: str):
-            c = self._cls_by_name.get(n)
-            if c is None:
-                return
-            for p in c.parents:
-                walk(p)
-                if p not in seen:
-                    seen.append(p)
-
-        walk(name)
+        self._add_ancestors(name, seen)
         return seen
+
+    def _add_ancestors(self, n: str, seen: list[str]) -> None:
+        # A method rather than a nested function: a closure that calls itself
+        # is a reference cycle, and through ``self`` it would keep the whole
+        # program alive until the cyclic GC next ran.
+        c = self._cls_by_name.get(n)
+        if c is None:
+            return
+        for p in c.parents:
+            self._add_ancestors(p, seen)
+            if p not in seen:
+                seen.append(p)
 
     def read_bytes(self, addr: int, n: int) -> bytes | None:
         for base, blob in self.data:
@@ -245,87 +259,237 @@ def class_of_type(t: str) -> str | None:
 
 # ---------------------------------------------------------------------------
 # JSON decode/encode
+#
+# The decoders below run once per instruction and varnode of a large binary,
+# so the success path does no work for error reporting: a failed check raises
+# _Bad with a message, and each enclosing decoder appends its own field to
+# ``where`` on the way out. load_program joins the parts into the field path
+# of the ParseError, e.g. ``functions[2].blocks[0].ins[5].in[1]: ...``.
 
-def _varnode_from(obj, path: str) -> Varnode:
+class _Bad(Exception):
+    def __init__(self, msg: str, *where: str):
+        self.msg = msg
+        self.where = list(where)  # innermost field first
+
+    def parse_error(self) -> ParseError:
+        return ParseError(f"{'.'.join(reversed(self.where))}: {self.msg}")
+
+
+def _list(x, name: str) -> list:
+    if not isinstance(x, list):
+        raise _Bad(f"must be a list, not {type(x).__name__}", name)
+    return x
+
+
+def _each(items, name: str, decode, *args) -> list:
+    """``[decode(x, *args) for x in items]`` for the list ``items``; a
+    failure in item n is located at ``name[n]``."""
+    items = _list(items, name)
+    out = []
+    try:
+        for x in items:
+            out.append(decode(x, *args))
+    except _Bad as e:
+        e.where.append(f"{name}[{len(out)}]")
+        raise
+    return out
+
+
+# Canonical strings: decoded varnodes and instructions share these, so the
+# JSON text's copies are freed with the document, and comparisons against
+# the literals in the analyses succeed on identity.
+_SPACE = {s: s for s in SPACES}
+_OPCODE = {op: op for op in OPCODES}
+
+
+def _varnode_from(obj, table: dict) -> Varnode:
+    """The interned varnode for ``obj``. ``table`` maps (space, offset, size)
+    to the Varnode already built for it in this load, so the checks run once
+    per distinct varnode. Only exact-int keys are entered and hit: ``1.0``
+    and ``True`` equal ``1`` as dict keys, and must take the checks."""
+    try:
+        key = (obj["space"], obj["offset"], obj["size"])
+        v = table[key]
+    except (KeyError, TypeError):  # first sighting, or not a varnode at all
+        pass
+    else:
+        if type(key[1]) is int and type(key[2]) is int:
+            return v
     if not isinstance(obj, dict):
-        raise ParseError(f"{path}: varnode must be an object")
+        raise _Bad("varnode must be an object")
     try:
         space, offset, size = obj["space"], obj["offset"], obj["size"]
     except KeyError as e:
-        raise ParseError(f"{path}: varnode missing key {e}") from None
+        raise _Bad(f"varnode missing key {e}") from None
     if space not in SPACES:
-        raise ParseError(f"{path}: unknown space {space!r}")
+        raise _Bad(f"unknown space {space!r}")
     if not isinstance(offset, int) or not isinstance(size, int) or size <= 0:
-        raise ParseError(f"{path}: offset must be int, size a positive int")
-    return Varnode(space, offset, size)
+        raise _Bad("offset must be int, size a positive int")
+    v = Varnode(_SPACE[space], offset, size)
+    if type(offset) is int and type(size) is int:
+        table[space, offset, size] = v
+    return v
 
 
-def _ins_from(obj, path: str) -> Instruction:
-    op = obj.get("op")
-    if op not in OPCODES:
-        raise ParseError(f"{path}: unknown opcode {op!r}")
-    out = _varnode_from(obj["out"], f"{path}.out") if "out" in obj else None
-    ins = tuple(
-        _varnode_from(v, f"{path}.in[{i}]") for i, v in enumerate(obj.get("in", []))
-    )
+def _ins_from(obj, table: dict) -> Instruction:
+    try:
+        op = _OPCODE[obj["op"]]
+    except (KeyError, TypeError):
+        if not isinstance(obj, dict):
+            raise _Bad("instruction must be an object") from None
+        raise _Bad(f"unknown opcode {obj.get('op')!r}") from None
+    out = None
+    if "out" in obj:
+        try:
+            out = _varnode_from(obj["out"], table)
+        except _Bad as e:
+            e.where.append("out")
+            raise
+    inputs = ()
+    if "in" in obj:
+        # _each, unrolled: this loop runs once per operand of the binary
+        raw = _list(obj["in"], "in")
+        inputs = []
+        try:
+            for v in raw:
+                inputs.append(_varnode_from(v, table))
+        except _Bad as e:
+            e.where.append(f"in[{len(inputs)}]")
+            raise
+        inputs = tuple(inputs)
     callee = obj.get("callee")
     if callee is not None and not isinstance(callee, str):
-        raise ParseError(f"{path}: callee must be a string")
-    return Instruction(op, out, ins, callee)
+        raise _Bad("callee must be a string")
+    return Instruction(op, out, inputs, callee)
 
 
-def _check_type_str(t, path: str) -> str:
+def _check_type_str(t) -> str:
     if not isinstance(t, str) or (
         t not in _SCALAR_TYPES and not t.startswith("class:")
     ):
-        raise ParseError(f"{path}: bad type {t!r}")
+        raise _Bad(f"bad type {t!r}")
     return t
 
 
-def _function_from(obj, path: str) -> Function:
+def _param_from(obj) -> Param:
+    if not isinstance(obj, dict):
+        raise _Bad("param must be an object")
+    for key in ("name", "type"):
+        if key not in obj:
+            raise _Bad(f"param missing key {key!r}")
+    return Param(obj["name"], _check_type_str(obj["type"]))
+
+
+def _block_from(obj, table: dict) -> Block:
+    if not isinstance(obj, dict):
+        raise _Bad("block must be an object")
+    if "id" not in obj:
+        raise _Bad("missing block id")
+    # _each, unrolled: this loop runs once per instruction of the binary
+    raw = _list(obj.get("ins", []), "ins")
+    instructions = []
+    try:
+        for x in raw:
+            instructions.append(_ins_from(x, table))
+    except _Bad as e:
+        e.where.append(f"ins[{len(instructions)}]")
+        raise
+    return Block(obj["id"], instructions, tuple(_list(obj.get("succ", []), "succ")))
+
+
+def _function_from(obj, table: dict) -> Function:
+    if not isinstance(obj, dict):
+        raise _Bad("function must be an object")
     for key in ("id", "name", "stack_size", "blocks"):
         if key not in obj:
-            raise ParseError(f"{path}: missing key {key!r}")
-    params = [
-        Param(p["name"], _check_type_str(p["type"], f"{path}.params[{i}]"))
-        for i, p in enumerate(obj.get("params", []))
-    ]
-    blocks = []
-    for j, b in enumerate(obj["blocks"]):
-        bp = f"{path}.blocks[{j}]"
-        if "id" not in b:
-            raise ParseError(f"{bp}: missing block id")
-        blocks.append(
-            Block(
-                id=b["id"],
-                instructions=[
-                    _ins_from(x, f"{bp}.ins[{k}]") for k, x in enumerate(b.get("ins", []))
-                ],
-                successors=tuple(b.get("succ", [])),
-            )
-        )
+            raise _Bad(f"missing key {key!r}")
+    params = _each(obj.get("params", []), "params", _param_from)
+    blocks = _each(obj["blocks"], "blocks", _block_from, table)
+    try:
+        return_type = _check_type_str(obj.get("return", "void"))
+    except _Bad as e:
+        e.where.append("return")
+        raise
+    stack_size = obj["stack_size"]
+    if not isinstance(stack_size, int):
+        raise _Bad(f"must be an int, not {type(stack_size).__name__}", "stack_size")
     return Function(
         id=obj["id"],
         name=obj["name"],
         owning_class=obj.get("class"),
         params=params,
-        return_type=_check_type_str(obj.get("return", "void"), f"{path}.return"),
-        stack_size=obj["stack_size"],
+        return_type=return_type,
+        stack_size=stack_size,
         blocks=blocks,
     )
 
 
-def _class_from(obj, path: str) -> ClassInfo:
+def _class_from(obj) -> ClassInfo:
+    if not isinstance(obj, dict):
+        raise _Bad("class must be an object")
     if "name" not in obj:
-        raise ParseError(f"{path}: missing class name")
+        raise _Bad("missing class name")
     return ClassInfo(
         name=obj["name"],
-        parents=list(obj.get("parents", [])),
+        parents=_list(obj.get("parents", []), "parents"),
         vtable_addr=obj.get("vtable_addr", 0),
-        vtable=list(obj.get("vtable", [])),
-        constructors=list(obj.get("constructors", [])),
-        members=list(obj.get("members", [])),
+        vtable=_list(obj.get("vtable", []), "vtable"),
+        constructors=_list(obj.get("constructors", []), "constructors"),
+        members=_list(obj.get("members", []), "members"),
     )
+
+
+def _segment_from(obj) -> tuple[int, bytes]:
+    if not isinstance(obj, dict):
+        raise _Bad("segment must be an object")
+    try:
+        addr, blob = obj["addr"], bytes.fromhex(obj["hex"])
+    except (KeyError, ValueError) as e:
+        raise _Bad(str(e)) from None
+    except TypeError:
+        raise _Bad("hex must be a string") from None
+    if not isinstance(addr, int):
+        raise _Bad("addr must be an int")
+    return addr, blob
+
+
+# Overlapping loads (threads of ``analyze --jobs``) share one pause: the first
+# to start records whether cyclic GC was on, the last to finish restores it.
+_gc_lock = threading.Lock()
+_gc_pauses = 0
+_gc_resume = False
+
+
+@contextmanager
+def _gc_paused():
+    """Switch cyclic GC off for the duration.
+
+    The loader builds acyclic trees, so the collections its allocations
+    would trigger only traverse the growing heap, again and again. Left
+    alone, the first allocation after the pause would still traverse all
+    of it as young objects, in whatever step the caller runs next. So on
+    resume everything is moved to the oldest generation untraversed:
+    ``gc.unfreeze`` puts the permanent generation back into the oldest
+    one. If the process keeps frozen objects of its own, a collection of
+    the young generations does the move instead."""
+    global _gc_pauses, _gc_resume
+    with _gc_lock:
+        if _gc_pauses == 0:
+            _gc_resume = gc.isenabled()
+            gc.disable()
+        _gc_pauses += 1
+    try:
+        yield
+    finally:
+        with _gc_lock:
+            _gc_pauses -= 1
+            if _gc_pauses == 0 and _gc_resume:
+                if gc.get_freeze_count():
+                    gc.collect(1)
+                else:
+                    gc.freeze()
+                    gc.unfreeze()
+                gc.enable()
 
 
 def load_program(text: str) -> IRProgram:
@@ -334,6 +498,11 @@ def load_program(text: str) -> IRProgram:
     Raises ParseError (with a field path) on malformed input, and
     ValidationError listing every diagnostic when type invariants fail.
     """
+    with _gc_paused():
+        return _load(text)
+
+
+def _load(text: str) -> IRProgram:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -342,22 +511,19 @@ def load_program(text: str) -> IRProgram:
         raise ParseError("top level must be an object")
     if doc.get("ir_version") != 1:
         raise ParseError(f"unsupported ir_version {doc.get('ir_version')!r}")
-    data = []
-    for i, seg in enumerate(doc.get("data", [])):
-        try:
-            data.append((seg["addr"], bytes.fromhex(seg["hex"])))
-        except (KeyError, ValueError) as e:
-            raise ParseError(f"data[{i}]: {e}") from None
-    prog = IRProgram(
-        name=doc.get("name", "unnamed"),
-        word_size=doc.get("word_size", 8),
-        classes=[_class_from(c, f"classes[{i}]") for i, c in enumerate(doc.get("classes", []))],
-        functions=[
-            _function_from(f, f"functions[{i}]") for i, f in enumerate(doc.get("functions", []))
-        ],
-        data=data,
-        externals=list(doc.get("externals", [])),
-    )
+    table: dict = {}  # this load's interned varnodes
+    try:
+        data = _each(doc.get("data", []), "data", _segment_from)
+        prog = IRProgram(
+            name=doc.get("name", "unnamed"),
+            word_size=doc.get("word_size", 8),
+            classes=_each(doc.get("classes", []), "classes", _class_from),
+            functions=_each(doc.get("functions", []), "functions", _function_from, table),
+            data=data,
+            externals=_list(doc.get("externals", []), "externals"),
+        )
+    except _Bad as e:
+        raise e.parse_error() from None
     seen = set()
     for f in prog.functions:
         if f.id in seen:
@@ -401,6 +567,9 @@ def validate(p: IRProgram) -> list[Diagnostic]:
 
     def bad(inv, loc, msg):
         out.append(Diagnostic(inv, loc, msg))
+
+    def bad_at(f, b, idx, inv, msg):
+        bad(inv, format_site(f.id, b.id, idx), msg)
 
     ids = [f.id for f in p.functions]
     if len(ids) != len(set(ids)):
@@ -446,27 +615,28 @@ def validate(p: IRProgram) -> list[Diagnostic]:
         block_ids = {b.id for b in f.blocks}
         if len(block_ids) != len(f.blocks):
             bad("unique-block-ids", f.id, "duplicate block ids")
+        size = f.stack_size
         for b in f.blocks:
             for s in b.successors:
                 if s not in block_ids:
                     bad("successors-local", f"{f.id}@{b.id}", f"successor {s} not in function")
             for idx, ins in enumerate(b.instructions):
-                loc = format_site(f.id, b.id, idx)
-                for v in ins.inputs + ((ins.output,) if ins.output else ()):
-                    if v.space == "stack" and not (
-                        0 <= v.offset and v.offset + v.size <= f.stack_size
-                    ):
-                        bad("stack-bounds", loc, f"{v} outside stack_size {f.stack_size}")
-                if ins.op == "CALL" and not ins.callee:
-                    bad("call-has-callee", loc, "CALL without resolved callee")
-                if ins.op == "CALLIND":
+                # the site string is built only for an instruction that fails
+                output = ins.output
+                for v in ins.inputs if output is None else ins.inputs + (output,):
+                    if v.space == "stack" and not (0 <= v.offset and v.offset + v.size <= size):
+                        bad_at(f, b, idx, "stack-bounds", f"{v} outside stack_size {size}")
+                op = ins.op
+                if op == "CALL" and not ins.callee:
+                    bad_at(f, b, idx, "call-has-callee", "CALL without resolved callee")
+                if op == "CALLIND":
                     if ins.callee:
-                        bad("callind-unresolved", loc, "CALLIND must not carry a callee")
+                        bad_at(f, b, idx, "callind-unresolved", "CALLIND must not carry a callee")
                     if not ins.inputs:
-                        bad("callind-target", loc, "CALLIND needs input[0] = computed target")
-                if ins.op in ("INT_EQUAL", "INT_NOTEQUAL"):
-                    if len(ins.inputs) != 2 or ins.output is None or ins.output.size != 1:
-                        bad("cmp-shape", loc, f"{ins.op} wants 2 inputs and a 1-byte output")
+                        bad_at(f, b, idx, "callind-target", "CALLIND needs input[0] = computed target")
+                if op in ("INT_EQUAL", "INT_NOTEQUAL"):
+                    if len(ins.inputs) != 2 or output is None or output.size != 1:
+                        bad_at(f, b, idx, "cmp-shape", f"{op} wants 2 inputs and a 1-byte output")
     return out
 
 

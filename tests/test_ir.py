@@ -1,10 +1,14 @@
 """IR container: JSON round trips, link checking, and invariant validation."""
 
+import gc
 import json
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from rilmine import ir
+from rilmine import cli, ir
 from rilmine.fixtures import (
     C,
     I,
@@ -15,6 +19,7 @@ from rilmine.fixtures import (
     func,
     gen_fig2,
     gen_fig4,
+    gen_fig5,
     gen_random,
     ret_stub,
 )
@@ -110,6 +115,166 @@ def test_rejects_dangling_class_refs():
                        "vtable": ["nope"], "constructors": [], "members": []}]
     with pytest.raises(ir.ParseError, match="nope"):
         ir.load_program(json.dumps(doc))
+
+
+def _fig5_doc():
+    return _doc(gen_fig5()[0])
+
+
+def _set(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+# One-field changes of the fig5 IR that used to escape load_program as a raw
+# AttributeError or TypeError; each must be a ParseError naming the field.
+@pytest.mark.parametrize("path,value,message", [
+    (("functions", 1, "blocks", 0, "ins", 0), 5,
+     "functions[1].blocks[0].ins[0]: instruction must be an object"),
+    (("functions", 1, "blocks", 0, "ins", 0, "in"), 5,
+     "functions[1].blocks[0].ins[0].in: must be a list, not int"),
+    (("functions", 1, "blocks", 0, "succ"), 3,
+     "functions[1].blocks[0].succ: must be a list, not int"),
+    (("functions", 1, "stack_size"), "x",
+     "functions[1].stack_size: must be an int, not str"),
+    (("functions", 1, "params"), [3],
+     "functions[1].params[0]: param must be an object"),
+    (("data",), ["x"], "data[0]: segment must be an object"),
+    (("functions", 1, "blocks"), 5, "functions[1].blocks: must be a list, not int"),
+], ids=["ins-item", "in-list", "succ-list", "stack-size", "params-item", "data-item",
+        "blocks-list"])
+def test_malformed_structure_is_a_parse_error_with_field_path(path, value, message):
+    doc = _fig5_doc()
+    _set(doc, path, value)
+    with pytest.raises(ir.ParseError) as exc:
+        ir.load_program(json.dumps(doc))
+    assert str(exc.value) == message
+
+
+def test_parse_error_path_names_the_operand():
+    doc = _fig5_doc()
+    doc["functions"][1]["blocks"][2]["ins"][0]["in"][1] = {"space": "reg", "offset": 0}
+    with pytest.raises(ir.ParseError) as exc:
+        ir.load_program(json.dumps(doc))
+    assert str(exc.value) == "functions[1].blocks[2].ins[0].in[1]: varnode missing key 'size'"
+
+
+# ---------------------------------------------------------------------------
+# Varnode interning
+
+def _two_copies_doc(second):
+    """A program whose main copies (reg, 1, 8) and then ``second``."""
+    f = func("main", blocks=[block(0, [I("COPY", R(0), (R(1),)),
+                                       I("COPY", R(2), (R(1),)),
+                                       I("RETURN")])])
+    doc = _doc(build_program("p", functions=[f]))
+    doc["functions"][0]["blocks"][0]["ins"][1]["in"][0] = second
+    return doc
+
+
+@pytest.mark.parametrize("field,value", [("offset", 1.0), ("size", 8.0)])
+def test_float_equal_to_an_interned_int_varnode_is_still_rejected(field, value):
+    second = {"space": "reg", "offset": 1, "size": 8}
+    second[field] = value
+    with pytest.raises(ir.ParseError, match=r"ins\[1\]\.in\[0\]: offset must be int"):
+        ir.load_program(json.dumps(_two_copies_doc(second)))
+
+
+def test_equal_varnodes_in_one_load_are_one_object():
+    doc = _two_copies_doc({"space": "reg", "offset": 1, "size": 8})
+    ins = ir.load_program(json.dumps(doc)).fn("main").blocks[0].instructions
+    assert ins[0].inputs[0] is ins[1].inputs[0]
+    assert ins[0].output is not ins[1].output
+
+
+def test_separate_loads_share_no_varnodes():
+    text = json.dumps(_two_copies_doc({"space": "reg", "offset": 1, "size": 8}))
+    a = ir.load_program(text).fn("main").blocks[0].instructions[0].inputs[0]
+    b = ir.load_program(text).fn("main").blocks[0].instructions[0].inputs[0]
+    assert a == b and a is not b
+
+
+def _ir_fixture_kinds():
+    return [k for k in cli.FIXTURE_KINDS if k not in ("crashsuite", "mutsuite", "diffpair")]
+
+
+@pytest.mark.parametrize("kind", _ir_fixture_kinds())
+def test_round_trip_is_identity_for_every_fixture_kind(kind, tmp_path, capsys):
+    assert cli.main(["fixtures", kind, "--out", str(tmp_path)]) == 0
+    (path,) = tmp_path.glob("*.ir.json")
+    text = path.read_text(encoding="utf-8")
+    assert ir.serialize(ir.load_program(text)) == text
+
+
+def test_round_trip_is_identity_for_random_seeds():
+    for seed in range(20):
+        text = ir.serialize(gen_random(seed=seed)[0])
+        assert ir.serialize(ir.load_program(text)) == text, seed
+
+
+# ---------------------------------------------------------------------------
+# The loader pauses cyclic GC and restores it
+
+def _bad_texts():
+    doc = _doc(make_minimal())
+    doc["functions"][0]["blocks"][0]["ins"][0]["op"] = "XOR"
+    f = func("main", stack=8, blocks=[block(0, [I("COPY", S(4, 8), (C(0),)), I("RETURN")])])
+    return {ir.ParseError: json.dumps(doc),
+            ir.ValidationError: ir.serialize(ir.IRProgram(name="p", functions=[f]))}
+
+
+@pytest.mark.parametrize("outcome", [None, ir.ParseError, ir.ValidationError])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_pauses_gc_and_restores_its_state(outcome, enabled, monkeypatch):
+    text = ir.serialize(make_minimal()) if outcome is None else _bad_texts()[outcome]
+    during = []
+    load = ir._load
+
+    def spy(text):
+        during.append(gc.isenabled())
+        return load(text)
+
+    monkeypatch.setattr(ir, "_load", spy)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if outcome is None:
+            ir.load_program(text)
+        else:
+            with pytest.raises(outcome):
+                ir.load_program(text)
+        assert during == [False]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_load_leaves_frozen_objects_frozen():
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        ir.load_program(ir.serialize(make_minimal()))
+        assert gc.get_freeze_count() == frozen and gc.isenabled()
+    finally:
+        gc.unfreeze()
+
+
+def test_concurrent_loads_restore_gc():
+    # many short loads on more threads than cores, switching often, so that
+    # pauses start and end while others are in flight
+    text = ir.serialize(make_minimal())
+    assert gc.isenabled()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            progs = list(ex.map(ir.load_program, [text] * 1000, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert gc.isenabled()
+    assert all(ir.serialize(p) == text for p in progs)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +373,20 @@ def test_subclass_and_ancestor_order():
     assert "IpcModem5G" in p.subclasses("IpcModem")
     assert p.ancestors("IpcModem5G") == ["IpcModem"]
     assert p.ancestors("IpcProtocol41") == ["IpcProtocol"]
+
+
+def test_program_is_freed_without_the_cycle_collector_after_ancestors():
+    p, _ = gen_fig4(with_subclass=True)
+    p.ancestors("IpcModem5G")
+    ref = weakref.ref(p)
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        del p
+        assert ref() is None
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_format_site_shape():
