@@ -12,8 +12,10 @@ ordered search list (parent constructors root-most first, then own
 constructors, then members) for the store that defines the expression,
 then typing the stored value. Results are memoized per (v_c, v_t, v_o).
 
-CallGraph is built once per program and treated read-only afterwards;
-recover_vcalls is idempotent.
+CallGraph is built once per program; ``edges`` only grows, through
+``add_edge``, which also keeps the callee and call-site indexes behind
+``callers_of`` and ``edges_at`` current, so each query is a lookup rather
+than a scan of every edge. recover_vcalls is idempotent.
 """
 
 from __future__ import annotations
@@ -80,6 +82,15 @@ class CallGraph:
     def __post_init__(self):
         self._edge_keys = {(e.caller, e.callee, e.site, e.kind) for e in self.edges}
         self._done_sites: set[tuple[str, int, int]] = set()
+        # Edges in ``edges`` order, per callee and per call site.
+        self._by_callee: dict[str, list[CallEdge]] = {}
+        self._by_site: dict[tuple[str, int, int], list[CallEdge]] = {}
+        for e in self.edges:
+            self._index(e)
+
+    def _index(self, e: CallEdge) -> None:
+        self._by_callee.setdefault(e.callee, []).append(e)
+        self._by_site.setdefault(e.site, []).append(e)
 
     def add_edge(self, e: CallEdge) -> bool:
         key = (e.caller, e.callee, e.site, e.kind)
@@ -87,21 +98,17 @@ class CallGraph:
             return False
         self._edge_keys.add(key)
         self.edges.append(e)
+        self._index(e)
         self.nodes.add(e.caller)
         self.nodes.add(e.callee)
         return True
 
     def callers_of(self, fid: str) -> list[CallEdge]:
-        return sorted(
-            (e for e in self.edges if e.callee == fid),
-            key=lambda e: (e.caller, e.site),
-        )
-
-    def callees_of(self, fid: str) -> list[CallEdge]:
-        return [e for e in self.edges if e.caller == fid]
+        """Edges into ``fid`` by (caller, site); ties keep ``edges`` order."""
+        return sorted(self._by_callee.get(fid, ()), key=lambda e: (e.caller, e.site))
 
     def edges_at(self, site: tuple[str, int, int]) -> list[CallEdge]:
-        return [e for e in self.edges if e.site == site]
+        return list(self._by_site.get(site, ()))
 
     def virtual_edges(self) -> list[CallEdge]:
         return [e for e in self.edges if e.kind == "virtual"]

@@ -24,6 +24,7 @@ from __future__ import annotations
 import gc
 import json
 import threading
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -170,6 +171,16 @@ class IRProgram:
     def __post_init__(self):
         self._fn_by_id = {f.id: f for f in self.functions}
         self._cls_by_name = {c.name: c for c in self.classes}
+        # Parent name -> positions in ``classes`` of the classes naming it.
+        self._children: dict[str, list[int]] = {}
+        for i, c in enumerate(self.classes):
+            for par in c.parents:
+                self._children.setdefault(par, []).append(i)
+        # Non-empty segments by base address. ``validate`` rejects overlaps,
+        # so the last segment starting at or below an address is the only
+        # one that can hold it.
+        self._segments = sorted((a, b) for a, b in self.data if b)
+        self._segment_bases = [a for a, _ in self._segments]
 
     def fn(self, fid: str) -> Function:
         return self._fn_by_id[fid]
@@ -187,18 +198,30 @@ class IRProgram:
         return name in self.externals
 
     def subclasses(self, name: str) -> list[str]:
-        """Transitive subclasses of ``name``, excluding itself, in class
-        declaration order (deterministic)."""
-        out = []
-        frontier = {name}
+        """Transitive subclasses of ``name``, excluding itself, in discovery
+        order: passes over the classes in declaration order, each taking
+        every class with a parent that is ``name`` or already taken. So
+        for ``[C(B), B(A), A, D(A)]``, ``subclasses("A")`` is
+        ``["B", "D", "C"]``. Virtual edges are added in this order."""
+        below: set[int] = set()
+        stack = [name]
+        while stack:
+            for i in self._children.get(stack.pop(), ()):
+                if i not in below:
+                    below.add(i)
+                    stack.append(self.classes[i].name)
+        candidates = [self.classes[i] for i in sorted(below)]
+        out: list[str] = []
+        taken = {name}
         changed = True
         while changed:
             changed = False
-            for c in self.classes:
-                if c.name in out or c.name in frontier:
+            for c in candidates:
+                if c.name in taken:
                     continue
-                if any(p in frontier or p in out for p in c.parents):
+                if any(p in taken for p in c.parents):
                     out.append(c.name)
+                    taken.add(c.name)
                     changed = True
         return out
 
@@ -220,15 +243,24 @@ class IRProgram:
             if p not in seen:
                 seen.append(p)
 
+    def _segment_at(self, addr: int) -> tuple[int, bytes] | None:
+        """The non-empty segment with the highest base at or below ``addr``."""
+        i = bisect_right(self._segment_bases, addr)
+        return self._segments[i - 1] if i else None
+
     def read_bytes(self, addr: int, n: int) -> bytes | None:
-        for base, blob in self.data:
-            if base <= addr and addr + n <= base + len(blob):
+        seg = self._segment_at(addr)
+        if seg is not None:
+            base, blob = seg
+            if addr + n <= base + len(blob):
                 return blob[addr - base : addr - base + n]
         return None
 
     def read_cstring(self, addr: int) -> str | None:
-        for base, blob in self.data:
-            if base <= addr < base + len(blob):
+        seg = self._segment_at(addr)
+        if seg is not None:
+            base, blob = seg
+            if addr < base + len(blob):
                 chunk = blob[addr - base :]
                 end = chunk.find(b"\x00")
                 if end < 0:
@@ -279,6 +311,27 @@ def _list(x, name: str) -> list:
     if not isinstance(x, list):
         raise _Bad(f"must be a list, not {type(x).__name__}", name)
     return x
+
+
+def _str(x, name: str) -> str:
+    if not isinstance(x, str):
+        raise _Bad(f"must be a string, not {type(x).__name__}", name)
+    return x
+
+
+def _int(x, name: str) -> int:
+    if type(x) is not int:  # bool is an int subclass, and not an id
+        raise _Bad(f"must be an int, not {type(x).__name__}", name)
+    return x
+
+
+def _all(check, items, name: str) -> list:
+    """The list ``items``, each of which passes ``check``; a failure in
+    item n is located at ``name[n]``."""
+    items = _list(items, name)
+    for n, x in enumerate(items):
+        check(x, f"{name}[{n}]")
+    return items
 
 
 def _each(items, name: str, decode, *args) -> list:
@@ -394,7 +447,8 @@ def _block_from(obj, table: dict) -> Block:
     except _Bad as e:
         e.where.append(f"ins[{len(instructions)}]")
         raise
-    return Block(obj["id"], instructions, tuple(_list(obj.get("succ", []), "succ")))
+    return Block(_int(obj["id"], "id"), instructions,
+                 tuple(_all(_int, obj.get("succ", []), "succ")))
 
 
 def _function_from(obj, table: dict) -> Function:
@@ -413,10 +467,11 @@ def _function_from(obj, table: dict) -> Function:
     stack_size = obj["stack_size"]
     if not isinstance(stack_size, int):
         raise _Bad(f"must be an int, not {type(stack_size).__name__}", "stack_size")
+    owning_class = obj.get("class")
     return Function(
-        id=obj["id"],
+        id=_str(obj["id"], "id"),
         name=obj["name"],
-        owning_class=obj.get("class"),
+        owning_class=None if owning_class is None else _str(owning_class, "class"),
         params=params,
         return_type=return_type,
         stack_size=stack_size,
@@ -430,12 +485,12 @@ def _class_from(obj) -> ClassInfo:
     if "name" not in obj:
         raise _Bad("missing class name")
     return ClassInfo(
-        name=obj["name"],
-        parents=_list(obj.get("parents", []), "parents"),
+        name=_str(obj["name"], "name"),
+        parents=_all(_str, obj.get("parents", []), "parents"),
         vtable_addr=obj.get("vtable_addr", 0),
-        vtable=_list(obj.get("vtable", []), "vtable"),
-        constructors=_list(obj.get("constructors", []), "constructors"),
-        members=_list(obj.get("members", []), "members"),
+        vtable=_all(_str, obj.get("vtable", []), "vtable"),
+        constructors=_all(_str, obj.get("constructors", []), "constructors"),
+        members=_all(_str, obj.get("members", []), "members"),
     )
 
 
@@ -520,7 +575,7 @@ def _load(text: str) -> IRProgram:
             classes=_each(doc.get("classes", []), "classes", _class_from),
             functions=_each(doc.get("functions", []), "functions", _function_from, table),
             data=data,
-            externals=_list(doc.get("externals", []), "externals"),
+            externals=_all(_str, doc.get("externals", []), "externals"),
         )
     except _Bad as e:
         raise e.parse_error() from None

@@ -360,7 +360,7 @@ def _flow_forward(p, cg, f: Function, seeds, regions, visited, sinks, steps, dep
             elif ins.op == "STORE":
                 addr, val = ins.inputs[0], ins.inputs[1]
                 if is_t(val) and addr.space == "stack":
-                    r = (addr.offset, addr.size)
+                    r = (addr.offset, val.size)
                     if r not in regions:
                         regions.add(r)
                         changed = True

@@ -10,8 +10,11 @@ import re
 
 import pytest
 
+from rilmine import cli
 from rilmine.callgraph import build_direct_cg, recover_vcalls
 from rilmine.channel import FilterConfig, filter_commands
+from rilmine.fixtures import gen_random
+from rilmine.ir import load_program
 
 EXPECTED_CRITERIA = tuple(range(1, 11))
 
@@ -55,3 +58,21 @@ def run_pipeline():
         return cg, db, report
 
     return run
+
+
+@pytest.fixture(scope="session")
+def ir_corpus(tmp_path_factory):
+    """(label, program) for every IR fixture kind, as ``rilmine fixtures``
+    writes it and ``load_program`` reads it back, then for ``gen_random``
+    seeds 0-49."""
+    out = []
+    for kind in cli.FIXTURE_KINDS:
+        if kind in ("crashsuite", "mutsuite", "diffpair"):
+            continue
+        d = tmp_path_factory.mktemp(kind)
+        assert cli.main(["fixtures", kind, "--out", str(d)]) == 0
+        (path,) = d.glob("*.ir.json")
+        out.append((kind, load_program(path.read_text(encoding="utf-8"))))
+    for seed in range(50):
+        out.append((f"seed {seed}", gen_random(seed=seed)[0]))
+    return out

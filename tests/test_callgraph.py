@@ -226,3 +226,49 @@ def test_dump_renders_stable_edge_listing():
             "[virtual via (IoChannel, this+0x18, 0x20)]") in text
     assert "IpcModem::SendMessage -> IpcModem::DoIoChannelRoutingTx [direct]" in text
     assert text == dump(_recovered(gen_fig2()[0]))
+
+
+# ---------------------------------------------------------------------------
+# Indexed queries answer as a scan of every edge does
+
+def _callers_scan(cg, fid):
+    return sorted((e for e in cg.edges if e.callee == fid), key=lambda e: (e.caller, e.site))
+
+
+def _edges_at_scan(cg, site):
+    return [e for e in cg.edges if e.site == site]
+
+
+def test_indexed_queries_match_a_scan_of_every_edge(ir_corpus):
+    for label, p in ir_corpus:
+        cg = _recovered(p)  # virtual edges arrive after construction
+        for fid in [f.id for f in p.functions] + p.externals:
+            assert cg.callers_of(fid) == _callers_scan(cg, fid), (label, fid)
+        for f in p.functions:
+            for bid, idx, ins in f.linear():
+                if ins.op in ("CALL", "CALLIND"):
+                    site = (f.id, bid, idx)
+                    assert cg.edges_at(site) == _edges_at_scan(cg, site), (label, site)
+
+
+def test_graph_built_from_an_edge_list_indexes_every_given_edge():
+    a1 = CallEdge("b", "t", ("b", 0, 1), "direct")
+    a0 = CallEdge("b", "t", ("b", 0, 0), "direct")
+    v = CallEdge("a", "t", ("a", 2, 0), "virtual", via=("K", "this", 0))
+    d = CallEdge("a", "u", ("a", 2, 0), "direct")
+    cg = cgmod.CallGraph(edges=[a1, v, a0, d, a1])
+    assert cg.callers_of("t") == [v, a0, a1, a1] == _callers_scan(cg, "t")
+    assert cg.callers_of("nobody") == []
+    assert cg.edges_at(("a", 2, 0)) == [v, d]
+    assert cg.add_edge(a0) is False
+    e = CallEdge("c", "t", ("c", 0, 0), "direct")
+    assert cg.add_edge(e) is True
+    assert cg.callers_of("t") == [v, a0, a1, a1, e] == _callers_scan(cg, "t")
+
+
+def test_edges_at_returns_a_copy():
+    p, _ = gen_fig4(with_subclass=True)
+    cg = _recovered(p)
+    site = cg.virtual_edges()[0].site
+    cg.edges_at(site).clear()
+    assert cg.edges_at(site) == _edges_at_scan(cg, site) != []

@@ -153,6 +153,40 @@ def test_malformed_structure_is_a_parse_error_with_field_path(path, value, messa
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("path,value,message", [
+    (("functions", 0, "id"), 3, "functions[0].id: must be a string, not int"),
+    (("functions", 0, "id"), {}, "functions[0].id: must be a string, not dict"),
+    (("functions", 0, "class"), ["IpcProtocol"],
+     "functions[0].class: must be a string, not list"),
+    (("classes", 1, "name"), [[1]], "classes[1].name: must be a string, not list"),
+    (("classes", 1, "parents", 0), {}, "classes[1].parents[0]: must be a string, not dict"),
+    (("classes", 2, "vtable", 1), [], "classes[2].vtable[1]: must be a string, not list"),
+    (("classes", 0, "constructors", 0), 7,
+     "classes[0].constructors[0]: must be a string, not int"),
+    (("classes", 2, "members", 1), None,
+     "classes[2].members[1]: must be a string, not NoneType"),
+    (("functions", 0, "blocks", 0, "id"), [0],
+     "functions[0].blocks[0].id: must be an int, not list"),
+    (("functions", 0, "blocks", 0, "id"), True,
+     "functions[0].blocks[0].id: must be an int, not bool"),
+    (("functions", 0, "blocks", 0, "succ"), [1, {}],
+     "functions[0].blocks[0].succ[1]: must be an int, not dict"),
+    (("functions", 0, "blocks", 0, "succ"), [False],
+     "functions[0].blocks[0].succ[0]: must be an int, not bool"),
+    (("externals", 0), ["open"], "externals[0]: must be a string, not list"),
+], ids=["fn-id-int", "fn-id-dict", "fn-class", "class-name", "parents-item", "vtable-item",
+        "constructors-item", "members-item", "block-id-list", "block-id-bool", "succ-item",
+        "succ-bool", "externals-item"])
+def test_ids_and_names_of_the_wrong_type_are_a_parse_error(path, value, message):
+    # Ids and names are dict keys and set members after loading, so a value
+    # of the wrong type, unhashable ones included, must stop at the loader.
+    doc = _doc(gen_fig2()[0])
+    _set(doc, path, value)
+    with pytest.raises(ir.ParseError) as exc:
+        ir.load_program(json.dumps(doc))
+    assert str(exc.value) == message
+
+
 def test_parse_error_path_names_the_operand():
     doc = _fig5_doc()
     doc["functions"][1]["blocks"][2]["ins"][0]["in"][1] = {"space": "reg", "offset": 0}
@@ -373,6 +407,81 @@ def test_subclass_and_ancestor_order():
     assert "IpcModem5G" in p.subclasses("IpcModem")
     assert p.ancestors("IpcModem5G") == ["IpcModem"]
     assert p.ancestors("IpcProtocol41") == ["IpcProtocol"]
+
+
+def test_subclasses_come_in_discovery_order_not_declaration_order():
+    p = ir.IRProgram(name="p", classes=[
+        ir.ClassInfo("C", parents=["B"]), ir.ClassInfo("B", parents=["A"]),
+        ir.ClassInfo("A"), ir.ClassInfo("D", parents=["A"]),
+    ])
+    assert p.subclasses("A") == ["B", "D", "C"]
+    assert p.subclasses("B") == ["C"]
+    assert p.subclasses("C") == []
+    assert p.subclasses("Ghost") == []
+
+
+def _subclasses_scan(p, name):
+    """The fixpoint over every class that ``subclasses`` narrows."""
+    out = []
+    frontier = {name}
+    changed = True
+    while changed:
+        changed = False
+        for c in p.classes:
+            if c.name in out or c.name in frontier:
+                continue
+            if any(q in frontier or q in out for q in c.parents):
+                out.append(c.name)
+                changed = True
+    return out
+
+
+def _read_bytes_scan(p, addr, n):
+    for base, blob in p.data:
+        if base <= addr and addr + n <= base + len(blob):
+            return blob[addr - base : addr - base + n]
+    return None
+
+
+def _read_cstring_scan(p, addr):
+    for base, blob in p.data:
+        if base <= addr < base + len(blob):
+            chunk = blob[addr - base :]
+            end = chunk.find(b"\x00")
+            return chunk[: len(chunk) if end < 0 else end].decode("ascii", errors="replace")
+    return None
+
+
+def test_subclasses_match_the_fixpoint_over_every_class(ir_corpus):
+    for label, p in ir_corpus:
+        for c in p.classes:
+            assert p.subclasses(c.name) == _subclasses_scan(p, c.name), (label, c.name)
+
+
+def test_data_readers_match_a_scan_of_every_segment(ir_corpus):
+    for label, p in ir_corpus:
+        addrs = set()
+        for base, blob in p.data:
+            end = base + len(blob)
+            addrs |= {base - 1, base, base + 1, end - 1, end, end + 1}
+        for addr in sorted(addrs):  # first, last, one past last, and the gaps
+            assert p.read_cstring(addr) == _read_cstring_scan(p, addr), (label, addr)
+            for n in (0, 1, 2, 8, 16, 64):
+                assert p.read_bytes(addr, n) == _read_bytes_scan(p, addr, n), (label, addr, n)
+
+
+def test_data_readers_skip_empty_segments_and_gaps():
+    # An empty segment holds no bytes, even where it sits inside another.
+    p = ir.IRProgram(name="p", data=[(0x30, b"xyz\x00"), (0x10, b"ab"), (0x20, b""),
+                                     (0x31, b"")])
+    assert p.read_bytes(0x10, 2) == b"ab"
+    assert p.read_bytes(0x11, 2) is None
+    assert p.read_bytes(0x12, 0) == b""
+    assert p.read_bytes(0x20, 1) is None
+    assert p.read_cstring(0x20) is None
+    assert p.read_cstring(0x31) == "yz"
+    assert p.read_cstring(0x34) is None
+    assert p.read_cstring(0x0F) is None
 
 
 def test_program_is_freed_without_the_cycle_collector_after_ancestors():

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rilmine import taint
+from rilmine import oracle, taint
 from rilmine.callgraph import build_direct_cg, recover_vcalls
+from rilmine.channel import filter_commands
 from rilmine.fixtures import (
     C,
     I,
@@ -14,6 +15,7 @@ from rilmine.fixtures import (
     U,
     block,
     build_program,
+    db_signatures,
     func,
     gen_fig2,
     gen_fig5,
@@ -230,6 +232,30 @@ def test_literal_arguments_do_not_seed_forward_taint():
     p = build_program("lit", functions=[main, ret_stub("lucky")], externals=["read"])
     t = forward_taint(p, _cg(p), find_sources(p, direction="forward")[0])
     assert t.sinks == []
+
+
+def test_store_taints_the_width_of_the_stored_value():
+    # An 8-byte value stored through a 1-byte address operand covers
+    # S(40, 8), so the compare at S(44, 1) reads tainted bytes.
+    poll = func("poll", blocks=[block(0, [
+        I("CALL", U(0), (C(0x2000), C(0)), callee="open"),
+        I("CALL", U(1), (U(0), S(64, 16), C(16)), callee="read"),
+        I("LOAD", U(2), (S(64, 8),)),
+        I("STORE", None, (S(40, 1), U(2))),
+        I("INT_EQUAL", U(3, 1), (S(44, 1), C(5, 1))),
+        I("CBRANCH", None, (U(3, 1),)),
+    ], succ=(1, 2)),
+        block(1, [I("CALL", None, (), callee="handle5"), I("RETURN")]),
+        block(2, [I("RETURN")]),
+    ])
+    p = build_program("wide", functions=[poll, ret_stub("handle5")],
+                      data=[(0x2000, b"/dev/umts_ipc0\x00")], externals=["open", "read"])
+    cg = _cg(p)
+    t = forward_taint(p, cg, find_sources(p, direction="forward")[0])
+    assert [(s.constant, s.handler) for s in t.sinks] == [(5, "handle5")]
+    db, _ = filter_commands(p, cg)
+    want = {("unsolicited", "read", "poll", 5, "handle5", "/dev/umts_ipc0")}
+    assert db_signatures(db) == oracle.analyze(p).commands == want
 
 
 # ---------------------------------------------------------------------------
