@@ -313,24 +313,24 @@ def _list(x, name: str) -> list:
     return x
 
 
-def _str(x, name: str) -> str:
-    if not isinstance(x, str):
-        raise _Bad(f"must be a string, not {type(x).__name__}", name)
+_KIND = {str: "a string", int: "an int"}
+
+
+def _typed(x, kind: type, name: str):
+    """``x``, which must be exactly a ``kind``: ids are dict keys and set
+    members downstream, and a bool is an int but not an id."""
+    if type(x) is not kind:
+        raise _Bad(f"must be {_KIND[kind]}, not {type(x).__name__}", name)
     return x
 
 
-def _int(x, name: str) -> int:
-    if type(x) is not int:  # bool is an int subclass, and not an id
-        raise _Bad(f"must be an int, not {type(x).__name__}", name)
-    return x
-
-
-def _all(check, items, name: str) -> list:
-    """The list ``items``, each of which passes ``check``; a failure in
-    item n is located at ``name[n]``."""
+def _all(kind: type, items, name: str) -> list:
+    """The list ``items``, each exactly a ``kind``; a failure in item n is
+    located at ``name[n]``."""
     items = _list(items, name)
     for n, x in enumerate(items):
-        check(x, f"{name}[{n}]")
+        if type(x) is not kind:
+            _typed(x, kind, f"{name}[{n}]")
     return items
 
 
@@ -447,8 +447,8 @@ def _block_from(obj, table: dict) -> Block:
     except _Bad as e:
         e.where.append(f"ins[{len(instructions)}]")
         raise
-    return Block(_int(obj["id"], "id"), instructions,
-                 tuple(_all(_int, obj.get("succ", []), "succ")))
+    return Block(_typed(obj["id"], int, "id"), instructions,
+                 tuple(_all(int, obj.get("succ", []), "succ")))
 
 
 def _function_from(obj, table: dict) -> Function:
@@ -469,9 +469,9 @@ def _function_from(obj, table: dict) -> Function:
         raise _Bad(f"must be an int, not {type(stack_size).__name__}", "stack_size")
     owning_class = obj.get("class")
     return Function(
-        id=_str(obj["id"], "id"),
+        id=_typed(obj["id"], str, "id"),
         name=obj["name"],
-        owning_class=None if owning_class is None else _str(owning_class, "class"),
+        owning_class=None if owning_class is None else _typed(owning_class, str, "class"),
         params=params,
         return_type=return_type,
         stack_size=stack_size,
@@ -485,12 +485,12 @@ def _class_from(obj) -> ClassInfo:
     if "name" not in obj:
         raise _Bad("missing class name")
     return ClassInfo(
-        name=_str(obj["name"], "name"),
-        parents=_all(_str, obj.get("parents", []), "parents"),
+        name=_typed(obj["name"], str, "name"),
+        parents=_all(str, obj.get("parents", []), "parents"),
         vtable_addr=obj.get("vtable_addr", 0),
-        vtable=_all(_str, obj.get("vtable", []), "vtable"),
-        constructors=_all(_str, obj.get("constructors", []), "constructors"),
-        members=_all(_str, obj.get("members", []), "members"),
+        vtable=_all(str, obj.get("vtable", []), "vtable"),
+        constructors=_all(str, obj.get("constructors", []), "constructors"),
+        members=_all(str, obj.get("members", []), "members"),
     )
 
 
@@ -575,7 +575,7 @@ def _load(text: str) -> IRProgram:
             classes=_each(doc.get("classes", []), "classes", _class_from),
             functions=_each(doc.get("functions", []), "functions", _function_from, table),
             data=data,
-            externals=_all(_str, doc.get("externals", []), "externals"),
+            externals=_all(str, doc.get("externals", []), "externals"),
         )
     except _Bad as e:
         raise e.parse_error() from None

@@ -256,14 +256,16 @@ def test_graph_built_from_an_edge_list_indexes_every_given_edge():
     a0 = CallEdge("b", "t", ("b", 0, 0), "direct")
     v = CallEdge("a", "t", ("a", 2, 0), "virtual", via=("K", "this", 0))
     d = CallEdge("a", "u", ("a", 2, 0), "direct")
-    cg = cgmod.CallGraph(edges=[a1, v, a0, d, a1])
-    assert cg.callers_of("t") == [v, a0, a1, a1] == _callers_scan(cg, "t")
+    tie = CallEdge("b", "t", ("b", 0, 1), "virtual", via=("K", "this", 8))
+    cg = cgmod.CallGraph(edges=[a1, v, tie, a0, d, a1])
+    # equal (caller, site) keys keep the order the edges were given in
+    assert cg.callers_of("t") == [v, a0, a1, tie, a1] == _callers_scan(cg, "t")
     assert cg.callers_of("nobody") == []
     assert cg.edges_at(("a", 2, 0)) == [v, d]
     assert cg.add_edge(a0) is False
     e = CallEdge("c", "t", ("c", 0, 0), "direct")
     assert cg.add_edge(e) is True
-    assert cg.callers_of("t") == [v, a0, a1, a1, e] == _callers_scan(cg, "t")
+    assert cg.callers_of("t") == [v, a0, a1, tie, a1, e] == _callers_scan(cg, "t")
 
 
 def test_edges_at_returns_a_copy():
