@@ -82,7 +82,7 @@ def test_golden_covers_every_case(golden):
 
 
 @pytest.mark.parametrize("case", _cases())
-def test_artifacts_match_golden_digest(case, golden, capsys):
+def test_artifacts_match_golden_digest(case, golden):
     assert case_digests(case) == golden[case]
 
 
