@@ -198,22 +198,8 @@ def _match_vtable_expr(f: Function, target: Varnode, pos: int) -> tuple[TargetEx
     d2 = reaching_def(f, objptr, opos)
     if d2 is None or d2[1].op != "LOAD":
         return None
-    addr = d2[1].inputs[0]
-    apos = d2[0]
-    av, apos2 = _walk_copy(f, addr, apos)
-    if av.space == "stack":
-        return TargetExpr(f"stack:{av.offset}", 0), v_o
-    inner = _split_add(f, addr, apos)
-    if inner is not None:
-        base, k_t, bpos = inner
-        sym = _base_symbol(f, base, bpos)
-        if sym is not None and not sym.startswith("stack:"):
-            return TargetExpr(sym, k_t), v_o
-        return None
-    sym = _base_symbol(f, av, apos2)
-    if sym is None or sym.startswith("stack:"):
-        return None
-    return TargetExpr(sym, 0), v_o
+    v_t = _canon_store_addr(f, d2[1].inputs[0], d2[0])
+    return None if v_t is None else (v_t, v_o)
 
 
 def _scan_callinds(p: IRProgram) -> tuple[list[VCallSite], list[VCallSite]]:
@@ -241,6 +227,8 @@ def collect_vcall_sites(p: IRProgram) -> list[VCallSite]:
 
 
 def _canon_store_addr(f: Function, addr: Varnode, pos: int) -> TargetExpr | None:
+    """The memory expression ``addr`` points at: the stack slot ``addr`` is
+    copied from, or ``this`` or a parameter plus a constant; else None."""
     av, apos = _walk_copy(f, addr, pos)
     if av.space == "stack":
         return TargetExpr(f"stack:{av.offset}", 0)
@@ -269,20 +257,24 @@ def class_inference(p: IRProgram, v_t: TargetExpr, f: Function, _seen=None) -> l
         return []
     _seen.add(key)
 
-    for pos, (bid, idx, ins) in enumerate(f.linear()):
+    found = defining_store(f, v_t)
+    if found is None:
+        return []
+    return _classes_of_value(p, f, found[1], found[0], _seen)
+
+
+def defining_store(f: Function, expr: TargetExpr) -> tuple[int, Varnode] | None:
+    """The first write in ``f`` to the memory ``expr`` names: a STORE whose
+    address canonicalizes to it, or a COPY into that stack slot. Returns
+    (linear position, stored varnode)."""
+    for pos, (_, _, ins) in enumerate(f.linear()):
         if ins.op == "STORE":
-            canon = _canon_store_addr(f, ins.inputs[0], pos)
-            if canon != v_t:
-                continue
-            value = ins.inputs[1]
+            if _canon_store_addr(f, ins.inputs[0], pos) == expr:
+                return pos, ins.inputs[1]
         elif ins.op == "COPY" and ins.output is not None and ins.output.space == "stack":
-            if v_t != TargetExpr(f"stack:{ins.output.offset}", 0):
-                continue
-            value = ins.inputs[0]
-        else:
-            continue
-        return _classes_of_value(p, f, value, pos, _seen)
-    return []
+            if expr == TargetExpr(f"stack:{ins.output.offset}", 0):
+                return pos, ins.inputs[0]
+    return None
 
 
 def _classes_of_value(p: IRProgram, f: Function, v: Varnode, pos: int, _seen) -> list[str]:
@@ -312,20 +304,15 @@ def _classes_of_value(p: IRProgram, f: Function, v: Varnode, pos: int, _seen) ->
 
 def _search_list(p: IRProgram, v_c: str) -> list[str]:
     """Algorithm search order: parent constructors root-most first, own
-    constructors, then member functions in declaration order."""
+    constructors, then member functions in declaration order; each of the
+    program's functions once, others left out."""
     out: list[str] = []
     for anc in p.ancestors(v_c):
         out.extend(p.cls(anc).constructors)
     c = p.cls(v_c)
     out.extend(c.constructors)
     out.extend(c.members)
-    seen = set()
-    uniq = []
-    for fid in out:
-        if fid not in seen:
-            seen.add(fid)
-            uniq.append(fid)
-    return uniq
+    return [fid for fid in dict.fromkeys(out) if p.has_fn(fid)]
 
 
 def recover_vcalls(p: IRProgram, cg: CallGraph) -> CallGraph:
@@ -356,8 +343,6 @@ def recover_vcalls(p: IRProgram, cg: CallGraph) -> CallGraph:
         else:
             classes: list[str] = []
             for fid in _search_list(p, s.v_c):
-                if not p.has_fn(fid):
-                    continue
                 inference_calls += 1
                 classes = class_inference(p, s.v_t, p.fn(fid))
                 if classes:

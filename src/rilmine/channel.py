@@ -15,9 +15,9 @@ import re
 from dataclasses import dataclass, field, asdict
 
 from . import callgraph as cgmod
-from .callgraph import CallGraph, TargetExpr
+from .callgraph import CallGraph
 from .commands import CommandDB, config_hash, make_record, DEFAULT_FILTER_TOKENS
-from .ir import Function, IRProgram, Varnode, format_site, reaching_def
+from .ir import Function, IRProgram, Varnode, reaching_def
 from .taint import (
     TAINT_APIS,
     backward_taint,
@@ -79,12 +79,6 @@ class ChannelResolution:
     reason: str | None = None  # discard reason
 
 
-def _call_args(ins) -> tuple[Varnode, ...]:
-    if ins.op == "CALLIND":
-        return ins.inputs[1:]
-    return ins.inputs
-
-
 def _trace_path(p: IRProgram, cg: CallGraph, f: Function, v: Varnode, pos: int, depth: int) -> set[str]:
     """Resolve a path argument to constant data-segment strings."""
     if depth <= 0:
@@ -101,12 +95,9 @@ def _trace_path(p: IRProgram, cg: CallGraph, f: Function, v: Varnode, pos: int, 
             out: set[str] = set()
             for e in cg.callers_of(f.id):
                 cf = p.fn(e.caller)
-                cins = cf.block(e.site[1]).instructions[e.site[2]]
-                cargs = _call_args(cins)
-                if k < len(cargs):
-                    out |= _trace_path(
-                        p, cg, cf, cargs[k], cf.linear_pos(e.site[1], e.site[2]), depth - 1
-                    )
+                a, apos = cf.arg_at(e.site[1], e.site[2], k)
+                if a is not None:
+                    out |= _trace_path(p, cg, cf, a, apos, depth - 1)
             return out
         pos2, ins = d
         if ins.op == "COPY":
@@ -149,16 +140,9 @@ def _trace_fd(p: IRProgram, cg: CallGraph, f: Function, v: Varnode, pos: int,
             out: list[tuple] = []
             for e in cg.callers_of(f.id):
                 cf = p.fn(e.caller)
-                cins = cf.block(e.site[1]).instructions[e.site[2]]
-                cargs = _call_args(cins)
-                if k < len(cargs):
-                    out.extend(
-                        _trace_fd(
-                            p, cg, cf, cargs[k],
-                            cf.linear_pos(e.site[1], e.site[2]),
-                            depth - 1, visited,
-                        )
-                    )
+                a, apos = cf.arg_at(e.site[1], e.site[2], k)
+                if a is not None:
+                    out.extend(_trace_fd(p, cg, cf, a, apos, depth - 1, visited))
             return out or [("unknown", "no-callers")]
         pos2, ins = d
         if ins.op == "COPY":
@@ -205,11 +189,13 @@ def _trace_fd(p: IRProgram, cg: CallGraph, f: Function, v: Varnode, pos: int,
             if canon is None:
                 return [("unknown", "load")]
             if canon.base == "this" and f.owning_class is not None:
-                found = _member_store_value(p, f.owning_class, canon)
-                if found is None:
-                    return [("unknown", "member-undefined")]
-                g, gpos, gv = found
-                return _trace_fd(p, cg, g, gv, gpos, depth - 1, visited)
+                # the first store to this+off along the class's search list
+                for fid in cgmod._search_list(p, f.owning_class):
+                    g = p.fn(fid)
+                    found = cgmod.defining_store(g, canon)
+                    if found is not None:
+                        return _trace_fd(p, cg, g, found[1], found[0], depth - 1, visited)
+                return [("unknown", "member-undefined")]
             if canon.base.startswith("stack:"):
                 off = int(canon.base.split(":")[1])
                 v = Varnode("stack", off, v.size)
@@ -218,36 +204,15 @@ def _trace_fd(p: IRProgram, cg: CallGraph, f: Function, v: Varnode, pos: int,
         return [("unknown", ins.op.lower())]
 
 
-def _member_store_value(p: IRProgram, cls_name: str, expr: TargetExpr):
-    """First store defining this+off across the class's constructor/member
-    search list; returns (function, position, stored varnode)."""
-    for fid in cgmod._search_list(p, cls_name):
-        if not p.has_fn(fid):
-            continue
-        g = p.fn(fid)
-        for pos, (bid, idx, ins) in enumerate(g.linear()):
-            if ins.op != "STORE":
-                continue
-            canon = cgmod._canon_store_addr(g, ins.inputs[0], pos)
-            if canon == expr:
-                return g, pos, ins.inputs[1]
-    return None
-
-
 def resolve_channel(p: IRProgram, cg: CallGraph, site: tuple[str, int, int],
                     fd_arg_index: int, config: FilterConfig | None = None) -> ChannelResolution:
     """Classify the channel behind one I/O site's fd argument."""
     config = config or FilterConfig()
     f = p.fn(site[0])
-    ins = f.block(site[1]).instructions[site[2]]
-    args = _call_args(ins)
-    if fd_arg_index >= len(args):
+    fd, pos = f.arg_at(site[1], site[2], fd_arg_index)
+    if fd is None:
         return ChannelResolution("discard", "unknown", reason="fd-arg-missing")
-    origins = _trace_fd(
-        p, cg, f, args[fd_arg_index],
-        f.linear_pos(site[1], site[2]),
-        config.fd_depth, set(),
-    )
+    origins = _trace_fd(p, cg, f, fd, pos, config.fd_depth, set())
     distinct = sorted(set(origins))
     if not distinct:
         return ChannelResolution("discard", "unknown", reason="fd-unresolved")

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .callgraph import build_direct_cg, recover_vcalls
 from .channel import FilterConfig, filter_commands
@@ -120,18 +119,13 @@ def _cmd_analyze(args) -> int:
 
     results = {}
     errors = []
-
-    def work(path):
-        return _analyze_one(path, config, out)
-
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as ex:
-        futs = {ex.submit(work, path): path for path in inputs}
-        for fut, path in futs.items():
-            try:
-                binary, db, report = fut.result()
-                results[binary] = (db, report)
-            except (OSError, ParseError, ValidationError) as e:
-                errors.append(f"{path}: {e}")
+    for path in inputs:
+        try:
+            binary, db, report = _analyze_one(path, config, out)
+        except (OSError, ParseError, ValidationError) as e:
+            errors.append(f"{path}: {e}")
+            continue
+        results[binary] = (db, report)
 
     for binary in sorted(results):
         db, report = results[binary]
@@ -197,25 +191,30 @@ def _write(out: str, name: str, text: str) -> str:
     return path
 
 
+# IR fixture kind -> seed -> (program, manifest); only "rand" uses the seed.
+_IR_FIXTURES = {
+    "fig2": lambda seed: fx.gen_fig2(),
+    "fig4": lambda seed: fx.gen_fig4(),
+    "fig4sub": lambda seed: fx.gen_fig4(with_subclass=True),
+    "fig5": lambda seed: fx.gen_fig5(),
+    "fig5n0": lambda seed: fx.gen_fig5(n_handlers=0),
+    "fig6": lambda seed: fx.gen_fig6("efs"),
+    "fig6pipe": lambda seed: fx.gen_fig6("pipe"),
+    "fig6dev": lambda seed: fx.gen_fig6("dev"),
+    "hybrid-direct": lambda seed: fx.gen_hybrid("direct"),
+    "hybrid-derived": lambda seed: fx.gen_hybrid("derived"),
+    "hybrid-structured": lambda seed: fx.gen_hybrid("structured"),
+    "rand": lambda seed: fx.gen_random(seed=seed),
+}
+
+FIXTURE_KINDS = (*_IR_FIXTURES, "crashsuite", "mutsuite", "diffpair")
+
+
 def _cmd_fixtures(args) -> int:
     out = _out_dir(args)
     kind = args.kind
-    gen_ir = {
-        "fig2": lambda: fx.gen_fig2(),
-        "fig4": lambda: fx.gen_fig4(),
-        "fig4sub": lambda: fx.gen_fig4(with_subclass=True),
-        "fig5": lambda: fx.gen_fig5(),
-        "fig5n0": lambda: fx.gen_fig5(n_handlers=0),
-        "fig6": lambda: fx.gen_fig6("efs"),
-        "fig6pipe": lambda: fx.gen_fig6("pipe"),
-        "fig6dev": lambda: fx.gen_fig6("dev"),
-        "hybrid-direct": lambda: fx.gen_hybrid("direct"),
-        "hybrid-derived": lambda: fx.gen_hybrid("derived"),
-        "hybrid-structured": lambda: fx.gen_hybrid("structured"),
-        "rand": lambda: fx.gen_random(seed=args.seed),
-    }
-    if kind in gen_ir:
-        p, m = gen_ir[kind]()
+    if kind in _IR_FIXTURES:
+        p, m = _IR_FIXTURES[kind](args.seed)
         name = p.name if kind == "rand" else kind
         _write(out, name + ".ir.json", serialize(p))
         _write(out, name + ".manifest.json", m.to_json())
@@ -241,13 +240,6 @@ def _cmd_fixtures(args) -> int:
     return 1
 
 
-FIXTURE_KINDS = (
-    "fig2", "fig4", "fig4sub", "fig5", "fig5n0", "fig6", "fig6pipe", "fig6dev",
-    "hybrid-direct", "hybrid-derived", "hybrid-structured", "rand",
-    "crashsuite", "mutsuite", "diffpair",
-)
-
-
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("inputs", nargs="+",
                    help="IR json files, or a firmware directory to locate")
     a.add_argument("--out", default=None, help="output directory (or $RILMINE_OUT)")
-    a.add_argument("--jobs", type=int, default=1, help="parallel binaries")
     a.add_argument("--filter-config", default=None, help="filter config json")
     a.add_argument("--keep-socket", action="store_true",
                    help="keep socket-backed I/O sites")

@@ -45,6 +45,16 @@ OPCODES = (
     "RETURN",
 )
 
+# Operand counts the analyses unpack without checking: op -> (inputs, whether
+# an output is required).
+_OPERAND_SHAPE = {
+    "COPY": (1, True),
+    "LOAD": (1, True),
+    "INT_ADD": (2, True),
+    "INT_SUB": (2, True),
+    "STORE": (2, False),
+}
+
 # Parameter/return type strings: "int", "bytes" (byte pointer), "str"
 # (string pointer), "class:<Name>" (object pointer), "void" (returns only).
 _SCALAR_TYPES = ("int", "bytes", "str", "void")
@@ -89,6 +99,11 @@ class Instruction:
     output: Varnode | None = None
     inputs: tuple[Varnode, ...] = ()
     callee: str | None = None  # CALL only; CALLIND computes input[0]
+
+    @property
+    def args(self) -> tuple[Varnode, ...]:
+        """Call arguments: the inputs, minus CALLIND's computed target."""
+        return self.inputs[1:] if self.op == "CALLIND" else self.inputs
 
 
 @dataclass
@@ -142,6 +157,13 @@ class Function:
             }
             self.__dict__["_linear_pos"] = cached
         return cached[(bid, idx)]
+
+    def arg_at(self, bid: int, idx: int, k: int) -> tuple[Varnode | None, int]:
+        """Argument ``k`` of the call at (bid, idx), or None when the call
+        passes fewer, with the call's linear position."""
+        pos = self.linear_pos(bid, idx)
+        args = self.linear()[pos][2].args
+        return (args[k] if k < len(args) else None), pos
 
     def param_index(self, v: Varnode) -> int | None:
         if v.space == "reg" and 0 <= v.offset < len(self.params):
@@ -317,8 +339,8 @@ _KIND = {str: "a string", int: "an int"}
 
 
 def _typed(x, kind: type, name: str):
-    """``x``, which must be exactly a ``kind``: ids are dict keys and set
-    members downstream, and a bool is an int but not an id."""
+    """``x``, which must be exactly a ``kind``: a bool is an int, but not an
+    id (ids are dict keys downstream, where ``True == 1``) nor a size."""
     if type(x) is not kind:
         raise _Bad(f"must be {_KIND[kind]}, not {type(x).__name__}", name)
     return x
@@ -376,11 +398,9 @@ def _varnode_from(obj, table: dict) -> Varnode:
         raise _Bad(f"varnode missing key {e}") from None
     if space not in SPACES:
         raise _Bad(f"unknown space {space!r}")
-    if not isinstance(offset, int) or not isinstance(size, int) or size <= 0:
+    if type(offset) is not int or type(size) is not int or size <= 0:
         raise _Bad("offset must be int, size a positive int")
-    v = Varnode(_SPACE[space], offset, size)
-    if type(offset) is int and type(size) is int:
-        table[space, offset, size] = v
+    v = table[space, offset, size] = Varnode(_SPACE[space], offset, size)
     return v
 
 
@@ -464,9 +484,7 @@ def _function_from(obj, table: dict) -> Function:
     except _Bad as e:
         e.where.append("return")
         raise
-    stack_size = obj["stack_size"]
-    if not isinstance(stack_size, int):
-        raise _Bad(f"must be an int, not {type(stack_size).__name__}", "stack_size")
+    stack_size = _typed(obj["stack_size"], int, "stack_size")
     owning_class = obj.get("class")
     return Function(
         id=_typed(obj["id"], str, "id"),
@@ -508,8 +526,8 @@ def _segment_from(obj) -> tuple[int, bytes]:
     return addr, blob
 
 
-# Overlapping loads (threads of ``analyze --jobs``) share one pause: the first
-# to start records whether cyclic GC was on, the last to finish restores it.
+# Loads that overlap in a caller's threads share one pause: the first to
+# start records whether cyclic GC was on, the last to finish restores it.
 _gc_lock = threading.Lock()
 _gc_pauses = 0
 _gc_resume = False
@@ -569,9 +587,12 @@ def _load(text: str) -> IRProgram:
     table: dict = {}  # this load's interned varnodes
     try:
         data = _each(doc.get("data", []), "data", _segment_from)
+        word_size = _typed(doc.get("word_size", 8), int, "word_size")
+        if word_size <= 0:
+            raise _Bad(f"must be positive, not {word_size}", "word_size")
         prog = IRProgram(
             name=doc.get("name", "unnamed"),
-            word_size=doc.get("word_size", 8),
+            word_size=word_size,
             classes=_each(doc.get("classes", []), "classes", _class_from),
             functions=_each(doc.get("functions", []), "functions", _function_from, table),
             data=data,
@@ -692,6 +713,12 @@ def validate(p: IRProgram) -> list[Diagnostic]:
                 if op in ("INT_EQUAL", "INT_NOTEQUAL"):
                     if len(ins.inputs) != 2 or output is None or output.size != 1:
                         bad_at(f, b, idx, "cmp-shape", f"{op} wants 2 inputs and a 1-byte output")
+                shape = _OPERAND_SHAPE.get(op)
+                if shape is not None:
+                    n, wants_out = shape
+                    if len(ins.inputs) != n or (wants_out and output is None):
+                        bad_at(f, b, idx, "operand-shape", f"{op} wants {n} input(s)"
+                               + (" and an output" if wants_out else ""))
     return out
 
 

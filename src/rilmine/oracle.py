@@ -628,6 +628,7 @@ class _Oracle:
             if lv[0] == "c":
                 n = lv[1]
             # strlen-shaped lengths keep the buffer extent
+        n = min(n, root.stack_size - off)  # no byte lies past the frame
         data, mask = bytearray(), []
         for o in range(off, off + n):
             cell = bytes_map.get(o)

@@ -154,12 +154,6 @@ def find_sources(p: IRProgram, direction: str | None = None) -> list[TaintQuery]
     return out
 
 
-def _call_args(ins) -> tuple[Varnode, ...]:
-    if ins.op == "CALLIND":
-        return ins.inputs[1:]
-    return ins.inputs
-
-
 def _fold_const(op: str, a: Varnode, b: Varnode) -> int:
     return a.offset + b.offset if op == "INT_ADD" else a.offset - b.offset
 
@@ -173,26 +167,22 @@ def backward_taint(p: IRProgram, cg: CallGraph, q: TaintQuery) -> list[TaintTrac
     several root frames; each root yields its own trace. Incomplete walks
     are returned too (complete=False) so callers can surface diagnostics.
     """
-    spec = TAINT_APIS[q.api]
     f = p.fn(q.site[0])
-    ins = f.block(q.site[1]).instructions[q.site[2]]
-    args = _call_args(ins)
-    payload_arg = spec["payload"]
-    if payload_arg >= len(args):
+    v, start = f.arg_at(q.site[1], q.site[2], TAINT_APIS[q.api]["payload"])
+    if v is None:
         return [
             TaintTrace(q, frames=[(f.id, q.site)], complete=False, reason="arg-missing")
         ]
     results: list[TaintTrace] = []
-    start = f.linear_pos(q.site[1], q.site[2])
     _walk_back(
         p,
         cg,
         q,
         f,
-        args[payload_arg],
+        v,
         start,
         frames=[(f.id, q.site)],
-        steps=[(f.id, (q.site[1], q.site[2]), args[payload_arg])],
+        steps=[(f.id, (q.site[1], q.site[2]), v)],
         visited=frozenset([f.id]),
         results=results,
     )
@@ -240,23 +230,21 @@ def _walk_back(p, cg, q, f: Function, v: Varnode, pos: int, frames, steps, visit
                     continue
                 cf = p.fn(e.caller)
                 csite = e.site
-                cins = cf.block(csite[1]).instructions[csite[2]]
-                cargs = _call_args(cins)
-                if k >= len(cargs):
+                a, cpos = cf.arg_at(csite[1], csite[2], k)
+                if a is None:
                     results.append(
                         TaintTrace(q, list(steps), list(frames), complete=False, reason="arg-mismatch")
                     )
                     continue
-                cpos = cf.linear_pos(csite[1], csite[2])
                 _walk_back(
                     p,
                     cg,
                     q,
                     cf,
-                    cargs[k],
+                    a,
                     cpos,
                     frames + [(e.caller, csite)],
-                    steps + [(e.caller, (csite[1], csite[2]), cargs[k])],
+                    steps + [(e.caller, (csite[1], csite[2]), a)],
                     visited | {e.caller},
                     results,
                 )
@@ -302,7 +290,7 @@ def forward_taint(p: IRProgram, cg: CallGraph, q: TaintQuery) -> TaintTrace:
     once per trace, depth bounded."""
     f = p.fn(q.site[0])
     ins = f.block(q.site[1]).instructions[q.site[2]]
-    args = _call_args(ins)
+    args = ins.args
     trace = TaintTrace(q, frames=[(f.id, q.site)])
     visited: set[str] = set()
     sinks: list[Sink] = []
@@ -377,8 +365,7 @@ def _flow_forward(p, cg, f: Function, seeds, regions, visited, sinks, steps, dep
                     if s not in sinks:
                         sinks.append(s)
             elif ins.op in ("CALL", "CALLIND"):
-                args = _call_args(ins)
-                t_idx = [k for k, v in enumerate(args) if is_t(v)]
+                t_idx = [k for k, v in enumerate(ins.args) if is_t(v)]
                 if not t_idx:
                     continue
                 targets = []
@@ -502,6 +489,10 @@ def concretize_payload(p: IRProgram, trace: TaintTrace) -> PayloadBytes:
         elif kind == "strlen":
             length_source = LengthSource("strlen-bounded", bound)
         # else unknown: fall back to the buffer extent
+    if length > root.stack_size - off:
+        # validate bounds every stack varnode, so no byte lies past the frame
+        notes.append(f"length {length} exceeds frame; truncated to {root.stack_size - off}")
+        length = root.stack_size - off
 
     data = bytearray()
     mask = []
@@ -527,14 +518,9 @@ def _length_along_trace(p, trace, len_idx):
     frames = trace.frames
     f = p.fn(frames[0][0])
     site = frames[0][1]
-    ins = f.block(site[1]).instructions[site[2]]
-    args = _call_args(ins)
-    if len_idx >= len(args):
-        return ("unknown",)
-    v = args[len_idx]
-    pos = f.linear_pos(site[1], site[2])
+    v, pos = f.arg_at(site[1], site[2], len_idx)
     fi = 0
-    while True:
+    while v is not None:
         v, pos = _fold_within(f, v, pos)
         if v.is_const:
             return ("const", v.offset)
@@ -546,12 +532,8 @@ def _length_along_trace(p, trace, len_idx):
         fi += 1
         fid, csite = frames[fi]
         f = p.fn(fid)
-        cins = f.block(csite[1]).instructions[csite[2]]
-        cargs = _call_args(cins)
-        if k >= len(cargs):
-            return ("unknown",)
-        v = cargs[k]
-        pos = f.linear_pos(csite[1], csite[2])
+        v, pos = f.arg_at(csite[1], csite[2], k)
+    return ("unknown",)
 
 
 def _fold_within(f: Function, v: Varnode, pos: int) -> tuple[Varnode, int]:

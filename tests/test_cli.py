@@ -89,24 +89,25 @@ def test_analyze_rejects_malformed_ir(tmp_path, capsys):
     assert "ir_version" in err
 
 
-def test_parallel_analysis_is_byte_identical(tmp_path, capsys):
-    irs = []
-    for seed in (0, 1, 2):
-        d = tmp_path / f"src{seed}"
+def test_batch_keeps_good_binaries_past_a_bad_one(tmp_path, capsys):
+    good = []
+    for kind in ("fig2", "fig5"):
+        d = tmp_path / kind
         d.mkdir()
-        _gen(capsys, d, "rand", "--seed", str(seed))
-        irs.append(str(next(d.glob("*.ir.json"))))
-    outs = {}
-    for jobs, label in ((1, "serial"), (3, "parallel")):
-        out_dir = tmp_path / label
-        code, stdout, _ = run(capsys, "analyze", *irs,
-                              "--out", str(out_dir), "--jobs", str(jobs))
-        assert code == 0
-        outs[label] = (stdout, {f.name: f.read_bytes()
-                                for f in sorted(out_dir.iterdir())})
-    assert outs["serial"][0] == outs["parallel"][0]
-    assert outs["serial"][1] == outs["parallel"][1]
-    assert len(outs["serial"][1]) == 9  # three artifacts per binary
+        _gen(capsys, d, kind)
+        good.append(str(d / f"{kind}.ir.json"))
+    bad = tmp_path / "bad.ir.json"
+    bad.write_text("{\"ir_version\": 99}")
+    out_dir = tmp_path / "out"
+    code, stdout, err = run(capsys, "analyze", good[0], str(bad), good[1],
+                            "--out", str(out_dir))
+    assert code == 1
+    assert sorted(f.name for f in out_dir.iterdir()) == [
+        f"{b}{ext}" for b in ("fig2", "fig5")
+        for ext in (".cmdb.json", ".cmdb.tsv", ".report.txt")
+    ]
+    assert [line.split("\t")[0] for line in stdout.splitlines()] == ["fig2", "fig5"]
+    assert f"error: {bad}: " in err
 
 
 def test_out_dir_falls_back_to_environment(tmp_path, capsys, monkeypatch):

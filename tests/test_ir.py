@@ -139,12 +139,14 @@ def _set(doc, path, value):
      "functions[1].blocks[0].succ: must be a list, not int"),
     (("functions", 1, "stack_size"), "x",
      "functions[1].stack_size: must be an int, not str"),
+    (("functions", 1, "stack_size"), True,
+     "functions[1].stack_size: must be an int, not bool"),
     (("functions", 1, "params"), [3],
      "functions[1].params[0]: param must be an object"),
     (("data",), ["x"], "data[0]: segment must be an object"),
     (("functions", 1, "blocks"), 5, "functions[1].blocks: must be a list, not int"),
-], ids=["ins-item", "in-list", "succ-list", "stack-size", "params-item", "data-item",
-        "blocks-list"])
+], ids=["ins-item", "in-list", "succ-list", "stack-size", "stack-size-bool", "params-item",
+        "data-item", "blocks-list"])
 def test_malformed_structure_is_a_parse_error_with_field_path(path, value, message):
     doc = _fig5_doc()
     _set(doc, path, value)
@@ -187,6 +189,21 @@ def test_ids_and_names_of_the_wrong_type_are_a_parse_error(path, value, message)
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("value,message", [
+    ("8", "word_size: must be an int, not str"),
+    (8.0, "word_size: must be an int, not float"),
+    (True, "word_size: must be an int, not bool"),
+    (0, "word_size: must be positive, not 0"),
+    (-8, "word_size: must be positive, not -8"),
+])
+def test_word_size_must_be_a_positive_int(value, message):
+    doc = _fig5_doc()
+    doc["word_size"] = value
+    with pytest.raises(ir.ParseError) as exc:
+        ir.load_program(json.dumps(doc))
+    assert str(exc.value) == message
+
+
 def test_parse_error_path_names_the_operand():
     doc = _fig5_doc()
     doc["functions"][1]["blocks"][2]["ins"][0]["in"][1] = {"space": "reg", "offset": 0}
@@ -211,6 +228,19 @@ def _two_copies_doc(second):
 @pytest.mark.parametrize("field,value", [("offset", 1.0), ("size", 8.0)])
 def test_float_equal_to_an_interned_int_varnode_is_still_rejected(field, value):
     second = {"space": "reg", "offset": 1, "size": 8}
+    second[field] = value
+    with pytest.raises(ir.ParseError, match=r"ins\[1\]\.in\[0\]: offset must be int"):
+        ir.load_program(json.dumps(_two_copies_doc(second)))
+
+
+@pytest.mark.parametrize("field,value,offset", [
+    ("offset", True, 1),  # equal to the interned (reg, 1, 8)
+    ("offset", False, 5),
+    ("size", True, 5),
+])
+def test_bool_varnode_offset_or_size_is_rejected(field, value, offset):
+    # True == 1, so an accepted bool would make (reg, True, 8) equal reg 1.
+    second = {"space": "reg", "offset": offset, "size": 8}
     second[field] = value
     with pytest.raises(ir.ParseError, match=r"ins\[1\]\.in\[0\]: offset must be int"):
         ir.load_program(json.dumps(_two_copies_doc(second)))
@@ -341,6 +371,27 @@ def test_validate_flags_bad_compare_shape():
     f = func("main", blocks=[block(0, [I("INT_EQUAL", R(0, 8), (C(1),)),
                                        I("RETURN")])])
     assert "cmp-shape" in _invariants(ir.IRProgram(name="p", functions=[f]))
+
+
+@pytest.mark.parametrize("ins", [
+    ir.Instruction("COPY", R(0), ()),
+    ir.Instruction("COPY", None, (C(1),)),
+    ir.Instruction("LOAD", None, (R(1),)),
+    ir.Instruction("LOAD", R(0), (R(1), R(2))),
+    ir.Instruction("INT_ADD", R(0), (R(1),)),
+    ir.Instruction("INT_SUB", None, (R(1), C(1))),
+    ir.Instruction("STORE", None, (R(1),)),
+], ids=["copy-no-input", "copy-no-output", "load-no-output", "load-two-inputs",
+        "add-one-input", "sub-no-output", "store-one-input"])
+def test_validate_flags_operand_shape(ins):
+    # The call graph and taint code unpack these operands unchecked, so a
+    # wrong count must stop at validate, not raise there.
+    f = func("main", blocks=[block(0, [ins, I("RETURN")])])
+    p = ir.IRProgram(name="p", functions=[f])
+    assert _invariants(p) == {"operand-shape"}
+    with pytest.raises(ir.ValidationError) as exc:
+        ir.load_program(ir.serialize(p))
+    assert [d.location for d in exc.value.diagnostics] == ["main@0:0"]
 
 
 def test_validate_flags_member_without_this():

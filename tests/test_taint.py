@@ -170,6 +170,27 @@ def test_data_segment_payload_reads_program_bytes():
     assert pb.length_source == LengthSource("constant-arg", 5)
 
 
+def test_stack_payload_longer_than_the_frame_is_truncated_to_it():
+    # The length comes from the IR; no byte lies past the 16-byte frame, so
+    # a length of 2**40 must not be built up byte by byte.
+    tx = func("tx", stack=16, blocks=[block(0, [
+        I("CALL", U(0), (C(0x2000), C(0)), callee="open"),
+        I("STORE", None, (S(8, 1), C(7, 1))),
+        I("CALL", None, (U(0), S(8, 1), C(2 ** 40)), callee="write"),
+        I("RETURN"),
+    ])])
+    p = build_program("long", functions=[tx], data=[(0x2000, b"/dev/umts_ipc0\x00")],
+                      externals=["open", "write"])
+    cg = _cg(p)
+    pb = concretize_payload(p, backward_taint(p, cg, find_sources(p)[0])[0])
+    assert payload_hex(pb) == "07 .. .. .. .. .. .. .."
+    assert pb.length_source == LengthSource("constant-arg", 2 ** 40)
+    assert pb.notes[0] == f"length {2 ** 40} exceeds frame; truncated to 8"
+    db, _ = filter_commands(p, cg)
+    want = {("solicited", "write", "tx", "07 .. .. .. .. .. .. ..", "/dev/umts_ipc0")}
+    assert db_signatures(db) == oracle.analyze(p).commands == want
+
+
 def test_immediate_request_code_becomes_word_payload():
     f = func("req", blocks=[block(0, [
         I("CALL", None, (C(3), C(0x55501)), callee="ioctl"), I("RETURN"),
