@@ -76,12 +76,11 @@ def _cmd_locate(args) -> int:
 # ---------------------------------------------------------------------------
 # analyze
 
-def _analyze_one(path: str, config: FilterConfig, out: str):
+def _analyze_one(path: str, binary: str, config: FilterConfig, out: str):
     with open(path, "r", encoding="utf-8") as fh:
         p = load_program(fh.read())
     cg = build_direct_cg(p)
     recover_vcalls(p, cg)
-    binary = _binary_name(path)
     db, report = filter_commands(p, cg, binary=binary, config=config)
     with open(os.path.join(out, binary + ".cmdb.tsv"), "w", encoding="utf-8") as fh:
         fh.write(save_db(db))
@@ -89,7 +88,7 @@ def _analyze_one(path: str, config: FilterConfig, out: str):
         fh.write(save_db_json(db))
     with open(os.path.join(out, binary + ".report.txt"), "w", encoding="utf-8") as fh:
         fh.write(report.to_text())
-    return binary, db, report
+    return db, report
 
 
 def _cmd_analyze(args) -> int:
@@ -117,18 +116,22 @@ def _cmd_analyze(args) -> int:
         else:
             inputs.append(item)
 
-    results = {}
+    results = {}  # binary name -> (input path, db, report)
     errors = []
     for path in inputs:
+        binary = _binary_name(path)
+        if binary in results:
+            errors.append(f"{path}: binary name {binary!r} already taken by {results[binary][0]}")
+            continue
         try:
-            binary, db, report = _analyze_one(path, config, out)
+            db, report = _analyze_one(path, binary, config, out)
         except (OSError, ParseError, ValidationError) as e:
             errors.append(f"{path}: {e}")
             continue
-        results[binary] = (db, report)
+        results[binary] = (path, db, report)
 
     for binary in sorted(results):
-        db, report = results[binary]
+        _, db, report = results[binary]
         print(
             f"{binary}\trecords={len(db.records)}"
             f"\tsolicited={len(db.solicited())}"

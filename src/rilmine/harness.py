@@ -113,10 +113,13 @@ def campaign(db: CommandDB, config: SimConfig, budget: int = 1000,
     Deterministic for a given (db, config, budget, seed)."""
     findings: list = []
     stats = CampaignStats()
+    # One world, reflashed before each command: latches compare ticks only
+    # with each other, so a fresh world and a reflashed one behave alike.
+    world = SimWorld(config)
     for rec in db.sorted_records():
         if rec.direction != "solicited":
             continue
-        world = SimWorld(config)
+        world.reflash()
         rng = _record_rng(seed, rec)
         execs = 1
         report = probe_command(world, rec.payload.data, window=None)

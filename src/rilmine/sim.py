@@ -8,7 +8,11 @@ permanent > recoverable > temporary.
 
 Behavior is table-driven: the first matching row decides the effect of an
 injected payload. Matchers are byte sequences with ``..`` wildcards and an
-optional trailing ``*`` for prefix matches.
+optional trailing ``*`` for prefix matches. ``BehaviorRow.matches`` defines
+a match; a world indexes its table when it is built (exact rows in a dict
+keyed by their bytes, wildcard and prefix rows in per-length lists) and
+picks the same row a scan in table order would. The harness builds one
+world per campaign. The world reads ``config.rows`` only when built.
 """
 
 from __future__ import annotations
@@ -82,6 +86,17 @@ class SimConfigError(ValueError):
     pass
 
 
+def _int_at(lineno: int, what: str, tok: str, base: int = 10, hi: int | None = None) -> int:
+    """``tok`` as an int in ``0..hi`` (no upper bound when ``hi`` is None)."""
+    try:
+        v = int(tok, base)
+    except ValueError:
+        raise SimConfigError(f"line {lineno}: bad {what} {tok!r}") from None
+    if v < 0 or (hi is not None and v > hi):
+        raise SimConfigError(f"line {lineno}: {what} out of range {tok!r}")
+    return v
+
+
 def parse_sim_config(text: str) -> SimConfig:
     cfg = SimConfig()
     rows = []
@@ -98,26 +113,19 @@ def parse_sim_config(text: str) -> SimConfig:
                 toks = toks[:-1]
             if not toks:
                 raise SimConfigError(f"line {lineno}: empty matcher")
-            matcher = []
-            for t in toks:
-                if t == "..":
-                    matcher.append(None)
-                else:
-                    try:
-                        v = int(t, 16)
-                    except ValueError:
-                        raise SimConfigError(f"line {lineno}: bad byte {t!r}") from None
-                    if not 0 <= v <= 0xFF:
-                        raise SimConfigError(f"line {lineno}: byte out of range {t!r}")
-                    matcher.append(v)
+            matcher = [None if t == ".." else _int_at(lineno, "byte", t, base=16, hi=0xFF)
+                       for t in toks]
             eff = right.strip()
             args: tuple = ()
             if "(" in eff:
                 name, _, rest = eff.partition("(")
                 if not rest.endswith(")"):
                     raise SimConfigError(f"line {lineno}: unclosed args")
-                args = tuple(int(a) for a in rest[:-1].split(",") if a.strip())
                 eff = name
+                # ok(code) is a response byte; temporary_crash(n) a tick count
+                hi = 0xFF if eff == "ok" else None
+                args = tuple(_int_at(lineno, "effect argument", a, hi=hi)
+                             for a in rest[:-1].split(",") if a.strip())
             if eff not in EFFECTS:
                 raise SimConfigError(f"line {lineno}: unknown effect {eff!r}")
             rows.append(BehaviorRow(tuple(matcher), prefix, eff, args))
@@ -129,11 +137,12 @@ def parse_sim_config(text: str) -> SimConfig:
         if key == "channel":
             cfg = replace(cfg, channel=val)
         elif key == "valid_codes":
-            cfg = replace(cfg, valid_codes=frozenset(int(t, 16) for t in val.split()))
+            cfg = replace(cfg, valid_codes=frozenset(
+                _int_at(lineno, "response code", t, base=16, hi=0xFF) for t in val.split()))
         elif key == "recover_after":
-            cfg = replace(cfg, default_recover_after=int(val))
+            cfg = replace(cfg, default_recover_after=_int_at(lineno, "recover_after", val))
         elif key == "reboot_ticks":
-            cfg = replace(cfg, reboot_ticks=int(val))
+            cfg = replace(cfg, reboot_ticks=_int_at(lineno, "reboot_ticks", val))
         elif key == "sandbox_root":
             cfg = replace(cfg, sandbox_root=val)
         elif key == "dotdot_check":
@@ -162,7 +171,12 @@ class Response:
 
 
 class SimWorld:
-    """One modem instance on a logical tick counter."""
+    """One modem instance on a logical tick counter.
+
+    The behavior table is indexed when the world is built: ``config.rows``
+    is read once, so rows added to the config afterwards are not seen by
+    this world. Build a new world for a changed table.
+    """
 
     def __init__(self, config: SimConfig):
         self.config = config
@@ -171,6 +185,18 @@ class SimWorld:
         self._temporaries: list[int] = []  # expiry ticks
         self._recoverable = False
         self._permanent = False
+        self._rows = tuple(config.rows)
+        # exact matcher bytes -> position of the first row with that matcher
+        self._exact: dict[bytes, int] = {}
+        # (position, row) of every wildcard or prefix row, in table order
+        self._loose: list[tuple[int, BehaviorRow]] = []
+        for i, r in enumerate(self._rows):
+            if r.prefix or None in r.matcher:
+                self._loose.append((i, r))
+            else:
+                self._exact.setdefault(bytes(r.matcher), i)
+        # payload length -> the loose rows that can match that length
+        self._loose_by_len: dict[int, list[tuple[int, BehaviorRow]]] = {}
 
     # -- state ----------------------------------------------------------
 
@@ -210,26 +236,43 @@ class SimWorld:
 
     # -- injection ------------------------------------------------------
 
+    def row_for(self, payload: bytes) -> int | None:
+        """Position of the first row that matches ``payload``, or None:
+        the row a scan of ``BehaviorRow.matches`` in table order finds."""
+        n = len(payload)
+        loose = self._loose_by_len.get(n)
+        if loose is None:
+            loose = [(i, r) for i, r in self._loose
+                     if (len(r.matcher) <= n if r.prefix else len(r.matcher) == n)]
+            self._loose_by_len[n] = loose
+        hit = self._exact.get(bytes(payload))
+        for i, r in loose:
+            if hit is not None and i > hit:
+                break
+            if r.matches(payload):
+                return i
+        return hit
+
     def inject(self, payload: bytes) -> Response:
         self.exec_count += 1
         self.tick += 1
         if self.query_state() == OUT_OF_SERVICE:
             return Response(None, OUT_OF_SERVICE)
-        for row in self.config.rows:
-            if not row.matches(payload):
-                continue
-            if row.effect == "ok":
-                code = row.args[0] if row.args else RSP_OK
-                return Response(code, self.query_state())
-            if row.effect == "temporary_crash":
-                after = row.args[0] if row.args else self.config.default_recover_after
-                self._temporaries.append(self.tick + after)
-            elif row.effect == "recoverable_crash":
-                self._recoverable = True
-            elif row.effect == "permanent_crash":
-                self._permanent = True
-            return Response(None, self.query_state())
-        return Response(RSP_UNKNOWN, self.query_state())
+        i = self.row_for(payload)
+        if i is None:
+            return Response(RSP_UNKNOWN, self.query_state())
+        row = self._rows[i]
+        if row.effect == "ok":
+            code = row.args[0] if row.args else RSP_OK
+            return Response(code, self.query_state())
+        if row.effect == "temporary_crash":
+            after = row.args[0] if row.args else self.config.default_recover_after
+            self._temporaries.append(self.tick + after)
+        elif row.effect == "recoverable_crash":
+            self._recoverable = True
+        elif row.effect == "permanent_crash":
+            self._permanent = True
+        return Response(None, self.query_state())
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,33 @@ def test_batch_keeps_good_binaries_past_a_bad_one(tmp_path, capsys):
     assert f"error: {bad}: " in err
 
 
+def test_batch_rejects_a_second_input_with_the_same_binary_name(tmp_path, capsys):
+    a, b, c = (tmp_path / d for d in ("a", "b", "c"))
+    for d in (a, b, c):
+        d.mkdir()
+    _gen(capsys, a, "fig2")
+    _gen(capsys, b, "fig5")
+    _gen(capsys, c, "fig4")
+    first, second = str(a / "fig2.ir.json"), str(b / "fig2.ir.json")
+    os.rename(b / "fig5.ir.json", second)
+    out_dir = tmp_path / "out"
+    code, stdout, err = run(capsys, "analyze", first, second, str(c / "fig4.ir.json"),
+                            "--out", str(out_dir))
+    assert code == 1
+    assert sorted(f.name for f in out_dir.iterdir()) == [
+        f"{b}{ext}" for b in ("fig2", "fig4")
+        for ext in (".cmdb.json", ".cmdb.tsv", ".report.txt")
+    ]
+    assert [line.split("\t")[0] for line in stdout.splitlines()] == ["fig2", "fig4"]
+    code, alone, _ = run(capsys, "analyze", first, "--out", str(tmp_path / "alone"))
+    assert code == 0
+    assert stdout.splitlines()[0] == alone.splitlines()[0]
+    for ext in (".cmdb.json", ".cmdb.tsv", ".report.txt"):
+        assert (out_dir / f"fig2{ext}").read_text() == (tmp_path / "alone" / f"fig2{ext}").read_text()
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: {second}: ") and first in line
+
+
 def test_out_dir_falls_back_to_environment(tmp_path, capsys, monkeypatch):
     env_dir = tmp_path / "envout"
     monkeypatch.setenv("RILMINE_OUT", str(env_dir))

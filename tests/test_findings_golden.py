@@ -29,7 +29,7 @@ from rilmine.callgraph import build_direct_cg, recover_vcalls
 from rilmine.channel import filter_commands
 from rilmine.commands import CommandDB, save_db
 from rilmine.fixtures import gen_crash_suite, gen_mutation_target, gen_random
-from rilmine.harness import INTERESTING_BYTES, campaign
+from rilmine.harness import INTERESTING_BYTES, SEVERITY, CampaignStats, campaign
 from rilmine.sim import BehaviorRow, SimConfig
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "findings.json")
@@ -175,6 +175,26 @@ def test_mined_table_has_every_row_shape(suites):
 @pytest.mark.parametrize("case", _cases())
 def test_findings_match_golden_digest(case, suites, golden):
     assert case_result(case, suites) == golden[case]
+
+
+@pytest.mark.parametrize("case", _cases())
+def test_one_world_per_campaign_equals_one_per_command(case, suites):
+    """``campaign`` reuses one reflashed world; running it on each command
+    alone, with a world of its own, and merging gives the same result."""
+    name, budget, seed = case.split(":")
+    db, cfg = suites[name]
+    findings, stats = [], CampaignStats()
+    for rec in db.sorted_records():
+        part, part_stats = campaign(CommandDB(db.binary, records=[rec]), cfg,
+                                    budget=int(budget), seed=int(seed))
+        findings += part
+        stats.probes += part_stats.probes
+        stats.mutation_execs += part_stats.mutation_execs
+        stats.corpus_adds += part_stats.corpus_adds
+        for root, execs in part_stats.first_crash_execs.items():
+            stats.first_crash_execs.setdefault(root, execs)
+    findings.sort(key=lambda f: (-SEVERITY[f.crash_type], f.root_function))
+    assert campaign(db, cfg, budget=int(budget), seed=int(seed)) == (findings, stats)
 
 
 if __name__ == "__main__":

@@ -187,6 +187,20 @@ def test_campaign_corpus_grows_on_novel_responses():
     assert stats.corpus_adds >= 1
 
 
+def test_campaign_crash_does_not_leak_into_the_next_command():
+    db, cfg, crash_payload = gen_mutation_target()
+    cfg.rows[0] = BehaviorRow(tuple(crash_payload), False, "permanent_crash")
+    pb = PayloadBytes(bytes([1, 2, 3]), "sss", LengthSource("constant-arg", 3))
+    db.add(CommandRecord(
+        binary="mutsuite", direction="solicited", api="write",
+        site="IpcTxZzBenign@0:0", root_function="IpcTxZzBenign", module="Zz",
+        payload=pb, channel_path="/dev/umts_ipc0", kind="static"))
+    findings, stats = campaign(db, cfg, budget=10_000, seed=1)
+    assert [(f.root_function, f.crash_type, f.source) for f in findings] == [
+        ("IpcTxSimSetStatus", "permanent", "mutation")]
+    assert stats.probes == 2
+
+
 def test_record_rng_is_sub_seeded_per_command():
     from rilmine.harness import _record_rng
     db, _, _ = gen_mutation_target()

@@ -1,16 +1,21 @@
 """Modem simulator: behavior rows, crash latches, and the Nv file sandbox."""
 
 import os
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rilmine.sim import (
+    EFFECTS,
     BehaviorRow,
     IN_SERVICE,
     NvRequest,
     OUT_OF_SERVICE,
     RSP_OK,
     RSP_UNKNOWN,
+    Response,
     SimConfig,
     SimConfigError,
     SimWorld,
@@ -56,6 +61,79 @@ def test_first_matching_row_wins():
     w = world(row([8], "recoverable_crash", prefix=True),
               row([8, 1], "ok"))
     assert w.inject(bytes([8, 1])).state == OUT_OF_SERVICE
+
+
+def _first_row(rows, payload):
+    return next((i for i, r in enumerate(rows) if r.matches(payload)), None)
+
+
+# A small byte alphabet so that random payloads hit rows and matchers repeat.
+_BYTE = st.sampled_from([0x00, 0x01, 0x08, 0xFF])
+_ROWS = st.lists(
+    st.builds(BehaviorRow,
+              matcher=st.lists(st.one_of(_BYTE, st.none()), min_size=1, max_size=12).map(tuple),
+              prefix=st.booleans(),
+              effect=st.sampled_from(("ok", "temporary_crash", "recoverable_crash",
+                                      "permanent_crash"))),
+    min_size=1, max_size=24)
+
+
+@st.composite
+def _table_and_payloads(draw):
+    rows = draw(_ROWS)
+    # repeat some rows' matchers further down with other effects
+    for _ in range(draw(st.integers(0, 4))):
+        src = draw(st.sampled_from(rows))
+        rows.insert(draw(st.integers(0, len(rows))),
+                    BehaviorRow(src.matcher, draw(st.booleans()), draw(st.sampled_from(EFFECTS))))
+    payloads = []
+    for _ in range(draw(st.integers(1, 16))):
+        if draw(st.booleans()):
+            r = draw(st.sampled_from(rows))
+            data = [draw(_BYTE) if m is None else m for m in r.matcher]
+            if r.prefix:
+                data += draw(st.lists(_BYTE, max_size=3))
+        else:
+            data = draw(st.lists(_BYTE, max_size=13))
+        payloads.append(bytes(data))
+    return rows, payloads
+
+
+@settings(max_examples=400, deadline=None)
+@given(_table_and_payloads())
+def test_row_index_agrees_with_a_linear_scan(case):
+    rows, payloads = case
+    w = world(*rows)
+    for p in payloads + payloads:  # second pass reads the per-length lists built by the first
+        assert w.row_for(p) == _first_row(rows, p)
+
+
+def test_row_index_prefix_row_shadows_a_later_exact_row():
+    rows = [row([9, 9], "ok"), row([8], "ok", prefix=True, args=(0x33,)),
+            row([8, 1], "permanent_crash"), row([8, 1], "ok")]
+    w = world(*rows)
+    assert w.row_for(bytes([8, 1])) == 1
+    assert w.inject(bytes([8, 1])) == Response(0x33, IN_SERVICE)
+    assert w.row_for(bytes([9, 9])) == 0
+    assert w.row_for(bytes([7, 1])) is None
+
+
+def test_row_index_duplicate_exact_matchers_keep_the_first():
+    w = world(row([1, None], "ok", args=(0x10,)), row([1, 2], "ok", args=(0x20,)),
+              row([1, 2], "permanent_crash"))
+    assert w.row_for(bytes([1, 2])) == 0
+    w = world(row([1, 3], "ok"), row([1, 2], "ok", args=(0x20,)),
+              row([1, 2], "permanent_crash"), row([1, None], "ok"))
+    assert w.row_for(bytes([1, 2])) == 1
+    assert w.row_for(bytes([1, 5])) == 3
+
+
+def test_world_reads_rows_when_built():
+    cfg = SimConfig(rows=[row([1], "ok")])
+    w = SimWorld(cfg)
+    cfg.rows.append(row([2], "permanent_crash"))
+    assert w.inject(bytes([2])) == Response(RSP_UNKNOWN, IN_SERVICE)
+    assert SimWorld(cfg).inject(bytes([2])).state == OUT_OF_SERVICE
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +272,29 @@ def test_parse_rows_and_comments():
     ("07 -> ok(3", "unclosed args"),
     ("just words", "expected key"),
     ("warp = 9", "unknown key"),
+    ("07 -> ok(zz)", "line 1: bad effect argument 'zz'"),
+    ("07 -> ok(256)", "line 1: effect argument out of range '256'"),
+    ("07 -> ok(-1)", "line 1: effect argument out of range '-1'"),
+    ("07 -> temporary_crash(-2)", "line 1: effect argument out of range '-2'"),
+    ("# codes\nvalid_codes = 01 zz", "line 2: bad response code 'zz'"),
+    ("valid_codes = 01 100", "line 1: response code out of range '100'"),
+    ("valid_codes = -1", "line 1: response code out of range '-1'"),
+    ("recover_after = soon", "line 1: bad recover_after 'soon'"),
+    ("recover_after = -3", "line 1: recover_after out of range '-3'"),
+    ("\nreboot_ticks = 1.5", "line 2: bad reboot_ticks '1.5'"),
+    ("reboot_ticks = -6", "line 1: reboot_ticks out of range '-6'"),
 ])
 def test_parse_rejects_malformed_lines(text, msg):
-    with pytest.raises(SimConfigError, match=msg):
+    with pytest.raises(SimConfigError, match=re.escape(msg)):
         parse_sim_config(text)
+
+
+def test_parse_accepts_the_range_ends():
+    cfg = parse_sim_config("valid_codes = 00 ff\nrecover_after = 0\nreboot_ticks = 0\n"
+                           "01 -> ok(0)\n02 -> ok(255)\n03 -> temporary_crash(0)\n")
+    assert cfg.valid_codes == frozenset({0x00, 0xFF})
+    assert (cfg.default_recover_after, cfg.reboot_ticks) == (0, 0)
+    assert [r.args for r in cfg.rows] == [(0,), (255,), (0,)]
 
 
 # ---------------------------------------------------------------------------
