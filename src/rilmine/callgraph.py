@@ -221,11 +221,6 @@ def _scan_callinds(p: IRProgram) -> tuple[list[VCallSite], list[VCallSite]]:
     return matched, failed
 
 
-def collect_vcall_sites(p: IRProgram) -> list[VCallSite]:
-    """CALLIND sites whose target expression matches a dispatch shape."""
-    return _scan_callinds(p)[0]
-
-
 def _canon_store_addr(f: Function, addr: Varnode, pos: int) -> TargetExpr | None:
     """The memory expression ``addr`` points at: the stack slot ``addr`` is
     copied from, or ``this`` or a parameter plus a constant; else None."""

@@ -117,7 +117,7 @@ class Manifest:
                 "unresolved": self.unresolved,
                 "discards": self.discards,
             },
-            indent=1,
+            separators=(",", ":"),
         )
 
     @classmethod
@@ -639,6 +639,22 @@ _VERB_POOL = ("Query", "Update", "Sync", "Enable", "Apply", "Push")
 _NOUN_POOL = ("Status", "Config", "List", "Mode", "Info", "Channel", "Level", "Profile")
 
 
+def _fresh_name(rng: random.Random, used: dict[tuple[str, str], set[str]],
+                cls: str, mod: str) -> str:
+    """An ``IpcTx<mod><Verb><Noun>`` name that ``cls`` does not have yet.
+
+    Raises ValueError once all ``len(_VERB_POOL) * len(_NOUN_POOL)`` are
+    taken, before drawing from ``rng``."""
+    taken = used.setdefault((cls, mod), set())
+    if len(taken) == len(_VERB_POOL) * len(_NOUN_POOL):
+        raise ValueError(f"class {cls}: all {len(taken)} IpcTx{mod} names are taken")
+    while True:
+        n = f"IpcTx{mod}{rng.choice(_VERB_POOL)}{rng.choice(_NOUN_POOL)}"
+        if n not in taken:
+            taken.add(n)
+            return n
+
+
 class _RandBuilder:
     def __init__(self, name: str):
         self.name = name
@@ -806,14 +822,7 @@ def gen_random(seed: int = 0, max_functions: int = 200, vcall_density: float = 0
         ]
         return ins, (callee_cls, callee_fid)
 
-    used_names = set()
-
-    def fresh_name(cls: str, mod: str) -> str:
-        while True:
-            n = f"IpcTx{mod}{rng.choice(_VERB_POOL)}{rng.choice(_NOUN_POOL)}"
-            if (cls, n) not in used_names:
-                used_names.add((cls, n))
-                return n
+    used_names: dict[tuple[str, str], set[str]] = {}  # (class, module) -> names
 
     n_chains = rng.randint(2, 4)
     prev_chain_tail = None
@@ -825,7 +834,7 @@ def gen_random(seed: int = 0, max_functions: int = 200, vcall_density: float = 0
         b.externals.add(api)
         root_cls = f"IpcProtocol41{mod}"
         b.ensure_class(root_cls)
-        root_id = f"{root_cls}::{fresh_name(root_cls, mod)}"
+        root_id = f"{root_cls}::{_fresh_name(rng, used_names, root_cls, mod)}"
 
         if api == "ioctl":
             # keep request codes clear of the data segment's address range

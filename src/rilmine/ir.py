@@ -17,6 +17,9 @@ only read, so a program can be shared across worker threads freely.
 * It pauses the cyclic garbage collector while it builds the program,
   and restores the collector's previous state on the way out, whether
   the load succeeds or raises.
+
+``serialize`` writes compact JSON with the same pause, so a process that
+holds many programs does not traverse them on every write.
 """
 
 from __future__ import annotations
@@ -526,8 +529,9 @@ def _segment_from(obj) -> tuple[int, bytes]:
     return addr, blob
 
 
-# Loads that overlap in a caller's threads share one pause: the first to
-# start records whether cyclic GC was on, the last to finish restores it.
+# Loads and writes that overlap in a caller's threads share one pause: the
+# first to start records whether cyclic GC was on, the last to finish
+# restores it.
 _gc_lock = threading.Lock()
 _gc_pauses = 0
 _gc_resume = False
@@ -537,14 +541,14 @@ _gc_resume = False
 def _gc_paused():
     """Switch cyclic GC off for the duration.
 
-    The loader builds acyclic trees, so the collections its allocations
-    would trigger only traverse the growing heap, again and again. Left
-    alone, the first allocation after the pause would still traverse all
-    of it as young objects, in whatever step the caller runs next. So on
-    resume everything is moved to the oldest generation untraversed:
-    ``gc.unfreeze`` puts the permanent generation back into the oldest
-    one. If the process keeps frozen objects of its own, a collection of
-    the young generations does the move instead."""
+    The loader and the writer build acyclic trees, so the collections
+    their allocations would trigger only traverse the growing heap, again
+    and again. Left alone, the first allocation after the pause would
+    still traverse all of it as young objects, in whatever step the caller
+    runs next. So on resume everything is moved to the oldest generation
+    untraversed: ``gc.unfreeze`` puts the permanent generation back into
+    the oldest one. If the process keeps frozen objects of its own, a
+    collection of the young generations does the move instead."""
     global _gc_pauses, _gc_resume
     with _gc_lock:
         if _gc_pauses == 0:
@@ -781,7 +785,10 @@ def program_to_dict(p: IRProgram) -> dict:
 
 
 def serialize(p: IRProgram) -> str:
-    return json.dumps(program_to_dict(p), indent=1)
+    """Compact JSON text of ``p``. Without ``indent``, ``json`` keeps to its
+    C encoder. The dict tree is acyclic, so GC is paused as in the loader."""
+    with _gc_paused():
+        return json.dumps(program_to_dict(p), separators=(",", ":"))
 
 
 def reaching_def(f: Function, v: Varnode, before: int) -> tuple[int, Instruction] | None:

@@ -97,6 +97,14 @@ def _int_at(lineno: int, what: str, tok: str, base: int = 10, hi: int | None = N
     return v
 
 
+def _bool_at(lineno: int, what: str, tok: str) -> bool:
+    """``tok`` as ``true`` or ``false``, in any case."""
+    v = tok.lower()
+    if v not in ("true", "false"):
+        raise SimConfigError(f"line {lineno}: {what} must be true or false, not {tok!r}")
+    return v == "true"
+
+
 def parse_sim_config(text: str) -> SimConfig:
     cfg = SimConfig()
     rows = []
@@ -146,9 +154,9 @@ def parse_sim_config(text: str) -> SimConfig:
         elif key == "sandbox_root":
             cfg = replace(cfg, sandbox_root=val)
         elif key == "dotdot_check":
-            cfg = replace(cfg, dotdot_check=val.lower() == "true")
+            cfg = replace(cfg, dotdot_check=_bool_at(lineno, key, val))
         elif key == "symlink_check":
-            cfg = replace(cfg, symlink_check=val.lower() == "true")
+            cfg = replace(cfg, symlink_check=_bool_at(lineno, key, val))
         else:
             raise SimConfigError(f"line {lineno}: unknown key {key!r}")
     cfg = replace(cfg, rows=rows)

@@ -5,7 +5,6 @@ from rilmine.callgraph import (
     CallEdge,
     TargetExpr,
     build_direct_cg,
-    collect_vcall_sites,
     dump,
     recover_vcalls,
 )
@@ -90,7 +89,7 @@ def test_subclass_fans_out_to_both_overrides():
 
 def test_collect_vcall_sites_extracts_table_expressions():
     p, _ = gen_fig2()
-    sites = collect_vcall_sites(p)
+    sites = cgmod._scan_callinds(p)[0]
     got = {(s.fn, str(s.v_t), s.v_o) for s in sites}
     assert got == {
         ("IpcTxCallGetCallList", "this+0x10", 0x30),

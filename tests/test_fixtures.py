@@ -5,11 +5,16 @@ These tests hold the pipeline and the independent reference implementation
 to that manifest, three ways: manifest == pipeline == reference.
 """
 
+import random
+
 import pytest
 
 from rilmine import oracle
 from rilmine.fixtures import (
+    _NOUN_POOL,
+    _VERB_POOL,
     CRASH_SUITE,
+    _fresh_name,
     Manifest,
     db_signatures,
     gen_crash_suite,
@@ -87,6 +92,21 @@ def test_manifest_json_round_trip():
     assert again.edge_set() == m.edge_set()
     assert again.discards == m.discards
     assert again.to_json() == m.to_json()
+    assert again == m
+    text = m.to_json()  # compact: read only by programs
+    assert "\n" not in text and ", " not in text and '": ' not in text
+
+
+def test_fresh_name_raises_once_a_class_has_every_name():
+    rng, used = random.Random(3), {}
+    names = {_fresh_name(rng, used, "IpcProtocol41Sms", "Sms") for _ in range(48)}
+    assert len(names) == 48 == len(_VERB_POOL) * len(_NOUN_POOL)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="class IpcProtocol41Sms: all 48"):
+        _fresh_name(rng, used, "IpcProtocol41Sms", "Sms")
+    assert rng.getstate() == state  # the check drew nothing
+    # another class still has all of its names
+    assert _fresh_name(rng, used, "IpcProtocol41Net", "Net").startswith("IpcTxNet")
 
 
 def test_generated_programs_survive_serialization():

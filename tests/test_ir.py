@@ -278,6 +278,31 @@ def test_round_trip_is_identity_for_random_seeds():
         assert ir.serialize(ir.load_program(text)) == text, seed
 
 
+def _written_programs(tmp_path):
+    """(label, program) for every IR fixture kind and ``gen_random`` seeds 0-19."""
+    for kind in _ir_fixture_kinds():
+        out = tmp_path / kind
+        assert cli.main(["fixtures", kind, "--out", str(out)]) == 0
+        (path,) = out.glob("*.ir.json")
+        yield kind, ir.load_program(path.read_text(encoding="utf-8"))
+    for seed in range(20):
+        yield f"seed {seed}", gen_random(seed=seed)[0]
+
+
+def test_serialize_writes_compact_json(tmp_path, capsys):
+    for label, p in _written_programs(tmp_path):
+        text = ir.serialize(p)
+        assert ", " not in text and '": ' not in text and "\n" not in text, label
+        assert json.loads(text) == _doc(p), label
+
+
+def test_indented_documents_load_and_serialize_compactly(tmp_path, capsys):
+    # the old writer's output, as existing IR files on disk hold it
+    for label, p in _written_programs(tmp_path):
+        indented = json.dumps(_doc(p), indent=1)
+        assert ir.serialize(ir.load_program(indented)) == ir.serialize(p), label
+
+
 # ---------------------------------------------------------------------------
 # The loader pauses cyclic GC and restores it
 
@@ -320,6 +345,43 @@ def test_load_leaves_frozen_objects_frozen():
     try:
         frozen = gc.get_freeze_count()
         ir.load_program(ir.serialize(make_minimal()))
+        assert gc.get_freeze_count() == frozen and gc.isenabled()
+    finally:
+        gc.unfreeze()
+
+
+@pytest.mark.parametrize("fails", [False, True])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_serialize_pauses_gc_and_restores_its_state(fails, enabled, monkeypatch):
+    during = []
+    to_dict = ir.program_to_dict
+
+    def spy(p):
+        during.append(gc.isenabled())
+        if fails:
+            raise RuntimeError("spy")
+        return to_dict(p)
+
+    monkeypatch.setattr(ir, "program_to_dict", spy)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if fails:
+            with pytest.raises(RuntimeError):
+                ir.serialize(make_minimal())
+        else:
+            ir.serialize(make_minimal())
+        assert during == [False]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_serialize_leaves_frozen_objects_frozen():
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        ir.serialize(make_minimal())
         assert gc.get_freeze_count() == frozen and gc.isenabled()
     finally:
         gc.unfreeze()

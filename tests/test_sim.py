@@ -289,6 +289,20 @@ def test_parse_rejects_malformed_lines(text, msg):
         parse_sim_config(text)
 
 
+@pytest.mark.parametrize("key", ["dotdot_check", "symlink_check"])
+@pytest.mark.parametrize("val", ["yes", "ture", ""])
+def test_parse_rejects_non_boolean_checks(key, val):
+    with pytest.raises(SimConfigError, match=re.escape(
+            f"line 2: {key} must be true or false, not {val!r}")):
+        parse_sim_config(f"# checks\n{key} = {val}\n")
+
+
+@pytest.mark.parametrize("key", ["dotdot_check", "symlink_check"])
+def test_parse_reads_booleans_in_any_case(key):
+    for text, want in (("TRUE", True), ("True", True), ("false", False), ("FALSE", False)):
+        assert getattr(parse_sim_config(f"{key} = {text}"), key) is want
+
+
 def test_parse_accepts_the_range_ends():
     cfg = parse_sim_config("valid_codes = 00 ff\nrecover_after = 0\nreboot_ticks = 0\n"
                            "01 -> ok(0)\n02 -> ok(255)\n03 -> temporary_crash(0)\n")
