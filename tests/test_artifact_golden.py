@@ -3,7 +3,8 @@ call graph listing, per IR fixture kind and per ``gen_random`` seed, checked
 against the committed digests in ``tests/golden/artifacts.json``.
 
 A change that moves any digest changes what ``analyze`` writes. When that is
-intended, regenerate the file and say why in the change:
+intended, regenerate the file, and ``mutants.json`` of
+``test_mutant_golden.py`` with it, and say why in the change:
 
     PYTHONPATH=src python3 tests/test_artifact_golden.py
 """
@@ -93,3 +94,6 @@ if __name__ == "__main__":
         json.dump(digests, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote {len(digests)} cases to {GOLDEN}", file=sys.stderr)
+    import test_mutant_golden
+    kept = test_mutant_golden.write_golden()
+    print(f"wrote {kept} mutants to {test_mutant_golden.GOLDEN}", file=sys.stderr)

@@ -21,8 +21,10 @@ from rilmine.fixtures import (
     func,
     gen_fig2,
     gen_fig6,
+    ret_stub,
 )
 from rilmine.callgraph import build_direct_cg, recover_vcalls
+from rilmine.ir import ClassInfo
 from rilmine.taint import payload_hex
 
 
@@ -206,3 +208,70 @@ def test_filter_config_round_trips_and_hashes():
     assert cfg.hash() == again.hash()
     assert cfg.hash() != FilterConfig().hash()
     assert len(FilterConfig().hash()) == 12
+
+
+# ---------------------------------------------------------------------------
+# Discard reasons: one tiny program per fd-walk edge branch
+
+_DEV = (0x2010, b"/dev/umts_ipc0\x00")
+
+
+def _tx(*body, params=(), cls=None, extra=(), classes=(), externals=("write",)):
+    """A program whose function ``tx`` runs ``body`` and then writes
+    3 bytes through the fd ``U(0)``."""
+    tx = func("tx", cls=cls, params=params, stack=32, blocks=[block(0, [
+        *body, I("CALL", None, (U(0), C(0x2000), C(3)), callee="write"), I("RETURN"),
+    ])])
+    return build_program("reasons", classes=classes, functions=[tx, *extra],
+                         data=[(0x2000, b"abc\x00"), _DEV], externals=list(externals))
+
+
+def _member_fd(*ctor_body):
+    """Class Chan whose member ``tx`` loads its fd from this+8; the
+    constructor runs ``ctor_body``."""
+    ctor = func("Chan::Chan", cls="Chan", blocks=[block(0, [*ctor_body, I("RETURN")])])
+    return _tx(I("INT_ADD", U(1), (R(0), C(8))), I("LOAD", U(0), (U(1),)),
+               cls="Chan", extra=[ctor],
+               classes=[ClassInfo("Chan", constructors=["Chan::Chan"], members=["tx"])],
+               externals=("write", "open"))
+
+
+_CHANNEL_REASONS = {
+    "constant-fd": lambda: _tx(I("COPY", U(0), (C(3),))),
+    "uninit-slot": lambda: _tx(I("COPY", U(0), (S(8, 8),))),
+    "slot-call": lambda: _tx(
+        I("CALL", S(8, 8), (C(0x2010), C(0)), callee="open"),
+        I("COPY", U(0), (S(8, 8),)), externals=("write", "open")),
+    "no-def": lambda: _tx(I("COPY", U(0), (U(5),))),
+    "arith": lambda: _tx(I("INT_ADD", U(0), (R(0), R(1))),
+                         params=(("a", "int"), ("b", "int"))),
+    "no-callers": lambda: _tx(I("COPY", U(0), (R(0),)), params=(("fd", "int"),)),
+    "opaque-return": lambda: _tx(I("CALL", U(0), (), callee="mkfd"),
+                                 extra=[ret_stub("mkfd")]),
+    "ext:dup": lambda: _tx(I("CALL", U(0), (C(1),), callee="dup"),
+                           externals=("write", "dup")),
+    "callind": lambda: _tx(I("CALLIND", U(0), (U(3),))),
+    "member-undefined": lambda: _member_fd(),
+    "load-base": lambda: _tx(I("INT_ADD", U(1), (R(0), C(8))), I("LOAD", U(0), (U(1),)),
+                             params=(("obj", "bytes"),)),
+    "load": lambda: _tx(I("LOAD", U(0), (C(0x3000),))),
+    "fd-arg-missing": lambda: build_program("reasons", functions=[func("tx", blocks=[
+        block(0, [I("CALL", None, (), callee="write"), I("RETURN")])])], externals=["write"]),
+    # this->fd = this->fd: the walk meets its own defining store again
+    "fd-unresolved": lambda: _member_fd(
+        I("INT_ADD", U(1), (R(0), C(8))),
+        I("LOAD", U(0), (U(1),)),
+        I("STORE", None, (U(1), U(0))),
+    ),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(_CHANNEL_REASONS))
+def test_each_fd_walk_branch_gives_its_discard_reason(reason):
+    p = _CHANNEL_REASONS[reason]()
+    cg = build_direct_cg(p)
+    recover_vcalls(p, cg)
+    res = resolve_channel(p, cg, ("tx", 0, len(p.fn("tx").blocks[0].instructions) - 2), 0)
+    assert (res.verdict, res.origin, res.reason) == ("discard", "unknown", reason)
+    _, report = filter_commands(p, cg)
+    assert reason in {r for _, r, _ in report.discards}

@@ -295,3 +295,50 @@ def test_payload_hex_round_trip(cells):
 def test_dynamic_bytes_must_be_zeroed():
     with pytest.raises(AssertionError):
         PayloadBytes(b"\x41", "d", LengthSource("unknown"))
+
+
+# ---------------------------------------------------------------------------
+# Incomplete backward traces: one tiny program per walk edge branch
+
+def _payload(*body, params=(), extra=()):
+    """A program whose function ``tx`` runs ``body`` and then writes
+    4 bytes of the buffer ``U(0)``."""
+    tx = func("tx", params=params, blocks=[block(0, [
+        *body, I("CALL", None, (C(3), U(0), C(4)), callee="write"), I("RETURN"),
+    ])])
+    return build_program("reasons", functions=[tx, *extra], externals=["write"])
+
+
+def _relay_chain(n):
+    """tx(buf) at the bottom of ``n`` relays, each passing its buffer on."""
+    relays = [func(f"r{i}", params=(("buf", "bytes"),), blocks=[block(0, [
+        I("CALL", None, (R(0),), callee=f"r{i - 1}" if i else "tx"), I("RETURN"),
+    ])]) for i in range(n)]
+    top = func("top", blocks=[block(0, [
+        I("CALL", None, (C(0x2000),), callee=f"r{n - 1}"), I("RETURN"),
+    ])])
+    return _payload(I("COPY", U(0), (R(0),)), params=(("buf", "bytes"),),
+                    extra=[*relays, top])
+
+
+_TAINT_REASONS = {
+    "arg-missing": lambda: build_program("reasons", functions=[func("tx", blocks=[
+        block(0, [I("CALL", None, (C(3),), callee="write"), I("RETURN")])])],
+        externals=["write"]),
+    "arg-mismatch": lambda: _payload(
+        I("COPY", U(0), (R(0),)), params=(("buf", "bytes"),),
+        extra=[func("top", blocks=[block(0, [I("CALL", None, (), callee="tx"), I("RETURN")])])]),
+    "no-def": lambda: _payload(I("COPY", U(0), (U(5),))),
+    "unmodeled-load": lambda: _payload(I("LOAD", U(0), (C(0x2000),))),
+    "unmodeled-call": lambda: _payload(I("CALL", U(0), (), callee="mkbuf"),
+                                       extra=[ret_stub("mkbuf")]),
+    "depth-bound": lambda: _relay_chain(taint.MAX_FRAMES + 4),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(_TAINT_REASONS))
+def test_each_backward_walk_branch_gives_its_reason(reason):
+    p = _TAINT_REASONS[reason]()
+    traces = backward_taint(p, _cg(p), find_sources(p)[0])
+    assert [(t.complete, t.reason) for t in traces] == [(False, reason)]
+    assert traces[0].frames[0] == ("tx", find_sources(p)[0].site)
