@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .commands import CommandDB, CommandRecord, classify_module
 from .ir import (
@@ -794,12 +794,12 @@ def gen_random(seed: int = 0, max_functions: int = 200, vcall_density: float = 0
             slot += 1
         vt[slot] = callee_fid
         ctor_id = f"{caller_cls}::{caller_cls.split('::')[-1]}"
-        have = next((f for f in b.functions if f.id == ctor_id), None)
+        at = next((i for i, f in enumerate(b.functions) if f.id == ctor_id), None)
         store = [
             I("INT_ADD", U(90 + off), (R(0), C(off))),
             I("STORE", None, (U(90 + off), R(1))),
         ]
-        if have is None:
+        if at is None:
             ctor = func(
                 ctor_id, cls=caller_cls, params=(("obj", f"class:{callee_cls}"),),
                 blocks=[block(0, store + [I("RETURN")])],
@@ -808,11 +808,15 @@ def gen_random(seed: int = 0, max_functions: int = 200, vcall_density: float = 0
             b.add_member(caller_cls, ctor_id, ctor=True)
         else:
             # extra ctor param wiring for a second member object
+            have = b.functions[at]
             k = len(have.params)
-            have.params.append(Param(f"obj{k}", f"class:{callee_cls}"))
-            have.blocks[0].instructions = store[:1] + [
+            entry = replace(have.blocks[0], instructions=store[:1] + [
                 I("STORE", None, (U(90 + off), R(k)))
-            ] + have.blocks[0].instructions
+            ] + have.blocks[0].instructions)
+            b.functions[at] = replace(
+                have, params=have.params + [Param(f"obj{k}", f"class:{callee_cls}")],
+                blocks=[entry] + have.blocks[1:],
+            )
         ins = [
             I("INT_ADD", U(10), (R(0), C(off))),
             I("LOAD", U(11), (U(10),)),

@@ -6,8 +6,11 @@ The model is a small P-Code-style language: varnodes addressed by
 vtables, constructor/member lists) rides alongside the code because the
 downstream analyses need it to resolve virtual calls.
 
-IRProgram and everything hanging off it is immutable after load; analyses
-only read, so a program can be shared across worker threads freely.
+Varnodes and instructions are frozen. The program, its classes, functions
+and blocks are plain dataclasses, but IRProgram and Function build their
+lookup indexes when they are constructed, and no analysis writes to a
+program. To change one, build new objects (``dataclasses.replace``): a
+list edited in place leaves the indexes stale.
 
 ``load_program`` is built for large binaries:
 
@@ -124,7 +127,11 @@ class Param:
 
 @dataclass
 class Function:
-    """One lifted function. Parameter k lives in varnode (reg, k, *)."""
+    """One lifted function. Parameter k lives in varnode (reg, k, *).
+
+    The linear order and the block indexes are built with the function, so
+    its blocks are not to change afterwards: build a new Function instead
+    (``dataclasses.replace``)."""
 
     id: str
     name: str
@@ -134,32 +141,27 @@ class Function:
     stack_size: int
     blocks: list[Block]
 
-    def block(self, bid: int) -> Block:
+    def __post_init__(self):
+        self._linear: list[tuple[int, int, Instruction]] = []
+        self._block_by_id: dict[int, Block] = {}
+        self._first_pos: dict[int, int] = {}  # block id -> linear position
         for b in self.blocks:
-            if b.id == bid:
-                return b
-        raise KeyError(f"{self.id}: no block {bid}")
+            self._block_by_id.setdefault(b.id, b)
+            self._first_pos.setdefault(b.id, len(self._linear))
+            self._linear.extend((b.id, i, ins) for i, ins in enumerate(b.instructions))
+
+    def block(self, bid: int) -> Block:
+        try:
+            return self._block_by_id[bid]
+        except KeyError:
+            raise KeyError(f"{self.id}: no block {bid}") from None
 
     def linear(self) -> list[tuple[int, int, Instruction]]:
         """Instructions in block declaration order as (block id, index, ins)."""
-        cached = self.__dict__.get("_linear")
-        if cached is None:
-            cached = [
-                (b.id, i, ins)
-                for b in self.blocks
-                for i, ins in enumerate(b.instructions)
-            ]
-            self.__dict__["_linear"] = cached
-        return cached
+        return self._linear
 
     def linear_pos(self, bid: int, idx: int) -> int:
-        cached = self.__dict__.get("_linear_pos")
-        if cached is None:
-            cached = {
-                (b, i): n for n, (b, i, _) in enumerate(self.linear())
-            }
-            self.__dict__["_linear_pos"] = cached
-        return cached[(bid, idx)]
+        return self._first_pos[bid] + idx
 
     def arg_at(self, bid: int, idx: int, k: int) -> tuple[Varnode | None, int]:
         """Argument ``k`` of the call at (bid, idx), or None when the call

@@ -35,7 +35,10 @@ def _sha(text: str) -> str:
 
 def artifact_digests(text: str, binary: str) -> dict[str, str]:
     """What ``analyze`` writes for one IR text, plus ``callgraph.dump``."""
-    p = load_program(text)
+    return program_digests(load_program(text), binary)
+
+
+def program_digests(p, binary: str) -> dict[str, str]:
     cg = build_direct_cg(p)
     recover_vcalls(p, cg)
     db, report = filter_commands(p, cg, binary=binary)
@@ -85,6 +88,13 @@ def test_golden_covers_every_case(golden):
 @pytest.mark.parametrize("case", _cases())
 def test_artifacts_match_golden_digest(case, golden):
     assert case_digests(case) == golden[case]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_generated_program_analyzes_as_its_round_trip(seed):
+    # the generator hands out programs whose indexes match their blocks
+    p, _ = gen_random(seed=seed)
+    assert program_digests(p, p.name) == artifact_digests(serialize(p), p.name)
 
 
 if __name__ == "__main__":
