@@ -27,8 +27,8 @@ from .ir import (
     IRProgram,
     Varnode,
     class_of_type,
+    def_step,
     format_site,
-    reaching_def,
 )
 
 
@@ -139,25 +139,24 @@ def build_direct_cg(p: IRProgram) -> CallGraph:
     return cg
 
 
-def _walk_copy(f: Function, v: Varnode, pos: int) -> tuple[Varnode, int]:
-    """Follow COPY chains through value temporaries (reg/unique). Stops at
-    stack cells: those are memory, and walking past them would jump the
-    def the inference step is meant to find."""
-    while v.space in ("reg", "unique"):
-        d = reaching_def(f, v, pos)
-        if d is None or d[1].op != "COPY":
-            break
-        src = d[1].inputs[0]
-        if src.space == "stack":
-            return src, d[0]
-        v, pos = src, d[0]
-    return v, pos
+def caller_args(p: IRProgram, cg: CallGraph, f: Function, k: int):
+    """The caller walk: for each edge of ``cg.callers_of(f.id)``, in that
+    order, yield the edge, the calling function, the call's argument ``k``
+    (None when the call passes fewer) and the call's linear position."""
+    for e in cg.callers_of(f.id):
+        cf = p.fn(e.caller)
+        a, pos = cf.arg_at(e.site[1], e.site[2], k)
+        yield e, cf, a, pos
 
 
-def _split_add(f: Function, v: Varnode, pos: int) -> tuple[Varnode, int, int] | None:
-    """Resolve v as INT_ADD(base, const); returns (base, k, base_pos)."""
-    v, pos = _walk_copy(f, v, pos)
-    d = reaching_def(f, v, pos)
+# The vtable matcher follows COPY through value temporaries only. It stops
+# at stack cells: those are memory, and walking past them would jump the
+# def the inference step is meant to find.
+_TEMPS = frozenset(("reg", "unique"))
+
+
+def _split_add(d) -> tuple[Varnode, int, int] | None:
+    """(base, k, base_pos) when the def ``d`` is INT_ADD(base, const)."""
     if d is None or d[1].op != "INT_ADD":
         return None
     a, b = d[1].inputs
@@ -168,12 +167,12 @@ def _split_add(f: Function, v: Varnode, pos: int) -> tuple[Varnode, int, int] | 
     return None
 
 
-def _base_symbol(f: Function, v: Varnode, pos: int) -> str | None:
-    v, pos = _walk_copy(f, v, pos)
+def _base_symbol(f: Function, v: Varnode, pos: int, d) -> str | None:
+    """The base symbol of ``v``, a step's end with its def ``d``."""
     if v.space == "stack":
         return f"stack:{v.offset}"
     k = f.param_index(v)
-    if k is not None and reaching_def(f, v, pos) is None:
+    if k is not None and d is None:
         if k == 0 and f.owning_class is not None:
             return "this"
         return f"param:{k}"
@@ -183,19 +182,17 @@ def _base_symbol(f: Function, v: Varnode, pos: int) -> str | None:
 def _match_vtable_expr(f: Function, target: Varnode, pos: int) -> tuple[TargetExpr, int] | None:
     """Match the supported dispatch shapes against the computed call
     target; returns (v_t, v_o) or None."""
-    v, pos = _walk_copy(f, target, pos)
-    d = reaching_def(f, v, pos)
+    d = def_step(f, target, pos, _TEMPS)[2]
     if d is None or d[1].op != "LOAD":
         return None
-    outer = _split_add(f, d[1].inputs[0], d[0])
+    outer = _split_add(def_step(f, d[1].inputs[0], d[0], _TEMPS)[2])
     if outer is None:
         return None
     objptr, v_o, opos = outer
-    objptr, opos = _walk_copy(f, objptr, opos)
+    objptr, opos, d2 = def_step(f, objptr, opos, _TEMPS)
     # Object pointer read straight out of a stack slot.
     if objptr.space == "stack":
         return TargetExpr(f"stack:{objptr.offset}", 0), v_o
-    d2 = reaching_def(f, objptr, opos)
     if d2 is None or d2[1].op != "LOAD":
         return None
     v_t = _canon_store_addr(f, d2[1].inputs[0], d2[0])
@@ -224,17 +221,17 @@ def _scan_callinds(p: IRProgram) -> tuple[list[VCallSite], list[VCallSite]]:
 def _canon_store_addr(f: Function, addr: Varnode, pos: int) -> TargetExpr | None:
     """The memory expression ``addr`` points at: the stack slot ``addr`` is
     copied from, or ``this`` or a parameter plus a constant; else None."""
-    av, apos = _walk_copy(f, addr, pos)
+    av, apos, d = def_step(f, addr, pos, _TEMPS)
     if av.space == "stack":
         return TargetExpr(f"stack:{av.offset}", 0)
-    add = _split_add(f, addr, pos)
+    add = _split_add(d)
     if add is not None:
         base, k, bpos = add
-        sym = _base_symbol(f, base, bpos)
+        sym = _base_symbol(f, *def_step(f, base, bpos, _TEMPS))
         if sym is not None and not sym.startswith("stack:"):
             return TargetExpr(sym, k)
         return None
-    sym = _base_symbol(f, av, apos)
+    sym = _base_symbol(f, av, apos, d)
     if sym is None:
         return None
     return TargetExpr(sym, 0)
@@ -273,10 +270,9 @@ def defining_store(f: Function, expr: TargetExpr) -> tuple[int, Varnode] | None:
 
 
 def _classes_of_value(p: IRProgram, f: Function, v: Varnode, pos: int, _seen) -> list[str]:
-    v, pos = _walk_copy(f, v, pos)
+    v, pos, d = def_step(f, v, pos, _TEMPS)
     if v.space == "stack":
         return class_inference(p, TargetExpr(f"stack:{v.offset}", 0), f, _seen)
-    d = reaching_def(f, v, pos)
     if d is None:
         k = f.param_index(v)
         if k is not None:

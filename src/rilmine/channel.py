@@ -15,9 +15,9 @@ import re
 from dataclasses import dataclass, field, asdict
 
 from . import callgraph as cgmod
-from .callgraph import CallGraph
+from .callgraph import CallGraph, caller_args
 from .commands import CommandDB, config_hash, make_record, DEFAULT_FILTER_TOKENS
-from .ir import Function, IRProgram, Varnode, reaching_def
+from .ir import NONCONST_SPACES, Function, IRProgram, Varnode, def_step
 from .taint import (
     TAINT_APIS,
     backward_taint,
@@ -79,31 +79,24 @@ class ChannelResolution:
     reason: str | None = None  # discard reason
 
 
+# The fd and path walks follow COPY through every space but const.
+
 def _trace_path(p: IRProgram, cg: CallGraph, f: Function, v: Varnode, pos: int, depth: int) -> set[str]:
     """Resolve a path argument to constant data-segment strings."""
     if depth <= 0:
         return set()
-    while True:
-        if v.is_const:
-            s = p.read_cstring(v.offset)
-            return {s} if s is not None else set()
-        d = reaching_def(f, v, pos)
-        if d is None:
-            k = f.param_index(v)
-            if k is None:
-                return set()
-            out: set[str] = set()
-            for e in cg.callers_of(f.id):
-                cf = p.fn(e.caller)
-                a, apos = cf.arg_at(e.site[1], e.site[2], k)
-                if a is not None:
-                    out |= _trace_path(p, cg, cf, a, apos, depth - 1)
-            return out
-        pos2, ins = d
-        if ins.op == "COPY":
-            v, pos = ins.inputs[0], pos2
-            continue
+    v, pos, d = def_step(f, v, pos, NONCONST_SPACES)
+    if v.is_const:
+        s = p.read_cstring(v.offset)
+        return {s} if s is not None else set()
+    k = f.param_index(v)
+    if d is not None or k is None:
         return set()
+    out: set[str] = set()
+    for _, cf, a, apos in caller_args(p, cg, f, k):
+        if a is not None:
+            out |= _trace_path(p, cg, cf, a, apos, depth - 1)
+    return out
 
 
 def _trace_fd(p: IRProgram, cg: CallGraph, f: Function, v: Varnode, pos: int,
@@ -121,33 +114,26 @@ def _trace_fd(p: IRProgram, cg: CallGraph, f: Function, v: Varnode, pos: int,
         return []
     visited.add(key)
     while True:
+        v, pos, d = def_step(f, v, pos, NONCONST_SPACES)
         if v.is_const:
             return [("unknown", "constant-fd")]
         if v.space == "stack":
-            d = reaching_def(f, v, pos)
             if d is None:
                 return [("unknown", "uninit-slot")]
-            pos2, ins = d
-            if ins.op in ("COPY", "STORE"):
-                v, pos = ins.inputs[-1], pos2
+            if d[1].op == "STORE":
+                v, pos = d[1].inputs[1], d[0]
                 continue
-            return [("unknown", f"slot-{ins.op.lower()}")]
-        d = reaching_def(f, v, pos)
+            return [("unknown", f"slot-{d[1].op.lower()}")]
         if d is None:
             k = f.param_index(v)
             if k is None:
                 return [("unknown", "no-def")]
             out: list[tuple] = []
-            for e in cg.callers_of(f.id):
-                cf = p.fn(e.caller)
-                a, apos = cf.arg_at(e.site[1], e.site[2], k)
+            for _, cf, a, apos in caller_args(p, cg, f, k):
                 if a is not None:
                     out.extend(_trace_fd(p, cg, cf, a, apos, depth - 1, visited))
             return out or [("unknown", "no-callers")]
         pos2, ins = d
-        if ins.op == "COPY":
-            v, pos = ins.inputs[0], pos2
-            continue
         if ins.op in ("INT_ADD", "INT_SUB"):
             nc = [x for x in ins.inputs if not x.is_const]
             if len(nc) == 1:
@@ -173,15 +159,10 @@ def _trace_fd(p: IRProgram, cg: CallGraph, f: Function, v: Varnode, pos: int,
                 # fd produced by an internal helper: continue at its returns
                 out: list[tuple] = []
                 callee_fn = p.fn(callee)
-                for bid, idx, rins in callee_fn.linear():
+                for rpos, (_, _, rins) in enumerate(callee_fn.linear()):
                     if rins.op == "RETURN" and rins.inputs:
-                        out.extend(
-                            _trace_fd(
-                                p, cg, callee_fn, rins.inputs[0],
-                                callee_fn.linear_pos(bid, idx),
-                                depth - 1, visited,
-                            )
-                        )
+                        out.extend(_trace_fd(p, cg, callee_fn, rins.inputs[0], rpos,
+                                             depth - 1, visited))
                 return out or [("unknown", "opaque-return")]
             return [("unknown", f"ext:{callee}")]
         if ins.op == "LOAD":

@@ -35,6 +35,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 SPACES = ("const", "reg", "stack", "ram", "unique")
+NONCONST_SPACES = frozenset(SPACES) - {"const"}
 
 OPCODES = (
     "COPY",
@@ -802,3 +803,17 @@ def reaching_def(f: Function, v: Varnode, before: int) -> tuple[int, Instruction
         if ins.output == v:
             return pos, ins
     return None
+
+
+def def_step(f: Function, v: Varnode, pos: int, through: frozenset
+             ) -> tuple[Varnode, int, tuple[int, Instruction] | None]:
+    """Follow COPY defs back from ``v`` at linear position ``pos`` while
+    ``v`` lies in one of the spaces ``through``. Returns the varnode
+    reached, its position and its reaching def (None when the value enters
+    the function). Every backward walk takes its def-use steps here; each
+    passes its own stopping rule as ``through``."""
+    while True:
+        d = reaching_def(f, v, pos)
+        if d is None or d[1].op != "COPY" or v.space not in through:
+            return v, pos, d
+        v, pos = d[1].inputs[0], d[0]

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .callgraph import CallGraph
-from .ir import Function, IRProgram, Varnode, format_site, reaching_def
+from .callgraph import CallGraph, caller_args
+from .ir import NONCONST_SPACES, Function, IRProgram, Varnode, def_step, format_site
 
 # api -> (direction, tainted arg indices, fd arg, payload arg, length arg)
 TAINT_APIS: dict[str, dict] = {
@@ -111,7 +111,6 @@ def parse_payload_hex(text: str, length_source: LengthSource | None = None) -> P
 @dataclass
 class TaintTrace:
     query: TaintQuery
-    steps: list[tuple[str, tuple[int, int], Varnode]] = field(default_factory=list)
     # (fn, site-in-that-frame) leaf-first; site of frame 0 is the query site,
     # later entries carry the call site into the previous frame.
     frames: list[tuple[str, tuple[str, int, int]]] = field(default_factory=list)
@@ -125,11 +124,6 @@ class TaintTrace:
         if self.query.direction == "forward":
             return self.sinks[0].fn if self.sinks else None
         return self.frames[-1][0] if self.complete and self.frames else None
-
-
-def dump_trace(t: TaintTrace) -> str:
-    lines = [f"{fn}@{loc[0]}:{loc[1]} {v}" for fn, loc, v in t.steps]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def find_sources(p: IRProgram, direction: str | None = None) -> list[TaintQuery]:
@@ -174,111 +168,52 @@ def backward_taint(p: IRProgram, cg: CallGraph, q: TaintQuery) -> list[TaintTrac
             TaintTrace(q, frames=[(f.id, q.site)], complete=False, reason="arg-missing")
         ]
     results: list[TaintTrace] = []
-    _walk_back(
-        p,
-        cg,
-        q,
-        f,
-        v,
-        start,
-        frames=[(f.id, q.site)],
-        steps=[(f.id, (q.site[1], q.site[2]), v)],
-        visited=frozenset([f.id]),
-        results=results,
-    )
+    _walk_back(p, cg, q, f, v, start, [(f.id, q.site)], frozenset([f.id]), results)
     return results
 
 
-def _walk_back(p, cg, q, f: Function, v: Varnode, pos: int, frames, steps, visited, results):
+# The payload walk follows COPY through registers, temporaries and ram. It
+# stops at stack cells: the frame buffer there is what concretization reads.
+_BUFFER_WALK = frozenset(("reg", "ram", "unique"))
+
+
+def _walk_back(p, cg, q, f: Function, v: Varnode, pos: int, frames, visited, results):
+    def end(term=None, reason=None):
+        results.append(TaintTrace(q, list(frames), term, complete=reason is None, reason=reason))
+
     while True:
+        v, pos, d = def_step(f, v, pos, _BUFFER_WALK)
         if v.is_const:
-            if p.read_bytes(v.offset, 1) is not None:
-                term = ("ram", v.offset)
-            else:
-                term = ("const", v.offset)
-            results.append(
-                TaintTrace(q, list(steps), list(frames), term, complete=True)
-            )
-            return
+            in_data = p.read_bytes(v.offset, 1) is not None
+            return end(("ram" if in_data else "const", v.offset))
         if v.space == "stack":
-            term = ("stack", f.id, v.offset, v.size)
-            results.append(
-                TaintTrace(q, list(steps), list(frames), term, complete=True)
-            )
-            return
-        d = reaching_def(f, v, pos)
+            return end(("stack", f.id, v.offset, v.size))
         if d is None:
             k = f.param_index(v)
             if k is None:
-                results.append(
-                    TaintTrace(q, list(steps), list(frames), complete=False, reason="no-def")
-                )
-                return
-            callers = cg.callers_of(f.id)
+                return end(reason="no-def")
+            callers = list(caller_args(p, cg, f, k))
             if not callers:
-                results.append(
-                    TaintTrace(q, list(steps), list(frames), complete=False, reason="no-callers")
-                )
-                return
-            for e in callers:
+                return end(reason="no-callers")
+            for e, cf, a, cpos in callers:
                 if e.caller in visited:
                     continue  # cycle cut
                 if len(frames) >= MAX_FRAMES:
-                    results.append(
-                        TaintTrace(q, list(steps), list(frames), complete=False, reason="depth-bound")
-                    )
-                    continue
-                cf = p.fn(e.caller)
-                csite = e.site
-                a, cpos = cf.arg_at(csite[1], csite[2], k)
-                if a is None:
-                    results.append(
-                        TaintTrace(q, list(steps), list(frames), complete=False, reason="arg-mismatch")
-                    )
-                    continue
-                _walk_back(
-                    p,
-                    cg,
-                    q,
-                    cf,
-                    a,
-                    cpos,
-                    frames + [(e.caller, csite)],
-                    steps + [(e.caller, (csite[1], csite[2]), a)],
-                    visited | {e.caller},
-                    results,
-                )
+                    end(reason="depth-bound")
+                elif a is None:
+                    end(reason="arg-mismatch")
+                else:
+                    _walk_back(p, cg, q, cf, a, cpos, frames + [(e.caller, e.site)],
+                               visited | {e.caller}, results)
             return
-        pos2, dins = d
-        loc = _loc_of(f, pos2)
-        if dins.op == "COPY":
-            v, pos = dins.inputs[0], pos2
-            steps.append((f.id, loc, v))
-            continue
-        if dins.op in ("INT_ADD", "INT_SUB"):
-            a, b = dins.inputs
-            if a.is_const and b.is_const:
-                v = Varnode("const", _fold_const(dins.op, a, b), dins.output.size)
-            elif b.is_const:
-                v = a
-            elif a.is_const:
-                v = b
-            else:
-                v = a
-            pos = pos2
-            steps.append((f.id, loc, v))
-            continue
-        results.append(
-            TaintTrace(
-                q, list(steps), list(frames), complete=False, reason=f"unmodeled-{dins.op.lower()}"
-            )
-        )
-        return
-
-
-def _loc_of(f: Function, pos: int) -> tuple[int, int]:
-    bid, idx, _ = f.linear()[pos]
-    return (bid, idx)
+        pos, dins = d
+        if dins.op not in ("INT_ADD", "INT_SUB"):
+            return end(reason=f"unmodeled-{dins.op.lower()}")
+        a, b = dins.inputs
+        if a.is_const and b.is_const:
+            v = Varnode("const", _fold_const(dins.op, a, b), dins.output.size)
+        else:
+            v = b if a.is_const else a
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +242,7 @@ def forward_taint(p: IRProgram, cg: CallGraph, q: TaintQuery) -> TaintTrace:
     if ins.output is not None:
         seeds.add(ins.output)  # bytes-read count carries CP data length
 
-    _flow_forward(p, cg, f, seeds, regions, visited, sinks, trace.steps, depth=0)
+    _flow_forward(p, cg, f, seeds, regions, visited, sinks, depth=0)
     sinks.sort(key=lambda s: (s.fn, s.loc))
     trace.sinks = sinks
     trace.complete = True
@@ -318,7 +253,7 @@ def _overlaps(v: Varnode, regions) -> bool:
     return any(v.offset < off + size and off < v.offset + v.size for off, size in regions)
 
 
-def _flow_forward(p, cg, f: Function, seeds, regions, visited, sinks, steps, depth) -> bool:
+def _flow_forward(p, cg, f: Function, seeds, regions, visited, sinks, depth) -> bool:
     if f.id in visited or depth > MAX_FRAMES:
         return False
     visited.add(f.id)
@@ -343,7 +278,6 @@ def _flow_forward(p, cg, f: Function, seeds, regions, visited, sinks, steps, dep
                             changed = True
                     elif ins.output not in tainted:
                         tainted.add(ins.output)
-                        steps.append((f.id, (bid, idx), ins.output))
                         changed = True
             elif ins.op == "STORE":
                 addr, val = ins.inputs[0], ins.inputs[1]
@@ -387,7 +321,7 @@ def _flow_forward(p, cg, f: Function, seeds, regions, visited, sinks, steps, dep
                         child_regions = set()
                         if _flow_forward(
                             p, cg, child_fn, child_seeds, child_regions,
-                            visited, sinks, steps, depth + 1,
+                            visited, sinks, depth + 1,
                         ):
                             out_t = True
                     else:
@@ -521,13 +455,13 @@ def _length_along_trace(p, trace, len_idx):
     v, pos = f.arg_at(site[1], site[2], len_idx)
     fi = 0
     while v is not None:
-        v, pos = _fold_within(f, v, pos)
+        v, pos, d = _fold_within(f, v, pos)
         if v.is_const:
             return ("const", v.offset)
         if fi == len(frames) - 1:
             return ("root-varnode", v, pos)
         k = f.param_index(v)
-        if k is None or reaching_def(f, v, pos) is not None:
+        if k is None or d is not None:
             return ("unknown",)
         fi += 1
         fid, csite = frames[fi]
@@ -536,20 +470,15 @@ def _length_along_trace(p, trace, len_idx):
     return ("unknown",)
 
 
-def _fold_within(f: Function, v: Varnode, pos: int) -> tuple[Varnode, int]:
-    """Constant-fold COPY/INT_ADD/INT_SUB chains without crossing calls."""
-    while not v.is_const:
-        d = reaching_def(f, v, pos)
-        if d is None:
-            return v, pos
-        pos2, ins = d
-        if ins.op == "COPY":
-            v, pos = ins.inputs[0], pos2
-        elif ins.op in ("INT_ADD", "INT_SUB") and all(x.is_const for x in ins.inputs):
-            v = Varnode("const", _fold_const(ins.op, *ins.inputs), ins.output.size)
-        else:
-            return v, pos
-    return v, pos
+def _fold_within(f: Function, v: Varnode, pos: int) -> tuple[Varnode, int, tuple | None]:
+    """Follow COPY chains within ``f`` and fold a constant INT_ADD/INT_SUB
+    at their end. Returns the varnode reached, its position and, unless it
+    was folded to a constant, its reaching def."""
+    v, pos, d = def_step(f, v, pos, NONCONST_SPACES)
+    if not v.is_const and d is not None and d[1].op in ("INT_ADD", "INT_SUB") \
+            and all(x.is_const for x in d[1].inputs):
+        v = Varnode("const", _fold_const(d[1].op, *d[1].inputs), d[1].output.size)
+    return v, pos, d
 
 
 class _FrameEmu:
@@ -684,5 +613,4 @@ class _FrameEmu:
         return ("unknown", None)
 
     def _eval_expr(self, v: Varnode, pos: int) -> tuple:
-        v2, _ = _fold_within(self.f, v, pos)
-        return self._value(v2)
+        return self._value(_fold_within(self.f, v, pos)[0])
