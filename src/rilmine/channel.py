@@ -30,9 +30,9 @@ from .taint import (
 DEVICE_PATH_PATTERN = r"^/dev/([^/ ]*)+(/[^/ ]*)*?$"
 _DEVICE_RE = re.compile(DEVICE_PATH_PATTERN)
 
-# Filtering APIs and their tainted argument index, as shipped. Path tracing
-# always follows the first parameter, which is the path for all three.
-OPEN_APIS = {"open": 1, "__open_2": 1, "fopen": 0}
+# The open family. Path tracing follows the first parameter, which is the
+# path for all three.
+OPEN_APIS = ("open", "__open_2", "fopen")
 PATH_ARG_INDEX = 0
 
 
@@ -44,7 +44,6 @@ def match_device_path(path: str) -> bool:
 class FilterConfig:
     keep_socket: bool = False
     fd_depth: int = 16
-    open_apis: dict = field(default_factory=lambda: dict(OPEN_APIS))
     device_pattern: str = DEVICE_PATH_PATTERN
     filter_tokens: tuple = DEFAULT_FILTER_TOKENS
 
