@@ -59,7 +59,18 @@ class FilterConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "FilterConfig":
+        """The config in ``text``, a JSON object with any of the fields as
+        keys. Raises ValueError naming the key on an unknown key or a value
+        of the wrong kind, and on a device pattern that does not compile."""
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise ValueError(f"filter config must be a JSON object, not {type(d).__name__}")
+        for key, value in d.items():
+            if key not in _CONFIG_VALUES:
+                raise ValueError(f"unknown filter config key {key!r}")
+            ok, want = _CONFIG_VALUES[key]
+            if not ok(value):
+                raise ValueError(f"filter config key {key!r} must be {want}, not {value!r}")
         if "filter_tokens" in d:
             d["filter_tokens"] = tuple(d["filter_tokens"])
         return cls(**d)
@@ -68,6 +79,25 @@ class FilterConfig:
         d = asdict(self)
         d["filter_tokens"] = list(self.filter_tokens)
         return config_hash(d)
+
+
+def _compiles(pattern) -> bool:
+    try:
+        re.compile(pattern)
+    except re.error:
+        return False
+    return True
+
+
+# FilterConfig key -> (test of a value from JSON, what the value must be)
+_CONFIG_VALUES = {
+    "keep_socket": (lambda x: type(x) is bool, "true or false"),
+    "fd_depth": (lambda x: type(x) is int and x > 0, "a positive integer"),
+    "device_pattern": (lambda x: type(x) is str and _compiles(x),
+                       "a string holding a regular expression"),
+    "filter_tokens": (lambda x: type(x) is list and all(type(t) is str for t in x),
+                      "a list of strings"),
+}
 
 
 @dataclass

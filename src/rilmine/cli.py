@@ -92,13 +92,18 @@ def _analyze_one(path: str, binary: str, config: FilterConfig, out: str):
 
 
 def _cmd_analyze(args) -> int:
-    out = _out_dir(args)
     config = FilterConfig()
     if args.filter_config:
         with open(args.filter_config, "r", encoding="utf-8") as fh:
-            config = FilterConfig.from_json(fh.read())
+            text = fh.read()
+        try:
+            config = FilterConfig.from_json(text)
+        except ValueError as e:
+            print(f"error: {args.filter_config}: {e}", file=sys.stderr)
+            return 1
     if args.keep_socket:
         config.keep_socket = True
+    out = _out_dir(args)
 
     inputs: list[str] = []
     for item in args.inputs:

@@ -275,3 +275,26 @@ def test_each_fd_walk_branch_gives_its_discard_reason(reason):
     assert (res.verdict, res.origin, res.reason) == ("discard", "unknown", reason)
     _, report = filter_commands(p, cg)
     assert reason in {r for _, r, _ in report.discards}
+
+
+@pytest.mark.parametrize("text,named", [
+    ('[]', "JSON object"),
+    ('{"open_apis": {"open": 1}}', "'open_apis'"),
+    ('{"keep_socket": "no"}', "'keep_socket'"),
+    ('{"keep_socket": 1}', "'keep_socket'"),
+    ('{"fd_depth": "x"}', "'fd_depth'"),
+    ('{"fd_depth": 0}', "'fd_depth'"),
+    ('{"fd_depth": true}', "'fd_depth'"),
+    ('{"device_pattern": "("}', "'device_pattern'"),
+    ('{"device_pattern": 7}', "'device_pattern'"),
+    ('{"filter_tokens": "Ipc"}', "'filter_tokens'"),
+    ('{"filter_tokens": ["Ipc", 3]}', "'filter_tokens'"),
+])
+def test_filter_config_rejects_bad_json_naming_the_key(text, named):
+    with pytest.raises(ValueError, match=named):
+        FilterConfig.from_json(text)
+
+
+def test_filter_config_reads_a_partial_object():
+    cfg = FilterConfig.from_json('{"fd_depth": 3, "filter_tokens": ["Ipc"]}')
+    assert cfg == FilterConfig(fd_depth=3, filter_tokens=("Ipc",))

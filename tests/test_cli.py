@@ -89,6 +89,22 @@ def test_analyze_rejects_malformed_ir(tmp_path, capsys):
     assert "ir_version" in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"bogus": 1}', '[]', '{"fd_depth": "x"}', '{"device_pattern": "("}',
+    '{"keep_socket": "no"}', '{',
+])
+def test_analyze_rejects_a_bad_filter_config_naming_the_file(tmp_path, capsys, text):
+    _gen(capsys, tmp_path, "fig2")
+    cfg = tmp_path / "filter.json"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "analyze", str(tmp_path / "fig2.ir.json"),
+                         "--out", str(tmp_path / "out"), "--filter-config", str(cfg))
+    assert code == 1
+    assert out == "" and "Traceback" not in err
+    assert err.startswith(f"error: {cfg}: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_batch_keeps_good_binaries_past_a_bad_one(tmp_path, capsys):
     good = []
     for kind in ("fig2", "fig5"):
