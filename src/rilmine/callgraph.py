@@ -167,8 +167,8 @@ def _split_add(d) -> tuple[Varnode, int, int] | None:
     return None
 
 
-def _base_symbol(f: Function, v: Varnode, pos: int, d) -> str | None:
-    """The base symbol of ``v``, a step's end with its def ``d``."""
+def _base_symbol(f: Function, v: Varnode, d) -> str | None:
+    """The base symbol of ``v``, where a step ended with the def ``d``."""
     if v.space == "stack":
         return f"stack:{v.offset}"
     k = f.param_index(v)
@@ -221,17 +221,18 @@ def _scan_callinds(p: IRProgram) -> tuple[list[VCallSite], list[VCallSite]]:
 def _canon_store_addr(f: Function, addr: Varnode, pos: int) -> TargetExpr | None:
     """The memory expression ``addr`` points at: the stack slot ``addr`` is
     copied from, or ``this`` or a parameter plus a constant; else None."""
-    av, apos, d = def_step(f, addr, pos, _TEMPS)
+    av, _, d = def_step(f, addr, pos, _TEMPS)
     if av.space == "stack":
         return TargetExpr(f"stack:{av.offset}", 0)
     add = _split_add(d)
     if add is not None:
         base, k, bpos = add
-        sym = _base_symbol(f, *def_step(f, base, bpos, _TEMPS))
+        bv, _, bd = def_step(f, base, bpos, _TEMPS)
+        sym = _base_symbol(f, bv, bd)
         if sym is not None and not sym.startswith("stack:"):
             return TargetExpr(sym, k)
         return None
-    sym = _base_symbol(f, av, apos, d)
+    sym = _base_symbol(f, av, d)
     if sym is None:
         return None
     return TargetExpr(sym, 0)
@@ -270,7 +271,7 @@ def defining_store(f: Function, expr: TargetExpr) -> tuple[int, Varnode] | None:
 
 
 def _classes_of_value(p: IRProgram, f: Function, v: Varnode, pos: int, _seen) -> list[str]:
-    v, pos, d = def_step(f, v, pos, _TEMPS)
+    v, _, d = def_step(f, v, pos, _TEMPS)
     if v.space == "stack":
         return class_inference(p, TargetExpr(f"stack:{v.offset}", 0), f, _seen)
     if d is None:
