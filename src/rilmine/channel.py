@@ -109,7 +109,6 @@ class ChannelResolution:
 
 
 # The fd and path walks follow COPY through every space but const.
-
 def _trace_path(p: IRProgram, cg: CallGraph, f: Function, v: Varnode, pos: int, depth: int) -> set[str]:
     """Resolve a path argument to constant data-segment strings."""
     if depth <= 0:

@@ -55,6 +55,18 @@ def test_add_edge_dedupes():
     assert cg.add_edge(CallEdge(e.caller, e.callee, e.site, "virtual")) is True
 
 
+def test_caller_args_gives_each_callers_argument_and_call_position():
+    tx = ret_stub("tx", params=(("x", "int"),))
+    b = func("b", blocks=[block(0, [
+        I("COPY", U(0), (C(7),)), I("CALL", None, (U(0),), callee="tx"), I("RETURN"),
+    ])])
+    a = func("a", blocks=[block(0, [I("CALL", None, (), callee="tx"), I("RETURN")])])
+    p = build_program("callers", functions=[tx, b, a])
+    cg = build_direct_cg(p)
+    got = [(e.caller, cf.id, arg, pos) for e, cf, arg, pos in cgmod.caller_args(p, cg, tx, 0)]
+    assert got == [("a", "a", None, 0), ("b", "b", U(0), 1)]
+
+
 def test_callers_of_is_sorted():
     p, _ = gen_fig2()
     cg = _recovered(p)

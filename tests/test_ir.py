@@ -14,6 +14,7 @@ from rilmine.fixtures import (
     I,
     R,
     S,
+    U,
     block,
     build_program,
     func,
@@ -505,6 +506,22 @@ def test_reaching_def_finds_nearest_writer():
     pos, ins = ir.reaching_def(f, R(3), before=2)
     assert pos == 1 and ins.inputs[0] == C(2)
     assert ir.reaching_def(f, R(9), before=2) is None  # enters from caller
+
+
+def test_def_step_follows_copies_only_through_the_given_spaces():
+    f = func("main", blocks=[block(0, [
+        I("CALL", U(0), (), callee="main"),
+        I("COPY", S(8, 8), (U(0),)),
+        I("COPY", U(1), (S(8, 8),)),
+        I("COPY", R(2), (U(1),)),
+        I("RETURN", None, (R(2),)),
+    ])])
+    temps = frozenset(("reg", "unique"))
+    assert ir.def_step(f, R(2), 4, temps) == (S(8, 8), 2, (1, f.linear()[1][2]))
+    v, pos, (dpos, d) = ir.def_step(f, R(2), 4, ir.NONCONST_SPACES)
+    assert (v, pos, dpos, d.op) == (U(0), 1, 0, "CALL")
+    assert ir.def_step(f, R(2), 4, frozenset()) == (R(2), 4, (3, f.linear()[3][2]))
+    assert ir.def_step(f, R(5), 4, temps) == (R(5), 4, None)  # enters from caller
 
 
 def test_data_readers_handle_bounds_and_nul():
