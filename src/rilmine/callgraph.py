@@ -74,7 +74,6 @@ class CallEdge:
 
 @dataclass
 class CallGraph:
-    nodes: set[str] = field(default_factory=set)
     edges: list[CallEdge] = field(default_factory=list)
     unresolved: list[VCallSite] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
@@ -99,8 +98,6 @@ class CallGraph:
         self._edge_keys.add(key)
         self.edges.append(e)
         self._index(e)
-        self.nodes.add(e.caller)
-        self.nodes.add(e.callee)
         return True
 
     def callers_of(self, fid: str) -> list[CallEdge]:
@@ -129,9 +126,8 @@ def dump(cg: CallGraph) -> str:
 
 
 def build_direct_cg(p: IRProgram) -> CallGraph:
-    """Nodes for every function (externals become synthetic leaf nodes),
-    one edge per CALL instruction."""
-    cg = CallGraph(nodes={f.id for f in p.functions})
+    """One edge per CALL instruction."""
+    cg = CallGraph()
     for f in p.functions:
         for bid, idx, ins in f.linear():
             if ins.op == "CALL" and ins.callee:

@@ -19,7 +19,7 @@ from .callgraph import CallGraph, caller_args
 from .commands import CommandDB, config_hash, make_record, DEFAULT_FILTER_TOKENS
 from .ir import NONCONST_SPACES, Function, IRProgram, Varnode, def_step
 from .taint import (
-    TAINT_APIS,
+    IO_APIS,
     backward_taint,
     concretize_payload,
     find_sources,
@@ -29,11 +29,6 @@ from .taint import (
 # Kept verbatim; device nodes live directly under /dev or one level deeper.
 DEVICE_PATH_PATTERN = r"^/dev/([^/ ]*)+(/[^/ ]*)*?$"
 _DEVICE_RE = re.compile(DEVICE_PATH_PATTERN)
-
-# The open family. Path tracing follows the first parameter, which is the
-# path for all three.
-OPEN_APIS = ("open", "__open_2", "fopen")
-PATH_ARG_INDEX = 0
 
 
 def match_device_path(path: str) -> bool:
@@ -53,9 +48,7 @@ class FilterConfig:
         return re.compile(self.device_pattern)
 
     def to_json(self) -> str:
-        d = asdict(self)
-        d["filter_tokens"] = list(self.filter_tokens)
-        return json.dumps(d, indent=1)
+        return json.dumps(asdict(self), indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "FilterConfig":
@@ -76,9 +69,7 @@ class FilterConfig:
         return cls(**d)
 
     def hash(self) -> str:
-        d = asdict(self)
-        d["filter_tokens"] = list(self.filter_tokens)
-        return config_hash(d)
+        return config_hash(asdict(self))
 
 
 def _compiles(pattern) -> bool:
@@ -170,16 +161,13 @@ def _trace_fd(p: IRProgram, cg: CallGraph, f: Function, v: Varnode, pos: int,
             return [("unknown", "arith")]
         if ins.op == "CALL":
             callee = ins.callee
-            if callee == "pipe":
-                return [("pipe",)]
-            if callee == "socket":
-                return [("socket",)]
-            if callee in OPEN_APIS:
-                args = ins.inputs
-                if PATH_ARG_INDEX < len(args):
-                    paths = _trace_path(p, cg, f, args[PATH_ARG_INDEX], pos2, depth)
-                else:
-                    paths = set()
+            role, path_arg, _buf, _length = IO_APIS.get(callee, (None,) * 4)
+            if role in ("pipe", "socket"):
+                return [(role,)]
+            if role == "open":
+                paths = set()
+                if path_arg < len(ins.inputs):
+                    paths = _trace_path(p, cg, f, ins.inputs[path_arg], pos2, depth)
                 if len(paths) == 1:
                     return [("open", callee, paths.pop())]
                 return [("open", callee, None)]
@@ -207,7 +195,8 @@ def _trace_fd(p: IRProgram, cg: CallGraph, f: Function, v: Varnode, pos: int,
                 return [("unknown", "member-undefined")]
             if canon.base.startswith("stack:"):
                 off = int(canon.base.split(":")[1])
-                v = Varnode("stack", off, v.size)
+                # the slot's value as the LOAD read it, not at the later use
+                v, pos = Varnode("stack", off, v.size), pos2
                 continue
             return [("unknown", "load-base")]
         return [("unknown", ins.op.lower())]
@@ -255,15 +244,6 @@ class AnalysisReport:
     discards: list[tuple[str, str, str | None]] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
 
-    def discard_counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for _, reason, _path in self.discards:
-            out[reason] = out.get(reason, 0) + 1
-        return out
-
-    def discard_paths(self) -> set[str]:
-        return {path for _, _, path in self.discards if path is not None}
-
     def to_text(self) -> str:
         lines = [
             f"sites_total={self.sites_total}",
@@ -290,7 +270,8 @@ def filter_commands(p: IRProgram, cg: CallGraph, binary: str | None = None,
     report = AnalysisReport()
     for q in find_sources(p):
         report.sites_total += 1
-        res = resolve_channel(p, cg, q.site, TAINT_APIS[q.api]["fd"], config)
+        _role, fd, _buf, _length = IO_APIS[q.api]
+        res = resolve_channel(p, cg, q.site, fd, config)
         if res.verdict == "discard":
             report.discards.append((q.site_str, res.reason, res.path))
             continue

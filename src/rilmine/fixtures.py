@@ -719,11 +719,6 @@ class _RandBuilder:
         )
 
 
-def _fwd_body(payload_arg: int, n_args: int, call) -> list[Instruction]:
-    """Pass-through body: forwards all params to the next hop."""
-    return [call, I("RETURN")]
-
-
 def gen_random(seed: int = 0, max_functions: int = 200, vcall_density: float = 0.5,
                distractors: bool = True) -> tuple[IRProgram, Manifest]:
     """Random solicited/unsolicited chains with planted ground truth plus

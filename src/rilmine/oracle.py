@@ -382,7 +382,8 @@ class _Oracle:
                     g, gpos, gv = found
                     return self._fd_origins(g, gv, gpos, depth - 1, visited)
                 if canon[0][0] == "stack":
-                    v = Varnode("stack", canon[0][1], v.size)
+                    # the slot as it was when the LOAD executed
+                    v, pos = Varnode("stack", canon[0][1], v.size), pos2
                     continue
                 return {("unknown", "load-base")}
             return {("unknown", ins.op.lower())}

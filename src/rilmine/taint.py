@@ -6,8 +6,8 @@ emulating that frame to concretize payload bytes. Unsolicited commands
 (CP -> AP) are recovered by pushing taint forward from read sites into the
 comparison ladder that dispatches on command bytes.
 
-The API table below ships as configuration: per-API tainted argument
-indices and the trace direction each API anchors.
+The libc calls the pipeline models, for both taint directions and for the
+channel filter, are the rows of the one table ``IO_APIS``.
 """
 
 from __future__ import annotations
@@ -17,14 +17,23 @@ from dataclasses import dataclass, field
 from .callgraph import CallGraph, caller_args
 from .ir import NONCONST_SPACES, Function, IRProgram, Varnode, def_step, format_site
 
-# api -> (direction, tainted arg indices, fd arg, payload arg, length arg)
-TAINT_APIS: dict[str, dict] = {
-    "write": {"direction": "backward", "tainted": (0, 1, 2), "fd": 0, "payload": 1, "length": 2},
-    "__write_chk": {"direction": "backward", "tainted": (0, 1, 2), "fd": 0, "payload": 1, "length": 2},
-    "ioctl": {"direction": "backward", "tainted": (1,), "fd": 0, "payload": 1, "length": None},
-    "sendto": {"direction": "backward", "tainted": (1, 2), "fd": 0, "payload": 1, "length": 2},
-    "read": {"direction": "forward", "tainted": (0, 1, 2), "fd": 0, "payload": 1, "length": 2},
-    "__read_chk": {"direction": "forward", "tainted": (0, 1, 2), "fd": 0, "payload": 1, "length": 2},
+# name -> (role, fd-or-path arg, buffer arg, length arg). Backward calls
+# anchor payload recovery at their buffer; forward calls seed taint with
+# their fd, buffer and length. open, pipe and socket are where the channel
+# filter's fd walk ends, and an open call's path argument is its second
+# field.
+IO_APIS: dict[str, tuple[str, int | None, int | None, int | None]] = {
+    "write": ("backward", 0, 1, 2),
+    "__write_chk": ("backward", 0, 1, 2),
+    "ioctl": ("backward", 0, 1, None),
+    "sendto": ("backward", 0, 1, 2),
+    "read": ("forward", 0, 1, 2),
+    "__read_chk": ("forward", 0, 1, 2),
+    "open": ("open", 0, None, None),
+    "__open_2": ("open", 0, None, None),
+    "fopen": ("open", 0, None, None),
+    "pipe": ("pipe", None, None, None),
+    "socket": ("socket", None, None, None),
 }
 
 # Fortified variants fold into their plain siblings in reports.
@@ -42,7 +51,6 @@ class TaintQuery:
     site: tuple[str, int, int]
     api: str
     direction: str
-    tainted_args: tuple[int, ...]
 
     @property
     def site_str(self) -> str:
@@ -127,23 +135,16 @@ class TaintTrace:
 
 
 def find_sources(p: IRProgram, direction: str | None = None) -> list[TaintQuery]:
-    """Every CALL to a configured API, as a TaintQuery."""
+    """Every CALL to a backward or forward API, as a TaintQuery."""
+    wanted = ("backward", "forward") if direction is None else (direction,)
     out = []
     for f in p.functions:
         for bid, idx, ins in f.linear():
-            if ins.op != "CALL" or ins.callee not in TAINT_APIS:
+            if ins.op != "CALL" or ins.callee not in IO_APIS:
                 continue
-            spec = TAINT_APIS[ins.callee]
-            if direction is not None and spec["direction"] != direction:
-                continue
-            out.append(
-                TaintQuery(
-                    site=(f.id, bid, idx),
-                    api=ins.callee,
-                    direction=spec["direction"],
-                    tainted_args=spec["tainted"],
-                )
-            )
+            role = IO_APIS[ins.callee][0]
+            if role in wanted:
+                out.append(TaintQuery(site=(f.id, bid, idx), api=ins.callee, direction=role))
     out.sort(key=lambda q: q.site)
     return out
 
@@ -162,7 +163,8 @@ def backward_taint(p: IRProgram, cg: CallGraph, q: TaintQuery) -> list[TaintTrac
     are returned too (complete=False) so callers can surface diagnostics.
     """
     f = p.fn(q.site[0])
-    v, start = f.arg_at(q.site[1], q.site[2], TAINT_APIS[q.api]["payload"])
+    _role, _fd, buf, _length = IO_APIS[q.api]
+    v, start = f.arg_at(q.site[1], q.site[2], buf)
     if v is None:
         return [
             TaintTrace(q, frames=[(f.id, q.site)], complete=False, reason="arg-missing")
@@ -232,8 +234,9 @@ def forward_taint(p: IRProgram, cg: CallGraph, q: TaintQuery) -> TaintTrace:
 
     seeds = set()
     regions: set[tuple[int, int]] = set()
-    for k in q.tainted_args:
-        if k < len(args):
+    _role, fd, buf, length = IO_APIS[q.api]
+    for k in (fd, buf, length):
+        if k is not None and k < len(args):
             v = args[k]
             if v.space == "stack":
                 regions.add((v.offset, v.size))
@@ -266,7 +269,10 @@ def _flow_forward(p, cg, f: Function, seeds, regions, visited, sinks, depth) -> 
             return True
         return v.space == "stack" and _overlaps(v, regions)
 
-    for _round in range(4):  # fixpoint for back-edges; small bound suffices
+    # Runs to a fixpoint: tainted varnodes and regions only grow, and both
+    # are drawn from the function's finitely many operands.
+    changed = True
+    while changed:
         changed = False
         for bid, idx, ins in f.linear():
             if ins.op in ("COPY", "LOAD", "INT_ADD", "INT_SUB"):
@@ -332,8 +338,6 @@ def _flow_forward(p, cg, f: Function, seeds, regions, visited, sinks, depth) -> 
             elif ins.op == "RETURN":
                 if ins.inputs and is_t(ins.inputs[0]):
                     ret_tainted = True
-        if not changed:
-            break
     return ret_tainted
 
 
@@ -354,7 +358,7 @@ def _dispatch_target(f: Function, bid: int, idx: int, cmp_ins) -> str | None:
         return None
     succ = blk.successors[0] if cmp_ins.op == "INT_EQUAL" else blk.successors[1]
     seen = set()
-    while succ not in seen and len(seen) < 8:
+    while succ not in seen:
         seen.add(succ)
         b = f.block(succ)
         for ins in b.instructions:
@@ -379,7 +383,7 @@ def concretize_payload(p: IRProgram, trace: TaintTrace) -> PayloadBytes:
     parameters or call results become dynamic placeholders (0x00)."""
     assert trace.complete and trace.query.direction == "backward"
     term = trace.terminator
-    spec = TAINT_APIS[trace.query.api]
+    _role, _fd, _buf, length_arg = IO_APIS[trace.query.api]
     ws = p.word_size
 
     if term[0] == "const":
@@ -388,7 +392,7 @@ def concretize_payload(p: IRProgram, trace: TaintTrace) -> PayloadBytes:
             val.to_bytes(ws, "little"), "s" * ws, LengthSource("constant-arg", ws)
         )
 
-    length_abs = _length_along_trace(p, trace, spec["length"])
+    length_abs = _length_along_trace(p, trace, length_arg)
 
     if term[0] == "ram":
         addr = term[1]

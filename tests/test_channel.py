@@ -2,7 +2,7 @@
 
 import pytest
 
-from rilmine import channel
+from rilmine import channel, oracle
 from rilmine.channel import (
     FilterConfig,
     filter_commands,
@@ -264,6 +264,37 @@ _CHANNEL_REASONS = {
         I("STORE", None, (U(1), U(0))),
     ),
 }
+
+
+@pytest.mark.parametrize("api", ["open", "__open_2", "fopen"])
+def test_each_open_call_keeps_a_device_fd(api):
+    p = _tx(I("CALL", U(0), (C(0x2010), C(0)), callee=api), externals=("write", api))
+    cg, db, report = _run(p)
+    res = resolve_channel(p, cg, ("tx", 0, 1), 0)
+    assert (res.verdict, res.origin, res.path) == ("keep", "open", "/dev/umts_ipc0")
+    want = {("solicited", "write", "tx", "61 62 63", "/dev/umts_ipc0")}
+    assert db_signatures(db) == oracle.analyze(p).commands == want
+
+
+def test_fd_loaded_from_a_slot_takes_the_slot_value_before_the_load():
+    # The slot is written again by pipe after the LOAD; the loaded fd
+    # still comes from open.
+    tx = func("tx", stack=32, blocks=[block(0, [
+        I("CALL", U(2), (C(0x2010), C(0)), callee="open"),
+        I("COPY", S(8, 8), (U(2),)),
+        I("LOAD", U(0), (S(8, 8),)),
+        I("CALL", U(3), (S(16, 8),), callee="pipe"),
+        I("COPY", S(8, 8), (U(3),)),
+        I("COPY", S(24, 1), (C(7, 1),)),
+        I("CALL", None, (U(0), S(24, 1), C(1)), callee="write"),
+        I("RETURN"),
+    ])])
+    p = build_program("slot", functions=[tx], data=[_DEV],
+                      externals=["open", "pipe", "write"])
+    _, db, report = _run(p)
+    assert report.discards == []
+    want = {("solicited", "write", "tx", "07", "/dev/umts_ipc0")}
+    assert db_signatures(db) == oracle.analyze(p).commands == want
 
 
 @pytest.mark.parametrize("reason", sorted(_CHANNEL_REASONS))

@@ -45,19 +45,18 @@ def _cg(p):
 # API table
 
 def test_modeled_apis_are_frozen():
-    assert taint.TAINT_APIS == {
-        "write": {"direction": "backward", "tainted": (0, 1, 2),
-                  "fd": 0, "payload": 1, "length": 2},
-        "__write_chk": {"direction": "backward", "tainted": (0, 1, 2),
-                        "fd": 0, "payload": 1, "length": 2},
-        "ioctl": {"direction": "backward", "tainted": (1,),
-                  "fd": 0, "payload": 1, "length": None},
-        "sendto": {"direction": "backward", "tainted": (1, 2),
-                   "fd": 0, "payload": 1, "length": 2},
-        "read": {"direction": "forward", "tainted": (0, 1, 2),
-                 "fd": 0, "payload": 1, "length": 2},
-        "__read_chk": {"direction": "forward", "tainted": (0, 1, 2),
-                       "fd": 0, "payload": 1, "length": 2},
+    assert taint.IO_APIS == {
+        "write": ("backward", 0, 1, 2),
+        "__write_chk": ("backward", 0, 1, 2),
+        "ioctl": ("backward", 0, 1, None),
+        "sendto": ("backward", 0, 1, 2),
+        "read": ("forward", 0, 1, 2),
+        "__read_chk": ("forward", 0, 1, 2),
+        "open": ("open", 0, None, None),
+        "__open_2": ("open", 0, None, None),
+        "fopen": ("open", 0, None, None),
+        "pipe": ("pipe", None, None, None),
+        "socket": ("socket", None, None, None),
     }
 
 
@@ -277,6 +276,46 @@ def test_store_taints_the_width_of_the_stored_value():
     db, _ = filter_commands(p, cg)
     want = {("unsolicited", "read", "poll", 5, "handle5", "/dev/umts_ipc0")}
     assert db_signatures(db) == oracle.analyze(p).commands == want
+
+
+def _poll(*blocks):
+    """A program whose function ``poll`` opens the device into ``U(0)``
+    in block 0 and then runs ``blocks``."""
+    poll = func("poll", blocks=[
+        block(0, [I("CALL", U(0), (C(0x2000), C(0)), callee="open")], succ=(1,)),
+        *blocks,
+    ])
+    p = build_program("fwd", functions=[poll, ret_stub("h")],
+                      data=[(0x2000, b"/dev/umts_ipc0\x00")], externals=["open", "read"])
+    db, _ = filter_commands(p, _cg(p))
+    return db_signatures(db), oracle.analyze(p).commands
+
+
+def test_forward_taint_runs_to_a_fixpoint_over_a_loop():
+    # Each pass over block 1 moves the count read in block 3 one COPY
+    # further down the chain U10 <- U11 <- ... <- U16.
+    copies = [I("COPY", U(10 + k), (U(11 + k),)) for k in range(6)]
+    got, ref = _poll(
+        block(1, [*copies, I("INT_EQUAL", U(20, 1), (U(10), C(0x42))),
+                  I("CBRANCH", None, (U(20, 1),))], succ=(2, 3)),
+        block(2, [I("CALL", None, (), callee="h"), I("RETURN")]),
+        block(3, [I("CALL", U(16), (U(0), S(16, 32), C(32)), callee="read"),
+                  I("BRANCH")], succ=(1,)),
+    )
+    assert got == ref == {("unsolicited", "read", "poll", 0x42, "h", "/dev/umts_ipc0")}
+
+
+def test_dispatch_walk_follows_any_number_of_branch_blocks():
+    hops = [block(k, [I("BRANCH")], succ=(k + 1,)) for k in range(2, 10)]
+    got, ref = _poll(
+        block(1, [I("CALL", U(1), (U(0), S(16, 32), C(32)), callee="read"),
+                  I("INT_EQUAL", U(2, 1), (U(1), C(0x42))),
+                  I("CBRANCH", None, (U(2, 1),))], succ=(2, 11)),
+        *hops,
+        block(10, [I("CALL", None, (), callee="h"), I("RETURN")]),
+        block(11, [I("RETURN")]),
+    )
+    assert got == ref == {("unsolicited", "read", "poll", 0x42, "h", "/dev/umts_ipc0")}
 
 
 # ---------------------------------------------------------------------------
