@@ -152,11 +152,18 @@ def _cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 # diff
 
+def _read_db(path: str):
+    """The database at ``path``; a parse error names the file and line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return load_db(fh.read())
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
 def _cmd_diff(args) -> int:
-    with open(args.base, "r", encoding="utf-8") as fh:
-        base = load_db(fh.read())
-    with open(args.cur, "r", encoding="utf-8") as fh:
-        cur = load_db(fh.read())
+    base = _read_db(args.base)
+    cur = _read_db(args.cur)
     d = db_diff(base, cur)
     sys.stdout.write(render_diff(base, cur, d))
     return 0
@@ -166,9 +173,14 @@ def _cmd_diff(args) -> int:
 # sim
 
 def _cmd_sim(args) -> int:
-    with open(args.db, "r", encoding="utf-8") as fh:
-        db = load_db(fh.read())
-    config = load_sim_config(args.sim_config)
+    if args.budget < 0:
+        print(f"error: --budget must be 0 or more, not {args.budget}", file=sys.stderr)
+        return 1
+    db = _read_db(args.db)
+    try:
+        config = load_sim_config(args.sim_config)
+    except ValueError as e:
+        raise ValueError(f"{args.sim_config}: {e}") from None
     findings, stats = campaign(db, config, budget=args.budget, seed=args.seed)
     lines = [
         "# rilmine findings v1",

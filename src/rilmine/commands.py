@@ -182,10 +182,12 @@ def save_db(db: CommandDB) -> str:
 
 
 def load_db(text: str) -> CommandDB:
+    """Parse a ``.cmdb.tsv``. A malformed row raises ValueError naming its
+    line."""
     binary = ""
     provenance = ""
     db = None
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         if line.startswith("# binary="):
             head = line[2:].split()
             binary = head[0].split("=", 1)[1]
@@ -198,15 +200,18 @@ def load_db(text: str) -> CommandDB:
             db = CommandDB("", "")
         cols = line.split("\t")
         if len(cols) != len(_COLUMNS):
-            raise ValueError(f"bad db row ({len(cols)} columns): {line!r}")
+            raise ValueError(f"line {lineno}: bad db row ({len(cols)} columns): {line!r}")
         (bin_, direction, api, site, root, module, payload_col, channel, kind) = cols
         payload = constant = handler = None
         if direction == "solicited":
-            payload = parse_payload_hex(payload_col)
+            try:
+                payload = parse_payload_hex(payload_col)
+            except ValueError as e:
+                raise ValueError(f"line {lineno}: {e}") from None
         else:
             m = re.match(r"const=0x([0-9a-fA-F]+);handler=(.*)", payload_col)
             if not m:
-                raise ValueError(f"bad unsolicited payload column: {payload_col!r}")
+                raise ValueError(f"line {lineno}: bad unsolicited payload column: {payload_col!r}")
             constant = int(m.group(1), 16)
             handler = None if m.group(2) == "-" else m.group(2)
         db.add(

@@ -60,14 +60,10 @@ def probe_command(world: SimWorld, payload: bytes, window: int | None = None) ->
     return ProbeReport(crash, rsp, tuple(states))
 
 
-def mutate(payload: PayloadBytes, rng: random.Random, current: bytes | None = None) -> bytes:
-    """One mutation at a dynamic position: bit flip, inc, dec, interesting
-    byte, or random byte. Static positions are never rewritten."""
-    positions = [i for i, m in enumerate(payload.mask) if m == "d"]
-    if not positions:
-        raise ValueError("no-mutable-bytes")
-    data = bytearray(current if current is not None else payload.data)
-    assert len(data) == len(payload.mask)
+def _mutate_at(current: bytes, positions: list, rng: random.Random) -> bytes:
+    """``current`` with one byte at one of ``positions`` rewritten, drawing
+    from ``rng`` as ``mutate`` documents."""
+    data = bytearray(current)
     i = rng.choice(positions)
     op = rng.randrange(5)
     if op == 0:
@@ -81,6 +77,26 @@ def mutate(payload: PayloadBytes, rng: random.Random, current: bytes | None = No
     else:
         data[i] = rng.randrange(256)
     return bytes(data)
+
+
+def _dynamic_positions(payload: PayloadBytes) -> list:
+    return [i for i, m in enumerate(payload.mask) if m == "d"]
+
+
+def mutate(payload: PayloadBytes, rng: random.Random, current: bytes | None = None) -> bytes:
+    """One mutation at a dynamic position: bit flip, inc, dec, interesting
+    byte, or random byte. Static positions are never rewritten.
+
+    Draws from ``rng``, in order: the position, the operator, then the bit,
+    interesting byte or random byte for operators 0, 3 and 4. The campaign
+    makes the same draws, with the positions computed once per command."""
+    positions = _dynamic_positions(payload)
+    if not positions:
+        raise ValueError("no-mutable-bytes")
+    if current is None:
+        current = payload.data
+    assert len(current) == len(payload.mask)
+    return _mutate_at(current, positions, rng)
 
 
 @dataclass(frozen=True)
@@ -110,7 +126,14 @@ def campaign(db: CommandDB, config: SimConfig, budget: int = 1000,
              seed: int = 0) -> tuple[list, CampaignStats]:
     """Probe every solicited command, then fuzz the hybrid ones. ``budget``
     caps mutation injections per command; 0 keeps the static probes only.
-    Deterministic for a given (db, config, budget, seed)."""
+    Deterministic for a given (db, config, budget, seed).
+
+    Built once per campaign: one world, which indexes the behavior table
+    when it is built. Computed once per command: its dynamic positions and
+    its RNG, sub-seeded from ``seed`` and the record. Each mutation draws
+    from that RNG in the order ``mutate`` documents; that order is part of
+    the findings, so changing it means regenerating
+    ``tests/golden/findings.json``."""
     findings: list = []
     stats = CampaignStats()
     # One world, reflashed before each command: latches compare ticks only
@@ -129,14 +152,15 @@ def campaign(db: CommandDB, config: SimConfig, budget: int = 1000,
                                     rec.payload.data, "probe", execs))
             stats.first_crash_execs.setdefault(rec.root_function, execs)
             continue
-        if "d" not in rec.payload.mask or budget <= 0:
+        positions = _dynamic_positions(rec.payload)
+        if not positions or budget <= 0:
             continue
         corpus = [rec.payload.data]
         history = {(report.response.code, report.states[0])}
         window = 2 * config.default_recover_after
         for _ in range(budget):
             parent = rng.choice(corpus)
-            mutant = mutate(rec.payload, rng, current=parent)
+            mutant = _mutate_at(parent, positions, rng)
             rsp = world.inject(mutant)
             execs += 1
             stats.mutation_execs += 1

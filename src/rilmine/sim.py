@@ -9,10 +9,11 @@ permanent > recoverable > temporary.
 Behavior is table-driven: the first matching row decides the effect of an
 injected payload. Matchers are byte sequences with ``..`` wildcards and an
 optional trailing ``*`` for prefix matches. ``BehaviorRow.matches`` defines
-a match; a world indexes its table when it is built (exact rows in a dict
-keyed by their bytes, wildcard and prefix rows in per-length lists) and
-picks the same row a scan in table order would. The harness builds one
-world per campaign. The world reads ``config.rows`` only when built.
+a match and stays the reference the tests compare against; a world indexes
+its table when it is built (exact rows in a dict keyed by their bytes,
+wildcard and prefix rows as integer masks in per-length lists) and picks
+the same row a scan in table order would. The harness builds one world per
+campaign. The world reads ``config.rows`` only when built.
 """
 
 from __future__ import annotations
@@ -178,12 +179,19 @@ class Response:
         return self.code is not None
 
 
+_UNKNOWN_REPLY = Response(RSP_UNKNOWN, IN_SERVICE)
+
+
 class SimWorld:
     """One modem instance on a logical tick counter.
 
     The behavior table is indexed when the world is built: ``config.rows``
     is read once, so rows added to the config afterwards are not seen by
-    this world. Build a new world for a changed table.
+    this world. Build a new world for a changed table. Built once per
+    world: the exact-row dict, each wildcard or prefix row's integer mask
+    and value, and the reply of each ``ok`` row. Built on first use, once
+    per payload length: the list of loose rows that can match it. Expiring
+    temporary latches costs nothing while none is set.
     """
 
     def __init__(self, config: SimConfig):
@@ -196,20 +204,32 @@ class SimWorld:
         self._rows = tuple(config.rows)
         # exact matcher bytes -> position of the first row with that matcher
         self._exact: dict[bytes, int] = {}
-        # (position, row) of every wildcard or prefix row, in table order
-        self._loose: list[tuple[int, BehaviorRow]] = []
+        # (position, length, prefix, mask, value) of every wildcard or prefix
+        # row, in table order: a payload of the row's length matches when
+        # its big-endian integer ANDed with mask equals value
+        self._loose: list[tuple[int, int, bool, int, int]] = []
         for i, r in enumerate(self._rows):
             if r.prefix or None in r.matcher:
-                self._loose.append((i, r))
+                mask = int.from_bytes(bytes(0 if m is None else 0xFF for m in r.matcher), "big")
+                value = int.from_bytes(bytes(0 if m is None else m for m in r.matcher), "big")
+                self._loose.append((i, len(r.matcher), r.prefix, mask, value))
             else:
                 self._exact.setdefault(bytes(r.matcher), i)
-        # payload length -> the loose rows that can match that length
-        self._loose_by_len: dict[int, list[tuple[int, BehaviorRow]]] = {}
+        # the reply of each ok row (None for a crash row); Response is frozen,
+        # so injections share it
+        self._ok_replies = tuple(
+            Response(r.args[0] if r.args else RSP_OK, IN_SERVICE) if r.effect == "ok" else None
+            for r in self._rows)
+        # payload length n -> (position, mask, value) of the loose rows that
+        # can match length n, with a prefix row's mask and value shifted to
+        # the payload's leading bytes
+        self._loose_by_len: dict[int, list[tuple[int, int, int]]] = {}
 
     # -- state ----------------------------------------------------------
 
     def _expire(self):
-        self._temporaries = [t for t in self._temporaries if t > self.tick]
+        if self._temporaries:
+            self._temporaries = [t for t in self._temporaries if t > self.tick]
 
     def active_latch(self) -> str | None:
         self._expire()
@@ -250,15 +270,18 @@ class SimWorld:
         n = len(payload)
         loose = self._loose_by_len.get(n)
         if loose is None:
-            loose = [(i, r) for i, r in self._loose
-                     if (len(r.matcher) <= n if r.prefix else len(r.matcher) == n)]
+            loose = [(i, mask << 8 * (n - size), value << 8 * (n - size))
+                     for i, size, prefix, mask, value in self._loose
+                     if (size <= n if prefix else size == n)]
             self._loose_by_len[n] = loose
         hit = self._exact.get(bytes(payload))
-        for i, r in loose:
-            if hit is not None and i > hit:
-                break
-            if r.matches(payload):
-                return i
+        if loose:
+            whole = int.from_bytes(payload, "big")
+            for i, mask, value in loose:
+                if hit is not None and i > hit:
+                    break
+                if whole & mask == value:
+                    return i
         return hit
 
     def inject(self, payload: bytes) -> Response:
@@ -266,13 +289,15 @@ class SimWorld:
         self.tick += 1
         if self.query_state() == OUT_OF_SERVICE:
             return Response(None, OUT_OF_SERVICE)
+        # No latch is active, and neither an unmatched payload nor an ok row
+        # sets one: those replies are IN_SERVICE, built once.
         i = self.row_for(payload)
         if i is None:
-            return Response(RSP_UNKNOWN, self.query_state())
+            return _UNKNOWN_REPLY
+        reply = self._ok_replies[i]
+        if reply is not None:
+            return reply
         row = self._rows[i]
-        if row.effect == "ok":
-            code = row.args[0] if row.args else RSP_OK
-            return Response(code, self.query_state())
         if row.effect == "temporary_crash":
             after = row.args[0] if row.args else self.config.default_recover_after
             self._temporaries.append(self.tick + after)

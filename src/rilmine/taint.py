@@ -111,7 +111,10 @@ def parse_payload_hex(text: str, length_source: LengthSource | None = None) -> P
             data.append(0)
             mask.append("d")
         else:
-            data.append(int(tok, 16))
+            try:
+                data.append(int(tok, 16))
+            except ValueError:
+                raise ValueError(f"bad payload byte {tok!r}") from None
             mask.append("s")
     return PayloadBytes(bytes(data), "".join(mask), length_source or LengthSource("unknown"))
 

@@ -273,6 +273,56 @@ def test_sim_command_writes_findings_file(tmp_path, capsys):
     assert f"recoverable\tIpcTxSimSetStatus\t{crash_hex}\tmutation\t" in text
 
 
+def _break_first_payload(path):
+    """Replace the first solicited payload byte with ``zz``; returns the
+    line number of that row."""
+    lines = path.read_text().splitlines()
+    n = next(i for i, ln in enumerate(lines) if "\tsolicited\t" in ln)
+    cols = lines[n].split("\t")
+    cols[6] = "zz" + cols[6][2:]
+    lines[n] = "\t".join(cols)
+    path.write_text("\n".join(lines) + "\n")
+    return n + 1
+
+
+def test_sim_names_the_database_file_and_line(tmp_path, capsys):
+    _gen(capsys, tmp_path, "crashsuite")
+    db = tmp_path / "crashsuite.cmdb.tsv"
+    lineno = _break_first_payload(db)
+    code, out, err = run(capsys, "sim", "--db", str(db),
+                         "--sim-config", str(tmp_path / "crashsuite.sim.txt"))
+    assert (code, out) == (1, "")
+    assert err == f"error: {db}: line {lineno}: bad payload byte 'zz'\n"
+
+
+def test_diff_names_the_database_file_and_line(tmp_path, capsys):
+    _gen(capsys, tmp_path, "diffpair")
+    cur = tmp_path / "cur.cmdb.tsv"
+    lineno = _break_first_payload(cur)
+    code, out, err = run(capsys, "diff", str(tmp_path / "base.cmdb.tsv"), str(cur))
+    assert (code, out) == (1, "")
+    assert err == f"error: {cur}: line {lineno}: bad payload byte 'zz'\n"
+
+
+def test_sim_names_the_sim_config_file(tmp_path, capsys):
+    _gen(capsys, tmp_path, "crashsuite")
+    cfg = tmp_path / "bad.sim.txt"
+    cfg.write_text("# header\nrecover_after = soon\n")
+    code, out, err = run(capsys, "sim", "--db", str(tmp_path / "crashsuite.cmdb.tsv"),
+                         "--sim-config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == f"error: {cfg}: line 2: bad recover_after 'soon'\n"
+
+
+def test_sim_rejects_a_negative_budget(tmp_path, capsys):
+    _gen(capsys, tmp_path, "crashsuite")
+    code, out, err = run(capsys, "sim", "--db", str(tmp_path / "crashsuite.cmdb.tsv"),
+                         "--sim-config", str(tmp_path / "crashsuite.sim.txt"),
+                         "--budget", "-5")
+    assert (code, out) == (1, "")
+    assert err == "error: --budget must be 0 or more, not -5\n"
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 

@@ -144,11 +144,15 @@ def test_json_form_carries_length_source():
 
 
 def test_load_rejects_malformed_rows():
-    with pytest.raises(ValueError, match="columns"):
+    with pytest.raises(ValueError, match=r"^line 2: bad db row \(3 columns\)"):
         load_db("# binary=x provenance=\na\tb\tc\n")
     bad = save_db(_mixed_db()).replace("const=0x11;handler=Nv::ProcessOpenFile", "what")
-    with pytest.raises(ValueError, match="unsolicited"):
+    with pytest.raises(ValueError, match="^line [0-9]+: bad unsolicited"):
         load_db(bad)
+    text = "# binary=x provenance=\n\n" + "\t".join(
+        ["x", "solicited", "write", "f@0:0", "f", "m", "07 1g ..", "-", "hybrid"]) + "\n"
+    with pytest.raises(ValueError, match="^line 3: bad payload byte '1g'$"):
+        load_db(text)
 
 
 def test_config_hash_is_stable_and_order_free():

@@ -115,6 +115,51 @@ def test_mutate_extends_a_chosen_parent():
     assert out[0] == pb.data[0]
 
 
+# The findings golden depends on the order of mutate's draws (position,
+# operator, operand), so six chained mutations per seed are pinned here.
+_PINNED = PayloadBytes(bytes([0x07, 0, 0x10, 0, 0, 0x22]), "sdsdds",
+                       LengthSource("constant-arg", 6))
+
+
+@pytest.mark.parametrize("seed, chain", [
+    (0, ["07 00 10 00 00 22", "07 00 10 f8 00 22", "07 00 10 f7 00 22",
+         "07 00 10 f6 00 22", "07 00 10 f6 01 22", "07 00 10 f6 02 22"]),
+    (1, ["07 20 10 00 00 22", "07 20 10 80 00 22", "07 20 10 80 00 22",
+         "07 a0 10 80 00 22", "07 80 10 80 00 22", "07 80 10 80 80 22"]),
+    (2, ["07 02 10 00 00 22", "07 02 10 01 00 22", "07 02 10 01 ff 22",
+         "07 02 10 6c ff 22", "07 02 10 6c fb 22", "07 02 10 ff fb 22"]),
+])
+def test_mutate_draw_order_is_pinned(seed, chain):
+    rng = random.Random(seed)
+    cur = _PINNED.data
+    got = []
+    for _ in chain:
+        cur = mutate(_PINNED, rng, current=cur)
+        got.append(cur.hex(" "))
+    assert got == chain
+
+
+@given(st.integers(0, 2 ** 32 - 1),
+       st.lists(st.sampled_from("sd"), min_size=1, max_size=16).filter(lambda m: "d" in m),
+       st.integers(1, 40))
+def test_campaign_step_draws_like_mutate(seed, mask_list, steps):
+    # the campaign's loop: pick a parent from the corpus, mutate it at the
+    # positions computed once, sometimes keep the mutant
+    from rilmine.harness import _dynamic_positions, _mutate_at
+    pb = _pb("".join(mask_list))
+    positions = _dynamic_positions(pb)
+    fast, ref = random.Random(seed), random.Random(seed)
+    corpus = [pb.data]
+    for k in range(steps):
+        parent = fast.choice(corpus)
+        assert ref.choice(corpus) is parent
+        mutant = _mutate_at(parent, positions, fast)
+        assert mutant == mutate(pb, ref, current=parent)
+        if k % 3 == 0:
+            corpus.append(mutant)
+    assert fast.getstate() == ref.getstate()
+
+
 def test_interesting_bytes_are_frozen():
     assert INTERESTING_BYTES == (0x00, 0x01, 0x7F, 0x80, 0xFF)
     assert SEVERITY == {"none": 0, "temporary": 1, "recoverable": 2, "permanent": 3}

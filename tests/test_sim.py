@@ -4,7 +4,7 @@ import os
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rilmine.sim import (
@@ -101,6 +101,20 @@ def _table_and_payloads(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(_table_and_payloads())
+# an all-wildcard row (mask 0 matches any payload of its length)
+@example(([row([None, None], "ok", args=(0x21,)), row([None], "permanent_crash", prefix=True)],
+          [b"\x01\x02", b"\x00\x00", b"\x05", b"\x01\x02\x03"]))
+# fixed leading 00 bytes: they vanish from the row's integer value, so only
+# its mask and the payload length keep them
+@example(([row([0, 0, None], "temporary_crash"), row([0, 0], "ok", prefix=True),
+           row([0], "recoverable_crash")],
+          [b"\x00\x00\x07", b"\x00\x01\x07", b"\x01\x00\x07", b"\x00\x00",
+           b"\x00", b"\x00\x00\x00\x00", b"\x07"]))
+# payloads shorter than a prefix row
+@example(([row([1, 2, 3], "ok", prefix=True), row([1, None], "permanent_crash")],
+          [b"\x01\x02", b"\x01", b"\x01\x02\x03", b"\x01\x02\x03\x04"]))
+# the empty payload
+@example(([row([None], "ok", prefix=True), row([1], "permanent_crash")], [b""]))
 def test_row_index_agrees_with_a_linear_scan(case):
     rows, payloads = case
     w = world(*rows)
