@@ -26,9 +26,12 @@ from .taint import (
     forward_taint,
 )
 
-# Kept verbatim; device nodes live directly under /dev or one level deeper.
+# Kept verbatim, as configs and their provenance hash carry it: a path
+# under /dev/ without spaces. Its nested quantifiers backtrack exponentially
+# on a long path that fails to match, so the default is matched with the
+# same language written without them.
 DEVICE_PATH_PATTERN = r"^/dev/([^/ ]*)+(/[^/ ]*)*?$"
-_DEVICE_RE = re.compile(DEVICE_PATH_PATTERN)
+_DEVICE_RE = re.compile(r"/dev/[^ ]*")
 
 
 def match_device_path(path: str) -> bool:

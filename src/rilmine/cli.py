@@ -18,7 +18,7 @@ from .channel import FilterConfig, filter_commands
 from .commands import diff as db_diff
 from .commands import load_db, render_diff, save_db, save_db_json
 from .harness import campaign
-from .ir import ParseError, ValidationError, load_program, serialize
+from .ir import load_program, serialize
 from .sim import load_sim_config
 from . import fixtures as fx
 
@@ -94,10 +94,9 @@ def _analyze_one(path: str, binary: str, config: FilterConfig, out: str):
 def _cmd_analyze(args) -> int:
     config = FilterConfig()
     if args.filter_config:
-        with open(args.filter_config, "r", encoding="utf-8") as fh:
-            text = fh.read()
         try:
-            config = FilterConfig.from_json(text)
+            with open(args.filter_config, "r", encoding="utf-8") as fh:
+                config = FilterConfig.from_json(fh.read())
         except ValueError as e:
             print(f"error: {args.filter_config}: {e}", file=sys.stderr)
             return 1
@@ -130,7 +129,7 @@ def _cmd_analyze(args) -> int:
             continue
         try:
             db, report = _analyze_one(path, binary, config, out)
-        except (OSError, ParseError, ValidationError) as e:
+        except (OSError, ValueError) as e:
             errors.append(f"{path}: {e}")
             continue
         results[binary] = (path, db, report)
@@ -308,7 +307,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except BrokenPipeError:
         return 0
-    except (OSError, ParseError, ValidationError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

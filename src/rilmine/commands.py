@@ -208,12 +208,14 @@ def load_db(text: str) -> CommandDB:
                 payload = parse_payload_hex(payload_col)
             except ValueError as e:
                 raise ValueError(f"line {lineno}: {e}") from None
-        else:
+        elif direction == "unsolicited":
             m = re.match(r"const=0x([0-9a-fA-F]+);handler=(.*)", payload_col)
             if not m:
                 raise ValueError(f"line {lineno}: bad unsolicited payload column: {payload_col!r}")
             constant = int(m.group(1), 16)
             handler = None if m.group(2) == "-" else m.group(2)
+        else:
+            raise ValueError(f"line {lineno}: unknown direction {direction!r}")
         db.add(
             CommandRecord(
                 binary=bin_,

@@ -24,7 +24,6 @@ from .ir import (
     IRProgram,
     Param,
     Varnode,
-    _check_links,
     format_site,
     validate,
 )
@@ -81,7 +80,6 @@ def build_program(name: str, *, classes=(), functions=(), data=(), externals=(),
         data=[(a, b) for a, b in data],
         externals=list(externals),
     )
-    _check_links(p)
     diags = validate(p)
     assert not diags, f"fixture bug in {name}: {[str(d) for d in diags]}"
     return p

@@ -21,6 +21,11 @@ list edited in place leaves the indexes stale.
   and restores the collector's previous state on the way out, whether
   the load succeeds or raises.
 
+After decoding, ``load_program`` runs ``validate``: one pass over the
+classes and one over the instructions. It raises the first broken name
+rule (a duplicate or a dangling reference) as a ParseError, and otherwise
+every violation together as a ValidationError.
+
 ``serialize`` writes compact JSON with the same pause, so a process that
 holds many programs does not traverse them on every write.
 """
@@ -221,9 +226,6 @@ class IRProgram:
 
     def has_cls(self, name: str) -> bool:
         return name in self._cls_by_name
-
-    def is_external(self, name: str) -> bool:
-        return name in self.externals
 
     def subclasses(self, name: str) -> list[str]:
         """Transitive subclasses of ``name``, excluding itself, in discovery
@@ -573,10 +575,11 @@ def _gc_paused():
 
 
 def load_program(text: str) -> IRProgram:
-    """Parse, link and validate one program.
+    """Parse and validate one program.
 
-    Raises ParseError (with a field path) on malformed input, and
-    ValidationError listing every diagnostic when type invariants fail.
+    Raises ParseError on malformed input (with a field path) and on a
+    duplicate or dangling name (the first one ``validate`` reports), and
+    ValidationError listing every diagnostic when other invariants fail.
     """
     with _gc_paused():
         return _load(text)
@@ -607,45 +610,34 @@ def _load(text: str) -> IRProgram:
         )
     except _Bad as e:
         raise e.parse_error() from None
-    seen = set()
-    for f in prog.functions:
-        if f.id in seen:
-            raise ParseError(f"duplicate function id {f.id!r}")
-        seen.add(f.id)
-    seen = set()
-    for c in prog.classes:
-        if c.name in seen:
-            raise ParseError(f"duplicate class {c.name!r}")
-        seen.add(c.name)
-    _check_links(prog)
     diags = validate(prog)
+    for d in diags:
+        form = _LINK_ERRORS.get(d.invariant)
+        if form is not None:
+            raise ParseError(form.format(location=d.location, message=d.message))
     if diags:
         raise ValidationError(diags)
     return prog
 
 
-def _check_links(p: IRProgram):
-    """Dangling-reference scan; raises ParseError on the first hole."""
-    for c in p.classes:
-        for par in c.parents:
-            if not p.has_cls(par):
-                raise ParseError(f"class {c.name}: unknown parent {par!r}")
-        for fid in c.vtable + c.constructors + c.members:
-            if not p.has_fn(fid):
-                raise ParseError(f"class {c.name}: dangling function ref {fid!r}")
-    for f in p.functions:
-        if f.owning_class is not None and not p.has_cls(f.owning_class):
-            raise ParseError(f"{f.id}: unknown owning class {f.owning_class!r}")
-        for bid, idx, ins in f.linear():
-            if ins.op == "CALL":
-                if ins.callee and not (p.has_fn(ins.callee) or p.is_external(ins.callee)):
-                    raise ParseError(
-                        f"{format_site(f.id, bid, idx)}: dangling callee {ins.callee!r}"
-                    )
+# The rules on names and cross-references, with the text of the ParseError
+# that load_program raises for the first one broken, in validate's order:
+# duplicates, then each class, then each function and its calls.
+_LINK_ERRORS = {
+    "unique-function-ids": "{message}",
+    "unique-classes": "{message}",
+    "parent-resolves": "class {location}: {message}",
+    "vtable-resolves": "class {location}: {message}",
+    "members-resolve": "class {location}: {message}",
+    "owning-class-resolves": "{location}: {message}",
+    "callee-resolves": "{location}: {message}",
+}
 
 
 def validate(p: IRProgram) -> list[Diagnostic]:
-    """Check every type invariant; returns one Diagnostic per violation."""
+    """Check every rule a decoded program must meet, in one pass over the
+    classes and one over the instructions; returns one Diagnostic per
+    violation."""
     out: list[Diagnostic] = []
 
     def bad(inv, loc, msg):
@@ -654,9 +646,13 @@ def validate(p: IRProgram) -> list[Diagnostic]:
     def bad_at(f, b, idx, inv, msg):
         bad(inv, format_site(f.id, b.id, idx), msg)
 
-    ids = [f.id for f in p.functions]
-    if len(ids) != len(set(ids)):
-        bad("unique-function-ids", p.name, "duplicate function ids")
+    for inv, kind, names in (("unique-function-ids", "function id", [f.id for f in p.functions]),
+                             ("unique-classes", "class", [c.name for c in p.classes])):
+        seen = set()
+        for n in names:
+            if n in seen:
+                bad(inv, p.name, f"duplicate {kind} {n!r}")
+            seen.add(n)
     if len(p.externals) != len(set(p.externals)):
         bad("unique-externals", p.name, "duplicate external names")
 
@@ -666,35 +662,33 @@ def validate(p: IRProgram) -> list[Diagnostic]:
             bad("data-overlap", p.name, f"segments [{s1:#x},{e1:#x}) and [{s2:#x},{e2:#x}) overlap")
 
     for c in p.classes:
-        stack = [c.name]
-        seen = set()
+        stack, seen = list(c.parents), set()
         while stack:
             n = stack.pop()
-            if n == c.name and seen:
+            if n == c.name:
                 bad("acyclic-parents", c.name, "class participates in a parent cycle")
                 break
-            if n in seen:
-                continue
-            seen.add(n)
-            if p.has_cls(n):
+            if n not in seen and p.has_cls(n):
+                seen.add(n)
                 stack.extend(p.cls(n).parents)
-        for fid in c.vtable:
-            if not p.has_fn(fid):
-                bad("vtable-resolves", c.name, f"vtable entry {fid!r} missing")
+        for par in c.parents:
+            if not p.has_cls(par):
+                bad("parent-resolves", c.name, f"unknown parent {par!r}")
+        for inv, fids in (("vtable-resolves", c.vtable),
+                          ("members-resolve", c.constructors + c.members)):
+            for fid in fids:
+                if not p.has_fn(fid):
+                    bad(inv, c.name, f"dangling function ref {fid!r}")
 
+    externals = set(p.externals)
     for f in p.functions:
-        if f.owning_class is not None:
-            ok = (
-                f.params
-                and f.params[0].name == "this"
-                and class_of_type(f.params[0].type) == f.owning_class
-            )
-            if not ok:
-                bad(
-                    "member-this-param",
-                    f.id,
-                    f"member of {f.owning_class} must take this: class:{f.owning_class} first",
-                )
+        owner = f.owning_class
+        if owner is not None:
+            if not p.has_cls(owner):
+                bad("owning-class-resolves", f.id, f"unknown owning class {owner!r}")
+            if not (f.params and f.params[0].name == "this"
+                    and class_of_type(f.params[0].type) == owner):
+                bad("member-this-param", f.id, f"member of {owner} must take this: class:{owner} first")
         block_ids = {b.id for b in f.blocks}
         if len(block_ids) != len(f.blocks):
             bad("unique-block-ids", f.id, "duplicate block ids")
@@ -710,8 +704,12 @@ def validate(p: IRProgram) -> list[Diagnostic]:
                     if v.space == "stack" and not (0 <= v.offset and v.offset + v.size <= size):
                         bad_at(f, b, idx, "stack-bounds", f"{v} outside stack_size {size}")
                 op = ins.op
-                if op == "CALL" and not ins.callee:
-                    bad_at(f, b, idx, "call-has-callee", "CALL without resolved callee")
+                if op == "CALL":
+                    callee = ins.callee
+                    if not callee:
+                        bad_at(f, b, idx, "call-has-callee", "CALL without resolved callee")
+                    elif not (p.has_fn(callee) or callee in externals):
+                        bad_at(f, b, idx, "callee-resolves", f"dangling callee {callee!r}")
                 if op == "CALLIND":
                     if ins.callee:
                         bad_at(f, b, idx, "callind-unresolved", "CALLIND must not carry a callee")

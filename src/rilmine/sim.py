@@ -58,8 +58,6 @@ class BehaviorRow:
 @dataclass
 class SimConfig:
     rows: list = field(default_factory=list)
-    channel: str = "/dev/umts_ipc0"
-    valid_codes: frozenset = frozenset({RSP_OK})
     default_recover_after: int = 3
     reboot_ticks: int = 6
     sandbox_root: str | None = None
@@ -69,8 +67,6 @@ class SimConfig:
     def to_text(self) -> str:
         lines = [
             "# rilmine sim config v1",
-            f"channel = {self.channel}",
-            "valid_codes = " + " ".join(f"{c:02x}" for c in sorted(self.valid_codes)),
             f"recover_after = {self.default_recover_after}",
             f"reboot_ticks = {self.reboot_ticks}",
             f"dotdot_check = {'true' if self.dotdot_check else 'false'}",
@@ -143,12 +139,7 @@ def parse_sim_config(text: str) -> SimConfig:
         if not sep:
             raise SimConfigError(f"line {lineno}: expected key = value or matcher -> effect")
         key, val = key.strip(), val.strip()
-        if key == "channel":
-            cfg = replace(cfg, channel=val)
-        elif key == "valid_codes":
-            cfg = replace(cfg, valid_codes=frozenset(
-                _int_at(lineno, "response code", t, base=16, hi=0xFF) for t in val.split()))
-        elif key == "recover_after":
+        if key == "recover_after":
             cfg = replace(cfg, default_recover_after=_int_at(lineno, "recover_after", val))
         elif key == "reboot_ticks":
             cfg = replace(cfg, reboot_ticks=_int_at(lineno, "reboot_ticks", val))

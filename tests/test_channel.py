@@ -1,5 +1,9 @@
 """Channel filtering: device-path matching and fd-origin tracing."""
 
+import time
+from dataclasses import replace
+from itertools import product
+
 import pytest
 
 from rilmine import channel, oracle
@@ -55,6 +59,28 @@ def test_device_pattern_literal_is_frozen():
 ])
 def test_device_path_match_cases(path, ok):
     assert match_device_path(path) is ok
+
+
+def test_device_path_match_agrees_with_the_oracle_pattern():
+    # Every string over a small alphabet after each of a few prefixes,
+    # short enough for the oracle's backtracking copy to stay fast.
+    tails = ["".join(t) for n in range(7) for t in product("/ a\n", repeat=n)]
+    for head in ("", "/", "/de", "/dev", "/dev/", "dev/", "/dev/a", "/dev//"):
+        for tail in tails:
+            path = head + tail
+            assert match_device_path(path) is bool(oracle._DEV_RE.fullmatch(path)), path
+
+
+def test_long_non_device_path_is_discarded_at_once():
+    # The frozen pattern backtracks exponentially on such a path, 4x longer
+    # for every 2 more characters; on this one it would run for hours.
+    path = "/dev/" + "a" * 34 + " "
+    p, _ = gen_fig6("efs")
+    p = replace(p, data=[(0x2000, path.encode() + b"\0"), (0x2100, b"true\0")])
+    start = time.perf_counter()
+    _, _, report = _run(p)
+    assert time.perf_counter() - start < 1.0
+    assert report.discards == [("StoreStringToFile@0:0", "non-dev-path", path)]
 
 
 # ---------------------------------------------------------------------------

@@ -91,12 +91,12 @@ def test_analyze_rejects_malformed_ir(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", [
     '{"bogus": 1}', '[]', '{"fd_depth": "x"}', '{"device_pattern": "("}',
-    '{"keep_socket": "no"}', '{',
+    '{"keep_socket": "no"}', '{', b'\xff\xfe{}',
 ])
 def test_analyze_rejects_a_bad_filter_config_naming_the_file(tmp_path, capsys, text):
     _gen(capsys, tmp_path, "fig2")
     cfg = tmp_path / "filter.json"
-    cfg.write_text(text)
+    cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
     code, out, err = run(capsys, "analyze", str(tmp_path / "fig2.ir.json"),
                          "--out", str(tmp_path / "out"), "--filter-config", str(cfg))
     assert code == 1
@@ -124,6 +124,17 @@ def test_batch_keeps_good_binaries_past_a_bad_one(tmp_path, capsys):
     ]
     assert [line.split("\t")[0] for line in stdout.splitlines()] == ["fig2", "fig5"]
     assert f"error: {bad}: " in err
+
+
+def test_batch_keeps_good_binaries_past_one_that_is_not_utf8(tmp_path, capsys):
+    _gen(capsys, tmp_path, "fig2")
+    bad = tmp_path / "bad.ir.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, stdout, err = run(capsys, "analyze", str(bad), str(tmp_path / "fig2.ir.json"),
+                            "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert [line.split("\t")[0] for line in stdout.splitlines()] == ["fig2"]
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
 
 
 def test_batch_rejects_a_second_input_with_the_same_binary_name(tmp_path, capsys):

@@ -153,6 +153,10 @@ def test_load_rejects_malformed_rows():
         ["x", "solicited", "write", "f@0:0", "f", "m", "07 1g ..", "-", "hybrid"]) + "\n"
     with pytest.raises(ValueError, match="^line 3: bad payload byte '1g'$"):
         load_db(text)
+    text = "# binary=x provenance=\n" + "\t".join(
+        ["x", "solicted", "write", "f@0:0", "f", "m", "const=0x11;handler=h", "-", "static"]) + "\n"
+    with pytest.raises(ValueError, match="^line 2: unknown direction 'solicted'$"):
+        load_db(text)
 
 
 def test_config_hash_is_stable_and_order_free():

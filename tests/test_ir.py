@@ -1,4 +1,4 @@
-"""IR container: JSON round trips, link checking, and invariant validation."""
+"""IR container: JSON round trips, name rules, and invariant validation."""
 
 import gc
 import json
@@ -482,6 +482,72 @@ def test_validate_flags_parent_cycle():
     a = ir.ClassInfo(name="A", parents=["B"])
     b = ir.ClassInfo(name="B", parents=["A"])
     assert "acyclic-parents" in _invariants(ir.IRProgram(name="p", classes=[a, b]))
+
+
+_NAME_RULE_CASES = {
+    "unique-function-ids": (
+        dict(functions=[ret_stub("f"), ret_stub("f")]),
+        "p", "duplicate function id 'f'", "duplicate function id 'f'"),
+    "unique-classes": (
+        dict(classes=[ir.ClassInfo(name="A"), ir.ClassInfo(name="A")]),
+        "p", "duplicate class 'A'", "duplicate class 'A'"),
+    "parent-resolves": (
+        dict(classes=[ir.ClassInfo(name="A", parents=["Ghost"])]),
+        "A", "unknown parent 'Ghost'", "class A: unknown parent 'Ghost'"),
+    "vtable-resolves": (
+        dict(classes=[ir.ClassInfo(name="A", vtable=["nope"])]),
+        "A", "dangling function ref 'nope'", "class A: dangling function ref 'nope'"),
+    "members-resolve": (
+        dict(classes=[ir.ClassInfo(name="A", constructors=["A::A"])]),
+        "A", "dangling function ref 'A::A'", "class A: dangling function ref 'A::A'"),
+    "owning-class-resolves": (
+        dict(functions=[ret_stub("G::m", cls="G")]),
+        "G::m", "unknown owning class 'G'", "G::m: unknown owning class 'G'"),
+    "callee-resolves": (
+        dict(functions=[func("main", blocks=[block(0, [I("CALL", None, (C(1),), callee="missing"),
+                                                       I("RETURN")])])]),
+        "main@0:0", "dangling callee 'missing'", "main@0:0: dangling callee 'missing'"),
+}
+
+
+@pytest.mark.parametrize("invariant", list(_NAME_RULE_CASES))
+def test_validate_reports_each_name_rule_and_load_raises_it(invariant):
+    parts, location, message, parse_text = _NAME_RULE_CASES[invariant]
+    p = ir.IRProgram(name="p", **parts)
+    assert ir.validate(p) == [ir.Diagnostic(invariant, location, message)]
+    with pytest.raises(ir.ParseError) as exc:
+        ir.load_program(ir.serialize(p))
+    assert str(exc.value) == parse_text
+
+
+@pytest.mark.parametrize("parts,first", [
+    (dict(classes=[ir.ClassInfo(name="A", parents=["Ghost"]), ir.ClassInfo(name="A")],
+          functions=[ret_stub("f"), ret_stub("f")]), "duplicate function id 'f'"),
+    (dict(classes=[ir.ClassInfo(name="A", vtable=["nope"]), ir.ClassInfo(name="A")]),
+     "duplicate class 'A'"),
+    (dict(classes=[ir.ClassInfo(name="A", parents=["Ghost"], members=["nope"])]),
+     "class A: unknown parent 'Ghost'"),
+    (dict(classes=[ir.ClassInfo(name="A", members=["nope"])],
+          functions=[ret_stub("G::m", cls="G")]), "class A: dangling function ref 'nope'"),
+    (dict(functions=[func("main", blocks=[block(0, [I("CALL", None, (), callee="x"),
+                                                    I("CALL", None, (), callee="y"),
+                                                    I("RETURN")])]),
+                     ret_stub("G::m", cls="G")]), "main@0:0: dangling callee 'x'"),
+])
+def test_load_raises_the_first_name_rule_in_check_order(parts, first):
+    with pytest.raises(ir.ParseError) as exc:
+        ir.load_program(ir.serialize(ir.IRProgram(name="p", **parts)))
+    assert str(exc.value) == first
+
+
+def test_a_dangling_callee_outranks_other_invariants():
+    f = func("main", stack=8, blocks=[block(0, [I("COPY", S(4, 8), (C(0),)),
+                                                I("CALL", None, (), callee="missing"),
+                                                I("RETURN")])])
+    p = ir.IRProgram(name="p", functions=[f])
+    assert [d.invariant for d in ir.validate(p)] == ["stack-bounds", "callee-resolves"]
+    with pytest.raises(ir.ParseError, match=r"^main@0:1: dangling callee 'missing'$"):
+        ir.load_program(ir.serialize(p))
 
 
 def test_load_rejects_invariant_violations_with_diagnostics():

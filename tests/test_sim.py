@@ -247,7 +247,6 @@ def test_config_text_round_trip():
     cfg = SimConfig(
         rows=[row([8, None, 2], "temporary_crash", args=(4,)),
               row([8], "ok", prefix=True)],
-        channel="/dev/umts_ipc1", valid_codes=frozenset({0x01, 0x44}),
         default_recover_after=5, reboot_ticks=9,
         sandbox_root="/tmp/nv", dotdot_check=False, symlink_check=True,
     )
@@ -290,9 +289,7 @@ def test_parse_rows_and_comments():
     ("07 -> ok(256)", "line 1: effect argument out of range '256'"),
     ("07 -> ok(-1)", "line 1: effect argument out of range '-1'"),
     ("07 -> temporary_crash(-2)", "line 1: effect argument out of range '-2'"),
-    ("# codes\nvalid_codes = 01 zz", "line 2: bad response code 'zz'"),
-    ("valid_codes = 01 100", "line 1: response code out of range '100'"),
-    ("valid_codes = -1", "line 1: response code out of range '-1'"),
+    ("# codes\nvalid_codes = 01", "line 2: unknown key 'valid_codes'"),
     ("recover_after = soon", "line 1: bad recover_after 'soon'"),
     ("recover_after = -3", "line 1: recover_after out of range '-3'"),
     ("\nreboot_ticks = 1.5", "line 2: bad reboot_ticks '1.5'"),
@@ -318,9 +315,8 @@ def test_parse_reads_booleans_in_any_case(key):
 
 
 def test_parse_accepts_the_range_ends():
-    cfg = parse_sim_config("valid_codes = 00 ff\nrecover_after = 0\nreboot_ticks = 0\n"
+    cfg = parse_sim_config("recover_after = 0\nreboot_ticks = 0\n"
                            "01 -> ok(0)\n02 -> ok(255)\n03 -> temporary_crash(0)\n")
-    assert cfg.valid_codes == frozenset({0x00, 0xFF})
     assert (cfg.default_recover_after, cfg.reboot_ticks) == (0, 0)
     assert [r.args for r in cfg.rows] == [(0,), (255,), (0,)]
 
