@@ -11,7 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
+import select
 import sys
+from collections import deque
 
 from .callgraph import build_direct_cg, recover_vcalls
 from .channel import FilterConfig, filter_commands
@@ -91,6 +94,108 @@ def _analyze_one(path: str, binary: str, config: FilterConfig, out: str):
     return db, report
 
 
+def _task(path: str, binary: str, config: FilterConfig, out: str):
+    """Analyze one input: (summary line, None), or (None, error text) when
+    it fails to load or its artifacts cannot be written."""
+    try:
+        db, report = _analyze_one(path, binary, config, out)
+    except (OSError, ValueError) as e:
+        return None, f"{path}: {e}"
+    return (f"{binary}\trecords={len(db.records)}"
+            f"\tsolicited={len(db.solicited())}"
+            f"\tunsolicited={len(db.unsolicited())}"
+            f"\tkept={report.kept}"
+            f"\tdiscarded={len(report.discards)}"), None
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fork_task(task: tuple[str, str], config: FilterConfig, out: str) -> tuple[int, int]:
+    """Run ``_task`` in a forked worker; returns (read end of its pipe, pid).
+
+    The worker sends back the pickled (summary, error) pair and exits
+    without running the parent's clean-up or flushing its copies of the
+    parent's stdio buffers."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return r, pid
+    code = 1
+    try:
+        os.close(r)
+        path, binary = task
+        try:
+            result = _task(path, binary, config, out)
+        except Exception:  # reported as this input's error, like a failed load
+            import traceback
+            result = None, f"{path}: worker raised\n{traceback.format_exc().rstrip()}"
+        with open(w, "wb") as fh:
+            fh.write(pickle.dumps(result))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(r: int, pid: int, path: str):
+    """The result a worker sent on pipe ``r``, or an error naming how it died."""
+    chunks = []
+    while chunk := os.read(r, 1 << 16):
+        chunks.append(chunk)
+    os.close(r)
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status == 0 and chunks:
+        return pickle.loads(b"".join(chunks))
+    how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
+    return None, f"{path}: worker process {how} before it reported"
+
+
+def _analyze_all(tasks: list[tuple[str, str]], config: FilterConfig, out: str) -> list:
+    """``_task`` of each (path, binary) in ``tasks``, in task order.
+
+    Tasks run concurrently, one per forked worker process, with at most as
+    many processes busy as there are usable CPUs or tasks, the parent
+    included: the parent runs the next task itself whenever every worker
+    slot is taken, and waits only when no task is left to start. A worker
+    writes its own artifacts and sends back only its (summary, error)
+    pair, so one that raises or dies costs only its own task. With room
+    for one busy process, or no ``os.fork``, every task runs here."""
+    width = min(len(tasks), _usable_cpus()) if hasattr(os, "fork") else 1
+    if width <= 1:
+        return [_task(path, binary, config, out) for path, binary in tasks]
+    results: list = [None] * len(tasks)
+    pending = deque(range(len(tasks)))
+    running: dict[int, tuple[int, int]] = {}  # pipe read end -> (pid, task index)
+    try:
+        while pending or running:
+            while pending and len(running) < width - 1:
+                i = pending.popleft()
+                r, pid = _fork_task(tasks[i], config, out)
+                running[r] = (pid, i)
+            if pending:
+                i = pending.popleft()
+                results[i] = _task(*tasks[i], config, out)
+            ready, _, _ = select.select(list(running), [], [], 0 if pending else None)
+            for r in ready:
+                pid, i = running.pop(r)
+                results[i] = _reap(r, pid, tasks[i][0])
+    finally:
+        for r, (pid, _) in running.items():  # only when this process raised
+            os.close(r)
+            os.waitpid(pid, 0)
+    return results
+
+
 def _cmd_analyze(args) -> int:
     config = FilterConfig()
     if args.filter_config:
@@ -120,31 +225,28 @@ def _cmd_analyze(args) -> int:
         else:
             inputs.append(item)
 
-    results = {}  # binary name -> (input path, db, report)
-    errors = []
-    for path in inputs:
+    taken: dict[str, str] = {}  # binary name -> the input that took it
+    tasks: list[tuple[int, str, str]] = []  # (input index, path, binary)
+    errors: dict[int, str] = {}  # input index -> error text
+    for k, path in enumerate(inputs):
         binary = _binary_name(path)
-        if binary in results:
-            errors.append(f"{path}: binary name {binary!r} already taken by {results[binary][0]}")
-            continue
-        try:
-            db, report = _analyze_one(path, binary, config, out)
-        except (OSError, ValueError) as e:
-            errors.append(f"{path}: {e}")
-            continue
-        results[binary] = (path, db, report)
+        if binary in taken:
+            errors[k] = f"{path}: binary name {binary!r} already taken by {taken[binary]}"
+        else:
+            taken[binary] = path
+            tasks.append((k, path, binary))
+    summaries: dict[str, str] = {}  # binary name -> summary line
+    results = _analyze_all([(path, binary) for _, path, binary in tasks], config, out)
+    for (k, _, binary), (summary, error) in zip(tasks, results):
+        if error is None:
+            summaries[binary] = summary
+        else:
+            errors[k] = error
 
-    for binary in sorted(results):
-        _, db, report = results[binary]
-        print(
-            f"{binary}\trecords={len(db.records)}"
-            f"\tsolicited={len(db.solicited())}"
-            f"\tunsolicited={len(db.unsolicited())}"
-            f"\tkept={report.kept}"
-            f"\tdiscarded={len(report.discards)}"
-        )
-    for e in errors:
-        print(f"error: {e}", file=sys.stderr)
+    for binary in sorted(summaries):
+        print(summaries[binary])
+    for k in sorted(errors):
+        print(f"error: {errors[k]}", file=sys.stderr)
     return 1 if errors else 0
 
 

@@ -19,7 +19,10 @@ list edited in place leaves the indexes stale.
   share nothing.
 * It pauses the cyclic garbage collector while it builds the program,
   and restores the collector's previous state on the way out, whether
-  the load succeeds or raises.
+  the load succeeds or raises. Each call pauses on its own: where loads
+  overlap in one process's threads, the collector can come back on before
+  the last of them ends, which costs time but not correctness. The CLI
+  runs loads in parallel as processes, each with its own collector.
 
 After decoding, ``load_program`` runs ``validate``: one pass over the
 classes and one over the instructions. It raises the first broken name
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import gc
 import json
-import threading
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -81,6 +83,10 @@ class ValidationError(ValueError):
         self.diagnostics = list(diagnostics)
         lines = "; ".join(str(d) for d in self.diagnostics)
         super().__init__(f"{len(self.diagnostics)} invariant violation(s): {lines}")
+
+    def __reduce__(self):
+        # pickle rebuilds from the diagnostics, not from the message text
+        return type(self), (self.diagnostics,)
 
 
 @dataclass(frozen=True)
@@ -534,14 +540,6 @@ def _segment_from(obj) -> tuple[int, bytes]:
     return addr, blob
 
 
-# Loads and writes that overlap in a caller's threads share one pause: the
-# first to start records whether cyclic GC was on, the last to finish
-# restores it.
-_gc_lock = threading.Lock()
-_gc_pauses = 0
-_gc_resume = False
-
-
 @contextmanager
 def _gc_paused():
     """Switch cyclic GC off for the duration.
@@ -554,24 +552,18 @@ def _gc_paused():
     untraversed: ``gc.unfreeze`` puts the permanent generation back into
     the oldest one. If the process keeps frozen objects of its own, a
     collection of the young generations does the move instead."""
-    global _gc_pauses, _gc_resume
-    with _gc_lock:
-        if _gc_pauses == 0:
-            _gc_resume = gc.isenabled()
-            gc.disable()
-        _gc_pauses += 1
+    resume = gc.isenabled()
+    gc.disable()
     try:
         yield
     finally:
-        with _gc_lock:
-            _gc_pauses -= 1
-            if _gc_pauses == 0 and _gc_resume:
-                if gc.get_freeze_count():
-                    gc.collect(1)
-                else:
-                    gc.freeze()
-                    gc.unfreeze()
-                gc.enable()
+        if resume:
+            if gc.get_freeze_count():
+                gc.collect(1)
+            else:
+                gc.freeze()
+                gc.unfreeze()
+            gc.enable()
 
 
 def load_program(text: str) -> IRProgram:

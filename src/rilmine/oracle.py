@@ -28,7 +28,9 @@ ORACLE_APIS = {
 }
 ORACLE_FORWARD_TAINTED = {"read": (0, 1, 2), "__read_chk": (0, 1, 2)}
 
-ORACLE_DEVICE_PATTERN = r"^/dev/([^/ ]*)+(/[^/ ]*)*?$"
+# "/dev/", then path segments with no space. Each "/" starts exactly one
+# segment, so the match is linear in the path's length.
+ORACLE_DEVICE_PATTERN = r"^/dev/[^/ ]*(?:/[^/ ]*)*$"
 _DEV_RE = re.compile(ORACLE_DEVICE_PATTERN)
 
 _OPEN_PATH_ARG = {"open": 0, "__open_2": 0, "fopen": 0}

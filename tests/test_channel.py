@@ -1,5 +1,6 @@
 """Channel filtering: device-path matching and fd-origin tracing."""
 
+import re
 import time
 from dataclasses import replace
 from itertools import product
@@ -62,8 +63,7 @@ def test_device_path_match_cases(path, ok):
 
 
 def test_device_path_match_agrees_with_the_oracle_pattern():
-    # Every string over a small alphabet after each of a few prefixes,
-    # short enough for the oracle's backtracking copy to stay fast.
+    # Every string over a small alphabet after each of a few prefixes.
     tails = ["".join(t) for n in range(7) for t in product("/ a\n", repeat=n)]
     for head in ("", "/", "/de", "/dev", "/dev/", "dev/", "/dev/a", "/dev//"):
         for tail in tails:
@@ -81,6 +81,25 @@ def test_long_non_device_path_is_discarded_at_once():
     _, _, report = _run(p)
     assert time.perf_counter() - start < 1.0
     assert report.discards == [("StoreStringToFile@0:0", "non-dev-path", path)]
+
+
+def test_oracle_device_pattern_keeps_the_language_of_the_nested_one():
+    nested = re.compile(r"^/dev/([^/ ]*)+(/[^/ ]*)*?$")  # the oracle's old pattern
+    for n in range(8):
+        for t in product("/a dev", repeat=n):
+            path = "".join(t)
+            assert bool(oracle._DEV_RE.fullmatch(path)) is bool(nested.fullmatch(path)), path
+
+
+def test_oracle_discards_a_long_non_device_path_at_once():
+    # The nested pattern took seconds on this path in the reference analyzer.
+    path = "/dev/" + "a" * 24 + " "
+    p, _ = gen_fig6("efs")
+    p = replace(p, data=[(0x2000, path.encode() + b"\0"), (0x2100, b"true\0")])
+    start = time.perf_counter()
+    res = oracle.analyze(p)
+    assert time.perf_counter() - start < 1.0
+    assert res.discards == {("StoreStringToFile@0:0", "non-dev-path", path)}
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 import json
 import os
+import signal
 
 import pytest
 
+from rilmine import cli
 from rilmine.cli import FIXTURE_KINDS, locate_ril_library, main
-from rilmine.fixtures import gen_fig2
-from rilmine.ir import serialize
+from rilmine.fixtures import C, I, S, block, func, gen_fig2
+from rilmine.ir import IRProgram, serialize
 
 
 def run(capsys, *argv):
@@ -162,6 +164,94 @@ def test_batch_rejects_a_second_input_with_the_same_binary_name(tmp_path, capsys
         assert (out_dir / f"fig2{ext}").read_text() == (tmp_path / "alone" / f"fig2{ext}").read_text()
     (line,) = err.splitlines()
     assert line.startswith(f"error: {second}: ") and first in line
+
+
+def _analyze_on(cpus, tmp_path, capsys, monkeypatch, inputs):
+    """Run ``analyze`` as if ``cpus`` CPUs were usable. Returns (exit code,
+    stdout, stderr, artifact bytes by name) and the workers started."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    out_dir = tmp_path / f"out-{cpus}-{len(inputs)}"
+    code, out, err = run(capsys, "analyze", *inputs, "--out", str(out_dir))
+    artifacts = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+    return (code, out, err, artifacts), len(forks)
+
+
+def test_batch_gives_the_same_results_in_worker_processes(tmp_path, capsys, monkeypatch):
+    _gen(capsys, tmp_path, "fig2")
+    _gen(capsys, tmp_path, "fig5")
+    bad = tmp_path / "bad.ir.json"
+    bad.write_text("{\"ir_version\": 99}")
+    raw = tmp_path / "raw.ir.json"
+    raw.write_bytes(b"\xff\xfe{}")
+    (tmp_path / "dup").mkdir()
+    dup = tmp_path / "dup" / "fig2.ir.json"
+    dup.write_text((tmp_path / "fig5.ir.json").read_text())
+    inputs = [str(tmp_path / "fig2.ir.json"), str(bad), str(raw),
+              str(tmp_path / "fig5.ir.json"), str(dup)]
+    serial, forks = _analyze_on(1, tmp_path, capsys, monkeypatch, inputs)
+    assert forks == 0
+    parallel, forks = _analyze_on(3, tmp_path, capsys, monkeypatch, inputs)
+    assert forks >= 2  # four tasks, three busy processes: two workers at once
+    assert parallel == serial
+    code, out, err, artifacts = serial
+    assert code == 1
+    assert [line.split("\t")[0] for line in out.splitlines()] == ["fig2", "fig5"]
+    assert [line.split(": ")[1] for line in err.splitlines()] == [str(bad), str(raw), str(dup)]
+    assert len(artifacts) == 6
+    _, forks = _analyze_on(3, tmp_path, capsys, monkeypatch, inputs[:1])
+    assert forks == 0  # one input: nothing to share
+
+
+def test_worker_reports_a_validation_error_as_a_serial_run_does(tmp_path, capsys, monkeypatch):
+    _gen(capsys, tmp_path, "fig2")
+    invalid = tmp_path / "invalid.ir.json"
+    f = func("main", stack=8, blocks=[block(0, [I("COPY", S(4, 8), (C(0),)), I("RETURN")])])
+    invalid.write_text(serialize(IRProgram(name="p", functions=[f])))
+    inputs = [str(invalid), str(tmp_path / "fig2.ir.json")]
+    serial, _ = _analyze_on(1, tmp_path, capsys, monkeypatch, inputs)
+    parallel, forks = _analyze_on(2, tmp_path, capsys, monkeypatch, inputs)
+    assert forks == 1 and parallel == serial
+    assert serial[2].startswith(f"error: {invalid}: 1 invariant violation(s): [stack-bounds]")
+
+
+@pytest.mark.parametrize("death", ["raise", "kill"])
+def test_a_worker_that_dies_costs_only_its_own_input(death, tmp_path, capsys, monkeypatch):
+    _gen(capsys, tmp_path, "fig2")
+    victim = tmp_path / "victim.ir.json"
+    victim.write_text((tmp_path / "fig2.ir.json").read_text())
+    parent = os.getpid()
+    analyze_one = cli._analyze_one
+
+    def dying(path, *rest):
+        if path == str(victim) and os.getpid() != parent:
+            if death == "raise":
+                raise RuntimeError("boom")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return analyze_one(path, *rest)
+
+    monkeypatch.setattr(cli, "_analyze_one", dying)
+    # the first task always goes to a worker
+    (code, out, err, artifacts), forks = _analyze_on(
+        2, tmp_path, capsys, monkeypatch, [str(victim), str(tmp_path / "fig2.ir.json")])
+    assert (code, forks) == (1, 1)
+    assert [line.split("\t")[0] for line in out.splitlines()] == ["fig2"]
+    assert sorted(artifacts) == ["fig2.cmdb.json", "fig2.cmdb.tsv", "fig2.report.txt"]
+    if death == "raise":
+        assert err.startswith(f"error: {victim}: worker raised\nTraceback")
+        assert err.endswith("RuntimeError: boom\n")
+    else:
+        assert err == (f"error: {victim}: worker process was killed by signal "
+                       f"{int(signal.SIGKILL)} before it reported\n")
 
 
 def test_out_dir_falls_back_to_environment(tmp_path, capsys, monkeypatch):
