@@ -118,9 +118,12 @@ def _usable_cpus() -> int:
 def _fork_task(task: tuple[str, str], config: FilterConfig, out: str) -> tuple[int, int]:
     """Run ``_task`` in a forked worker; returns (read end of its pipe, pid).
 
-    The worker sends back the pickled (summary, error) pair and exits
-    without running the parent's clean-up or flushing its copies of the
-    parent's stdio buffers."""
+    ``fork`` rather than a fresh interpreter: the worker starts with the
+    package imported and the filter config built, and the CLI starts no
+    threads that a fork could copy mid-operation. The worker sends back
+    the pickled (summary, error) pair and exits without running the
+    parent's clean-up or flushing its copies of the parent's stdio
+    buffers."""
     r, w = os.pipe()
     try:
         pid = os.fork()
