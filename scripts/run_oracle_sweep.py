@@ -51,6 +51,8 @@ def run_seed(seed: int, max_functions: int) -> list[str]:
     want_unresolved = {(u["site"], u["reason"]) for u in m.unresolved}
     if {(s.site_str, s.reason) for s in cg.unresolved} != want_unresolved:
         problems.append("pipeline unresolved sites differ from manifest")
+    if res.unresolved != want_unresolved:
+        problems.append("reference unresolved sites differ from manifest")
     want_discards = {(d["site"], d["reason"], d["path"]) for d in m.discards}
     if set(report.discards) != want_discards:
         problems.append("pipeline discards differ from manifest")

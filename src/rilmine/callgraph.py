@@ -12,15 +12,16 @@ ordered search list (parent constructors root-most first, then own
 constructors, then members) for the store that defines the expression,
 then typing the stored value. Results are memoized per (v_c, v_t, v_o).
 
-CallGraph is built once per program; ``edges`` only grows, through
-``add_edge``, which also keeps the callee and call-site indexes behind
-``callers_of`` and ``edges_at`` current, so each query is a lookup rather
-than a scan of every edge. recover_vcalls is idempotent.
+A CallGraph starts empty; ``edges`` only grows, through ``add_edge``, which
+also keeps the callee and call-site indexes behind ``callers_of`` and
+``edges_at`` current, so each query is a lookup rather than a scan of every
+edge. recover_vcalls makes one pass over the program; call it once per
+graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ir import (
     Function,
@@ -44,15 +45,14 @@ class TargetExpr:
         return f"{self.base}+{self.offset:#x}" if self.offset else self.base
 
 
-@dataclass
+@dataclass(frozen=True)
 class VCallSite:
+    """A CALLIND site that got no virtual edge, and why."""
+
     fn: str
     bid: int
     idx: int
-    v_c: str | None = None  # class of the enclosing function
-    v_t: TargetExpr | None = None
-    v_o: int | None = None  # constant byte offset into the vtable
-    reason: str | None = None  # set when the site could not be resolved
+    reason: str
 
     @property
     def loc(self) -> tuple[str, int, int]:
@@ -72,24 +72,14 @@ class CallEdge:
     via: tuple[str, str, int] | None = None  # (class, v_t, v_o) for virtual
 
 
-@dataclass
 class CallGraph:
-    edges: list[CallEdge] = field(default_factory=list)
-    unresolved: list[VCallSite] = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self._edge_keys = {(e.caller, e.callee, e.site, e.kind) for e in self.edges}
-        self._done_sites: set[tuple[str, int, int]] = set()
+    def __init__(self):
+        self.edges: list[CallEdge] = []
+        self.unresolved: list[VCallSite] = []
+        self._edge_keys: set[tuple] = set()
         # Edges in ``edges`` order, per callee and per call site.
         self._by_callee: dict[str, list[CallEdge]] = {}
         self._by_site: dict[tuple[str, int, int], list[CallEdge]] = {}
-        for e in self.edges:
-            self._index(e)
-
-    def _index(self, e: CallEdge) -> None:
-        self._by_callee.setdefault(e.callee, []).append(e)
-        self._by_site.setdefault(e.site, []).append(e)
 
     def add_edge(self, e: CallEdge) -> bool:
         key = (e.caller, e.callee, e.site, e.kind)
@@ -97,7 +87,8 @@ class CallGraph:
             return False
         self._edge_keys.add(key)
         self.edges.append(e)
-        self._index(e)
+        self._by_callee.setdefault(e.callee, []).append(e)
+        self._by_site.setdefault(e.site, []).append(e)
         return True
 
     def callers_of(self, fid: str) -> list[CallEdge]:
@@ -195,25 +186,6 @@ def _match_vtable_expr(f: Function, target: Varnode, pos: int) -> tuple[TargetEx
     return None if v_t is None else (v_t, v_o)
 
 
-def _scan_callinds(p: IRProgram) -> tuple[list[VCallSite], list[VCallSite]]:
-    matched, failed = [], []
-    for f in p.functions:
-        for bid, idx, ins in f.linear():
-            if ins.op != "CALLIND":
-                continue
-            pos = f.linear_pos(bid, idx)
-            m = _match_vtable_expr(f, ins.inputs[0], pos)
-            if m is None:
-                failed.append(VCallSite(f.id, bid, idx, reason="no-vtable-pattern"))
-                continue
-            v_t, v_o = m
-            if v_o < 0 or v_o % p.word_size != 0:
-                failed.append(VCallSite(f.id, bid, idx, reason="no-vtable-pattern"))
-                continue
-            matched.append(VCallSite(f.id, bid, idx, v_c=f.owning_class, v_t=v_t, v_o=v_o))
-    return matched, failed
-
-
 def _canon_store_addr(f: Function, addr: Varnode, pos: int) -> TargetExpr | None:
     """The memory expression ``addr`` points at: the stack slot ``addr`` is
     copied from, or ``this`` or a parameter plus a constant; else None."""
@@ -292,75 +264,55 @@ def _classes_of_value(p: IRProgram, f: Function, v: Varnode, pos: int, _seen) ->
 
 def _search_list(p: IRProgram, v_c: str) -> list[str]:
     """Algorithm search order: parent constructors root-most first, own
-    constructors, then member functions in declaration order; each of the
-    program's functions once, others left out."""
+    constructors, then member functions in declaration order; each function
+    once."""
     out: list[str] = []
     for anc in p.ancestors(v_c):
         out.extend(p.cls(anc).constructors)
     c = p.cls(v_c)
     out.extend(c.constructors)
     out.extend(c.members)
-    return [fid for fid in dict.fromkeys(out) if p.has_fn(fid)]
+    return list(dict.fromkeys(out))
+
+
+def _resolve(p: IRProgram, v_c: str, v_t: TargetExpr,
+             v_o: int) -> tuple[list[tuple[str, str]], str | None]:
+    """The (class, callee) targets of a dispatch through slot ``v_o`` of the
+    object behind ``v_t`` in class ``v_c``, or no targets and the reason."""
+    for fid in _search_list(p, v_c):
+        classes = class_inference(p, v_t, p.fn(fid))
+        if classes:
+            break
+    else:
+        return [], "no-class-inferred"
+    slot = v_o // p.word_size
+    targets = [(c, p.cls(c).vtable[slot]) for c in classes if slot < len(p.cls(c).vtable)]
+    return targets, None if targets else "vtable-offset-out-of-range"
 
 
 def recover_vcalls(p: IRProgram, cg: CallGraph) -> CallGraph:
-    """Resolve matched CALLIND sites to vtable entries and add virtual
-    edges. Unresolvable sites land in cg.unresolved with a reason. Safe to
-    call again: already-processed sites are skipped."""
-    matched, failed = _scan_callinds(p)
+    """Add the virtual edges of every CALLIND site, in one pass over each
+    function's linear order. A site that gets none lands in cg.unresolved
+    with its reason, in the same order. Call once per graph."""
     solved: dict[tuple, tuple[list[tuple[str, str]], str | None]] = {}
-    inference_calls = cg.stats.setdefault("inference_calls", 0)
-
-    for s in failed:
-        if s.loc in cg._done_sites:
-            continue
-        cg._done_sites.add(s.loc)
-        cg.unresolved.append(s)
-
-    for s in matched:
-        if s.loc in cg._done_sites:
-            continue
-        cg._done_sites.add(s.loc)
-        if s.v_c is None:
-            s.reason = "no-enclosing-class"
-            cg.unresolved.append(s)
-            continue
-        key = (s.v_c, s.v_t, s.v_o)
-        if key in solved:
-            targets, reason = solved[key]
-        else:
-            classes: list[str] = []
-            for fid in _search_list(p, s.v_c):
-                inference_calls += 1
-                classes = class_inference(p, s.v_t, p.fn(fid))
-                if classes:
-                    break
-            targets = []
-            reason = None
-            if not classes:
-                reason = "no-class-inferred"
+    for f in p.functions:
+        for pos, (bid, idx, ins) in enumerate(f.linear()):
+            if ins.op != "CALLIND":
+                continue
+            m = _match_vtable_expr(f, ins.inputs[0], pos)
+            if m is None or m[1] < 0 or m[1] % p.word_size != 0:
+                reason = "no-vtable-pattern"
+            elif f.owning_class is None:
+                reason = "no-enclosing-class"
             else:
-                slot = s.v_o // p.word_size
-                for c in classes:
-                    vt = p.cls(c).vtable
-                    if slot < len(vt):
-                        targets.append((c, vt[slot]))
-                if not targets:
-                    reason = "vtable-offset-out-of-range"
-            solved[key] = (targets, reason)
-        if targets:
-            for cls_name, callee in targets:
-                cg.add_edge(
-                    CallEdge(
-                        s.fn,
-                        callee,
-                        s.loc,
-                        "virtual",
-                        via=(cls_name, str(s.v_t), s.v_o),
-                    )
-                )
-        else:
-            s.reason = reason
-            cg.unresolved.append(s)
-    cg.stats["inference_calls"] = inference_calls
+                v_t, v_o = m
+                key = (f.owning_class, v_t, v_o)
+                if key not in solved:
+                    solved[key] = _resolve(p, *key)
+                targets, reason = solved[key]
+                for cls_name, callee in targets:
+                    cg.add_edge(CallEdge(f.id, callee, (f.id, bid, idx), "virtual",
+                                         via=(cls_name, str(v_t), v_o)))
+            if reason is not None:
+                cg.unresolved.append(VCallSite(f.id, bid, idx, reason))
     return cg

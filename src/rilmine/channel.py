@@ -103,8 +103,12 @@ class ChannelResolution:
 
 
 # The fd and path walks follow COPY through every space but const.
-def _trace_path(p: IRProgram, cg: CallGraph, f: Function, v: Varnode, pos: int, depth: int) -> set[str]:
-    """Resolve a path argument to constant data-segment strings."""
+def _trace_path(p: IRProgram, cg: CallGraph, f: Function, v: Varnode, pos: int, depth: int,
+                memo: dict) -> set[str]:
+    """Resolve a path argument to constant data-segment strings. ``memo``
+    keeps the answer for each caller's argument by (function, varnode,
+    position, depth), so a caller reached along many call paths is walked
+    once."""
     if depth <= 0:
         return set()
     v, pos, d = def_step(f, v, pos, NONCONST_SPACES)
@@ -117,7 +121,10 @@ def _trace_path(p: IRProgram, cg: CallGraph, f: Function, v: Varnode, pos: int, 
     out: set[str] = set()
     for _, cf, a, apos in caller_args(p, cg, f, k):
         if a is not None:
-            out |= _trace_path(p, cg, cf, a, apos, depth - 1)
+            key = (cf.id, a, apos, depth - 1)
+            if key not in memo:
+                memo[key] = _trace_path(p, cg, cf, a, apos, depth - 1, memo)
+            out |= memo[key]
     return out
 
 
@@ -170,7 +177,7 @@ def _trace_fd(p: IRProgram, cg: CallGraph, f: Function, v: Varnode, pos: int,
             if role == "open":
                 paths = set()
                 if path_arg < len(ins.inputs):
-                    paths = _trace_path(p, cg, f, ins.inputs[path_arg], pos2, depth)
+                    paths = _trace_path(p, cg, f, ins.inputs[path_arg], pos2, depth, {})
                 if len(paths) == 1:
                     return [("open", callee, paths.pop())]
                 return [("open", callee, None)]

@@ -464,7 +464,7 @@ def _param_from(obj) -> Param:
     for key in ("name", "type"):
         if key not in obj:
             raise _Bad(f"param missing key {key!r}")
-    return Param(obj["name"], _check_type_str(obj["type"]))
+    return Param(_typed(obj["name"], str, "name"), _check_type_str(obj["type"]))
 
 
 def _block_from(obj, table: dict) -> Block:
@@ -502,7 +502,7 @@ def _function_from(obj, table: dict) -> Function:
     owning_class = obj.get("class")
     return Function(
         id=_typed(obj["id"], str, "id"),
-        name=obj["name"],
+        name=_typed(obj["name"], str, "name"),
         owning_class=None if owning_class is None else _typed(owning_class, str, "class"),
         params=params,
         return_type=return_type,
@@ -519,7 +519,7 @@ def _class_from(obj) -> ClassInfo:
     return ClassInfo(
         name=_typed(obj["name"], str, "name"),
         parents=_all(str, obj.get("parents", []), "parents"),
-        vtable_addr=obj.get("vtable_addr", 0),
+        vtable_addr=_typed(obj.get("vtable_addr", 0), int, "vtable_addr"),
         vtable=_all(str, obj.get("vtable", []), "vtable"),
         constructors=_all(str, obj.get("constructors", []), "constructors"),
         members=_all(str, obj.get("members", []), "members"),
@@ -593,7 +593,7 @@ def _load(text: str) -> IRProgram:
         if word_size <= 0:
             raise _Bad(f"must be positive, not {word_size}", "word_size")
         prog = IRProgram(
-            name=doc.get("name", "unnamed"),
+            name=_typed(doc.get("name", "unnamed"), str, "name"),
             word_size=word_size,
             classes=_each(doc.get("classes", []), "classes", _class_from),
             functions=_each(doc.get("functions", []), "functions", _function_from, table),
@@ -671,6 +671,9 @@ def validate(p: IRProgram) -> list[Diagnostic]:
             for fid in fids:
                 if not p.has_fn(fid):
                     bad(inv, c.name, f"dangling function ref {fid!r}")
+        for fid in c.constructors + c.members:
+            if p.has_fn(fid) and p.fn(fid).owning_class != c.name:
+                bad("members-owned", c.name, f"{fid!r} is not a function of {c.name}")
 
     externals = set(p.externals)
     for f in p.functions:

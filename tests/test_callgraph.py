@@ -4,6 +4,7 @@ from rilmine import callgraph as cgmod
 from rilmine.callgraph import (
     CallEdge,
     TargetExpr,
+    VCallSite,
     build_direct_cg,
     dump,
     recover_vcalls,
@@ -101,21 +102,11 @@ def test_subclass_fans_out_to_both_overrides():
 
 def test_collect_vcall_sites_extracts_table_expressions():
     p, _ = gen_fig2()
-    sites = cgmod._scan_callinds(p)[0]
-    got = {(s.fn, str(s.v_t), s.v_o) for s in sites}
+    got = {(e.caller, e.via[1], e.via[2]) for e in _recovered(p).virtual_edges()}
     assert got == {
         ("IpcTxCallGetCallList", "this+0x10", 0x30),
         ("IpcModem::DoIoChannelRoutingTx", "this+0x18", 0x20),
     }
-
-
-def test_recovery_is_idempotent():
-    p, _ = gen_fig2()
-    cg = _recovered(p)
-    before = list(cg.edges)
-    recover_vcalls(p, cg)
-    assert cg.edges == before
-    assert cg.unresolved == []
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +146,21 @@ def _holder_program(slot_offset=0x00, vtable=("Obj::Hit",), twin=True):
     return build_program("holder", classes=classes, functions=fns)
 
 
-def test_identical_sites_share_one_inference_run():
+def test_identical_sites_share_one_inference_run(monkeypatch):
     p = _holder_program()
+    calls = []
+    real = cgmod.class_inference
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].id)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cgmod, "class_inference", counted)
     cg = _recovered(p)
     assert _vedges(cg) == {("Holder::Go", "Obj::Hit"), ("Holder::GoAgain", "Obj::Hit")}
     # Both sites key to (Holder, this+0x10, 0); the ctor answers on the
     # first search-list probe and the twin site reuses the memo.
-    assert cg.stats["inference_calls"] == 1
+    assert calls == ["Holder::Holder"]
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +219,46 @@ def test_slot_beyond_vtable_is_flagged():
     assert [s.reason for s in cg.unresolved] == ["vtable-offset-out-of-range"]
 
 
+def _dispatch(t, slot_offset):
+    """Call through slot ``slot_offset`` of the table behind U(1), in
+    temporaries U(t) and U(t + 1)."""
+    return [I("INT_ADD", U(t), (U(1), C(slot_offset))),
+            I("LOAD", U(t + 1), (U(t),)),
+            I("CALLIND", None, (U(t + 1), U(1)))]
+
+
+def test_each_site_gets_edges_or_one_reason_in_program_order():
+    # A no-vtable-pattern site after sites that matched the pattern: the
+    # reasons still come in program order.
+    obj_hit = ret_stub("Obj::Hit", cls="Obj")
+    ctor = func("Holder::Holder", cls="Holder", params=(("o", "class:Obj"),),
+                blocks=[block(0, [I("INT_ADD", U(0), (R(0), C(0x10))),
+                                  I("STORE", None, (U(0), R(1))), I("RETURN")])])
+    table = [I("INT_ADD", U(0), (R(0), C(0x10))), I("LOAD", U(1), (U(0),))]
+    go = func("Holder::Go", cls="Holder", blocks=[block(0, [
+        *table, *_dispatch(2, 0x40), *_dispatch(4, 0x00), *_dispatch(6, 0x0C), I("RETURN"),
+    ])])
+    lone = func("Lone::Go", cls="Lone", blocks=[block(0, [*table, *_dispatch(2, 0), I("RETURN")])])
+    free = func("freestanding", params=(("obj", "ptr"),), blocks=[block(0, [
+        I("LOAD", U(1), (R(0),)), *_dispatch(2, 0x08), I("RETURN"),
+    ])])
+    p = build_program("order", classes=[
+        ClassInfo("Obj", vtable_addr=0x3000, vtable=["Obj::Hit"], members=["Obj::Hit"]),
+        ClassInfo("Holder", constructors=["Holder::Holder"], members=["Holder::Go"]),
+        ClassInfo("Lone", members=["Lone::Go"]),
+    ], functions=[obj_hit, ctor, go, lone, free])
+    cg = _recovered(p)
+    assert [(e.site, e.callee, e.via) for e in cg.virtual_edges()] == [
+        (("Holder::Go", 0, 7), "Obj::Hit", ("Obj", "this+0x10", 0)),
+    ]
+    assert cg.unresolved == [
+        VCallSite("Holder::Go", 0, 4, "vtable-offset-out-of-range"),
+        VCallSite("Holder::Go", 0, 10, "no-vtable-pattern"),
+        VCallSite("Lone::Go", 0, 4, "no-class-inferred"),
+        VCallSite("freestanding", 0, 3, "no-enclosing-class"),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Inference plumbing details
 
@@ -268,15 +307,16 @@ def test_graph_built_from_an_edge_list_indexes_every_given_edge():
     v = CallEdge("a", "t", ("a", 2, 0), "virtual", via=("K", "this", 0))
     d = CallEdge("a", "u", ("a", 2, 0), "direct")
     tie = CallEdge("b", "t", ("b", 0, 1), "virtual", via=("K", "this", 8))
-    cg = cgmod.CallGraph(edges=[a1, v, tie, a0, d, a1])
-    # equal (caller, site) keys keep the order the edges were given in
-    assert cg.callers_of("t") == [v, a0, a1, tie, a1] == _callers_scan(cg, "t")
+    cg = cgmod.CallGraph()
+    assert [cg.add_edge(e) for e in (a1, v, tie, a0, d, a1)] == [True] * 5 + [False]
+    # equal (caller, site) keys keep the order the edges were added in
+    assert cg.callers_of("t") == [v, a0, a1, tie] == _callers_scan(cg, "t")
     assert cg.callers_of("nobody") == []
     assert cg.edges_at(("a", 2, 0)) == [v, d]
     assert cg.add_edge(a0) is False
     e = CallEdge("c", "t", ("c", 0, 0), "direct")
     assert cg.add_edge(e) is True
-    assert cg.callers_of("t") == [v, a0, a1, tie, a1, e] == _callers_scan(cg, "t")
+    assert cg.callers_of("t") == [v, a0, a1, tie, e] == _callers_scan(cg, "t")
 
 
 def test_edges_at_returns_a_copy():

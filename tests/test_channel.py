@@ -226,6 +226,49 @@ def test_unresolvable_open_path_is_discarded():
     assert [r for _, r, _ in report.discards] == ["path-unresolved"]
 
 
+def _path_lattice(levels):
+    """``tx(path)`` opens ``path`` and writes to the fd. Above it sit
+    ``levels`` levels of two helpers each: a helper passes its path to each
+    helper of the level below, the lowest to ``tx``, and ``main`` calls both
+    helpers of the top level with a device path. So ``tx`` is reached along
+    2^levels call paths."""
+    fns = [func("tx", params=(("path", "str"),), blocks=[block(0, [
+        I("CALL", U(0), (R(0), C(0)), callee="open"),
+        I("CALL", None, (U(0), C(0x2000), C(3)), callee="write"),
+        I("RETURN"),
+    ])])]
+    below = ["tx"]
+    for level in range(levels, 0, -1):
+        here = [f"h{level}a", f"h{level}b"]
+        fns += [func(fid, params=(("path", "str"),), blocks=[block(0, [
+            *(I("CALL", None, (R(0),), callee=c) for c in below), I("RETURN"),
+        ])]) for fid in here]
+        below = here
+    fns.append(func("main", blocks=[block(0, [
+        *(I("CALL", None, (C(0x2010),), callee=c) for c in below), I("RETURN"),
+    ])]))
+    return build_program("lattice", functions=fns,
+                         data=[(0x2000, b"abc\x00"), (0x2010, b"/dev/umts_ipc0\x00")],
+                         externals=["write", "open"])
+
+
+def test_path_walk_takes_each_caller_once(monkeypatch):
+    p = _path_lattice(12)
+    calls = []
+    real = channel._trace_path
+
+    def counted(*args):
+        calls.append(args[2].id)
+        return real(*args)
+
+    monkeypatch.setattr(channel, "_trace_path", counted)
+    _, db, report = _run(p)
+    assert report.discards == []
+    assert {r.channel_path for r in db.records} == {"/dev/umts_ipc0"}
+    # Linear in the functions; one walk per call path would be 2^13 calls.
+    assert len(calls) < 4 * len(p.functions)
+
+
 def test_fd_trace_depth_is_bounded():
     p, _ = gen_fig2()
     cg, _, _ = _run(p)

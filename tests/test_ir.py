@@ -176,9 +176,16 @@ def test_malformed_structure_is_a_parse_error_with_field_path(path, value, messa
     (("functions", 0, "blocks", 0, "succ"), [False],
      "functions[0].blocks[0].succ[0]: must be an int, not bool"),
     (("externals", 0), ["open"], "externals[0]: must be a string, not list"),
+    (("name",), {"a": 1}, "name: must be a string, not dict"),
+    (("functions", 0, "name"), ["f"], "functions[0].name: must be a string, not list"),
+    (("functions", 4, "params", 1, "name"), 7,
+     "functions[4].params[1].name: must be a string, not int"),
+    (("classes", 2, "vtable_addr"), "zz", "classes[2].vtable_addr: must be an int, not str"),
+    (("classes", 2, "vtable_addr"), True, "classes[2].vtable_addr: must be an int, not bool"),
 ], ids=["fn-id-int", "fn-id-dict", "fn-class", "class-name", "parents-item", "vtable-item",
         "constructors-item", "members-item", "block-id-list", "block-id-bool", "succ-item",
-        "succ-bool", "externals-item"])
+        "succ-bool", "externals-item", "program-name", "fn-name", "param-name",
+        "vtable-addr-str", "vtable-addr-bool"])
 def test_ids_and_names_of_the_wrong_type_are_a_parse_error(path, value, message):
     # Ids and names are dict keys and set members after loading, so a value
     # of the wrong type, unhashable ones included, must stop at the loader.
@@ -447,6 +454,20 @@ def test_validate_flags_member_without_this():
     cls = ir.ClassInfo(name="A", members=["A::m"])
     assert "member-this-param" in _invariants(
         ir.IRProgram(name="p", classes=[cls], functions=[f]))
+
+
+def test_validate_flags_members_of_another_class():
+    # Each constructors/members entry must be a function of that class; the
+    # search list of virtual-call recovery and the fd walk rely on it.
+    p = ir.IRProgram(name="p", classes=[
+        ir.ClassInfo(name="A", constructors=["f"], members=["g", "B::m"]),
+        ir.ClassInfo(name="B", members=["B::m"]),
+    ], functions=[ret_stub("f"), ret_stub("g"), ret_stub("B::m", cls="B")])
+    assert ir.validate(p) == [ir.Diagnostic("members-owned", "A", f"{fid!r} is not a function of A")
+                              for fid in ("f", "g", "B::m")]
+    with pytest.raises(ir.ValidationError) as exc:
+        ir.load_program(ir.serialize(p))
+    assert [d.invariant for d in exc.value.diagnostics] == ["members-owned"] * 3
 
 
 def test_validate_flags_unknown_successor_and_dup_blocks():
