@@ -125,9 +125,10 @@ class CommandDB:
         self._keys = {r.key for r in self.records}
 
     def add(self, r: CommandRecord) -> bool:
-        if r.key in self._keys:
+        key = r.key
+        if key in self._keys:
             return False
-        self._keys.add(r.key)
+        self._keys.add(key)
         self.records.append(r)
         return True
 

@@ -60,22 +60,37 @@ def probe_command(world: SimWorld, payload: bytes, window: int | None = None) ->
     return ProbeReport(crash, rsp, tuple(states))
 
 
+def _below(bits, n: int) -> int:
+    """A uniform integer in ``0..n-1`` from ``bits``, a ``getrandbits``:
+    draw ``n.bit_length()`` bits and draw again while the word is ``>= n``.
+    This is CPython 3.11's ``_randbelow_with_getrandbits``, so it consumes
+    the same words and gives the same integers as ``randrange(n)`` and as
+    the index ``choice`` picks. ``n == 1`` still draws (1-bit words until a
+    0), as the stdlib does."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def _mutate_at(current: bytes, positions: list, rng: random.Random) -> bytes:
     """``current`` with one byte at one of ``positions`` rewritten, drawing
     from ``rng`` as ``mutate`` documents."""
+    bits = rng.getrandbits
     data = bytearray(current)
-    i = rng.choice(positions)
-    op = rng.randrange(5)
+    i = positions[_below(bits, len(positions))]
+    op = _below(bits, 5)
     if op == 0:
-        data[i] ^= 1 << rng.randrange(8)
+        data[i] ^= 1 << _below(bits, 8)
     elif op == 1:
         data[i] = (data[i] + 1) & 0xFF
     elif op == 2:
         data[i] = (data[i] - 1) & 0xFF
     elif op == 3:
-        data[i] = rng.choice(INTERESTING_BYTES)
+        data[i] = INTERESTING_BYTES[_below(bits, len(INTERESTING_BYTES))]
     else:
-        data[i] = rng.randrange(256)
+        data[i] = _below(bits, 256)
     return bytes(data)
 
 
@@ -89,13 +104,19 @@ def mutate(payload: PayloadBytes, rng: random.Random, current: bytes | None = No
 
     Draws from ``rng``, in order: the position, the operator, then the bit,
     interesting byte or random byte for operators 0, 3 and 4. The campaign
-    makes the same draws, with the positions computed once per command."""
+    makes the same draws, with the positions computed once per command.
+
+    Every draw goes through ``rng.getrandbits``, by rejection sampling on
+    ``n.bit_length()``-bit words: the words and integers that ``choice``
+    and ``randrange`` give on CPython 3.11, pinned here rather than left to
+    the stdlib's version."""
     positions = _dynamic_positions(payload)
     if not positions:
         raise ValueError("no-mutable-bytes")
     if current is None:
         current = payload.data
-    assert len(current) == len(payload.mask)
+    if len(current) != len(payload.mask):
+        raise ValueError(f"current is {len(current)} bytes, the mask {len(payload.mask)}")
     return _mutate_at(current, positions, rng)
 
 
@@ -130,9 +151,10 @@ def campaign(db: CommandDB, config: SimConfig, budget: int = 1000,
 
     Built once per campaign: one world, which indexes the behavior table
     when it is built. Computed once per command: its dynamic positions and
-    its RNG, sub-seeded from ``seed`` and the record. Each mutation draws
-    from that RNG in the order ``mutate`` documents; that order is part of
-    the findings, so changing it means regenerating
+    its RNG, sub-seeded from ``seed`` and the record. Each step draws the
+    parent from the corpus, then the mutation in the order ``mutate``
+    documents, all through ``rng.getrandbits`` as ``_below`` does; the
+    draws are part of the findings, so changing them means regenerating
     ``tests/golden/findings.json``."""
     findings: list = []
     stats = CampaignStats()
@@ -144,6 +166,7 @@ def campaign(db: CommandDB, config: SimConfig, budget: int = 1000,
             continue
         world.reflash()
         rng = _record_rng(seed, rec)
+        bits = rng.getrandbits
         execs = 1
         report = probe_command(world, rec.payload.data, window=None)
         stats.probes += 1
@@ -159,7 +182,7 @@ def campaign(db: CommandDB, config: SimConfig, budget: int = 1000,
         history = {(report.response.code, report.states[0])}
         window = 2 * config.default_recover_after
         for _ in range(budget):
-            parent = rng.choice(corpus)
+            parent = corpus[_below(bits, len(corpus))]
             mutant = _mutate_at(parent, positions, rng)
             rsp = world.inject(mutant)
             execs += 1

@@ -171,6 +171,7 @@ class Response:
 
 
 _UNKNOWN_REPLY = Response(RSP_UNKNOWN, IN_SERVICE)
+_DOWN_REPLY = Response(None, OUT_OF_SERVICE)
 
 
 class SimWorld:
@@ -183,6 +184,11 @@ class SimWorld:
     and value, and the reply of each ``ok`` row. Built on first use, once
     per payload length: the list of loose rows that can match it. Expiring
     temporary latches costs nothing while none is set.
+
+    ``inject`` checks the latches inline: a permanent or recoverable latch
+    answers at once, and only a pending temporary one goes through
+    ``active_latch``, which expires it. That is the decision
+    ``query_state`` gives, without its calls on every injection.
     """
 
     def __init__(self, config: SimConfig):
@@ -238,7 +244,8 @@ class SimWorld:
     # -- time -----------------------------------------------------------
 
     def advance(self, n: int = 1):
-        assert n >= 0
+        if n < 0:
+            raise ValueError(f"advance needs n >= 0, not {n}")
         self.tick += n
         self._expire()
 
@@ -278,8 +285,8 @@ class SimWorld:
     def inject(self, payload: bytes) -> Response:
         self.exec_count += 1
         self.tick += 1
-        if self.query_state() == OUT_OF_SERVICE:
-            return Response(None, OUT_OF_SERVICE)
+        if self._permanent or self._recoverable or (self._temporaries and self.active_latch()):
+            return _DOWN_REPLY
         # No latch is active, and neither an unmatched payload nor an ok row
         # sets one: those replies are IN_SERVICE, built once.
         i = self.row_for(payload)

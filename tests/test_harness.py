@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rilmine.fixtures import gen_crash_suite, gen_mutation_target
@@ -139,25 +139,71 @@ def test_mutate_draw_order_is_pinned(seed, chain):
     assert got == chain
 
 
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300))
+@example(0, 1)
+@example(3, 5)
+@example(4, 8)
+@example(5, 256)
+@example(6, 2 ** 33 + 1)
+def test_below_draws_like_the_stdlib(seed, n):
+    # _below is CPython's _randbelow_with_getrandbits: same integers, same
+    # words consumed. If a Python release changes randrange or choice, this
+    # test says so; the findings keep following _below.
+    from rilmine.harness import _below
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert _below(rng.getrandbits, n) == ref.randrange(n)
+    seq = [object() for _ in range(min(n, 300))]
+    for _ in range(3):
+        assert seq[_below(rng.getrandbits, len(seq))] is ref.choice(seq)
+    assert rng.getstate() == ref.getstate()
+
+
+def _stdlib_step(corpus, positions, rng):
+    """One campaign step drawn through the stdlib wrappers: the parent pick
+    and the body of _mutate_at as they read before the draws went through
+    getrandbits directly."""
+    data = bytearray(rng.choice(corpus))
+    i = rng.choice(positions)
+    op = rng.randrange(5)
+    if op == 0:
+        data[i] ^= 1 << rng.randrange(8)
+    elif op == 1:
+        data[i] = (data[i] + 1) & 0xFF
+    elif op == 2:
+        data[i] = (data[i] - 1) & 0xFF
+    elif op == 3:
+        data[i] = rng.choice(INTERESTING_BYTES)
+    else:
+        data[i] = rng.randrange(256)
+    return bytes(data)
+
+
 @given(st.integers(0, 2 ** 32 - 1),
        st.lists(st.sampled_from("sd"), min_size=1, max_size=16).filter(lambda m: "d" in m),
        st.integers(1, 40))
 def test_campaign_step_draws_like_mutate(seed, mask_list, steps):
     # the campaign's loop: pick a parent from the corpus, mutate it at the
     # positions computed once, sometimes keep the mutant
-    from rilmine.harness import _dynamic_positions, _mutate_at
+    from rilmine.harness import _below, _dynamic_positions, _mutate_at
     pb = _pb("".join(mask_list))
     positions = _dynamic_positions(pb)
     fast, ref = random.Random(seed), random.Random(seed)
     corpus = [pb.data]
     for k in range(steps):
-        parent = fast.choice(corpus)
-        assert ref.choice(corpus) is parent
+        parent = corpus[_below(fast.getrandbits, len(corpus))]
         mutant = _mutate_at(parent, positions, fast)
-        assert mutant == mutate(pb, ref, current=parent)
+        assert mutant == _stdlib_step(corpus, positions, ref)
+        assert fast.getstate() == ref.getstate()
         if k % 3 == 0:
             corpus.append(mutant)
-    assert fast.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("size", [2, 8])
+def test_mutate_rejects_a_current_of_the_wrong_length(size):
+    # a ValueError, not an assert, so that python -O keeps the check
+    with pytest.raises(ValueError, match=f"current is {size} bytes, the mask 4"):
+        mutate(_pb("sdsd"), random.Random(0), current=bytes(size))
 
 
 def test_interesting_bytes_are_frozen():

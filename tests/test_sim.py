@@ -240,6 +240,84 @@ def test_reflash_clears_everything():
     assert w.query_state() == IN_SERVICE
 
 
+def test_advance_rejects_a_negative_step():
+    # a ValueError, not an assert, so that python -O keeps the check
+    w = world(row([7], "temporary_crash", args=(3,)))
+    w.inject(bytes([7]))
+    w.advance(2)
+    with pytest.raises(ValueError, match="advance needs n >= 0, not -10"):
+        w.advance(-10)
+    w.advance(3)
+    assert w.tick == 6
+    assert w.query_state() == IN_SERVICE
+
+
+class _QueryStateWorld(SimWorld):
+    """A world whose inject decides with query_state() before anything else:
+    the rule the inline latch check in SimWorld.inject must keep."""
+
+    def inject(self, payload):
+        self.exec_count += 1
+        self.tick += 1
+        if self.query_state() == OUT_OF_SERVICE:
+            return Response(None, OUT_OF_SERVICE)
+        i = next((k for k, r in enumerate(self._rows) if r.matches(payload)), None)
+        if i is None:
+            return Response(RSP_UNKNOWN, IN_SERVICE)
+        r = self._rows[i]
+        if r.effect == "ok":
+            return Response(r.args[0] if r.args else RSP_OK, IN_SERVICE)
+        if r.effect == "temporary_crash":
+            self._temporaries.append(
+                self.tick + (r.args[0] if r.args else self.config.default_recover_after))
+        elif r.effect == "recoverable_crash":
+            self._recoverable = True
+        else:
+            self._permanent = True
+        return Response(None, self.query_state())
+
+
+_LATCH_ROWS = st.lists(
+    st.one_of(
+        st.builds(BehaviorRow, st.tuples(st.integers(1, 4)), st.just(False), st.just("ok"),
+                  st.sampled_from([(), (0x21,)])),
+        st.builds(BehaviorRow, st.tuples(st.integers(1, 4)), st.just(False),
+                  st.just("temporary_crash"), st.one_of(st.just(()), st.tuples(st.integers(0, 6)))),
+        st.builds(BehaviorRow, st.tuples(st.integers(1, 4)), st.just(False),
+                  st.sampled_from(["recoverable_crash", "permanent_crash"]))),
+    max_size=6)
+_LATCH_OPS = st.lists(
+    st.one_of(st.tuples(st.just("inject"), st.integers(0, 4)),
+              st.tuples(st.just("advance"), st.integers(0, 5)),
+              st.tuples(st.sampled_from(["reboot", "reflash"]), st.just(0))),
+    max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LATCH_ROWS, _LATCH_OPS, st.integers(0, 4), st.integers(0, 4))
+# a pending temporary under a permanent latch, then reboot and reflash
+@example([row([1], "temporary_crash", args=(5,)), row([2], "permanent_crash"),
+          row([3], "recoverable_crash"), row([4], "ok")],
+         [("inject", 1), ("inject", 2), ("inject", 4), ("advance", 5), ("inject", 4),
+          ("reboot", 0), ("inject", 3), ("inject", 1), ("reboot", 0), ("inject", 4),
+          ("reflash", 0), ("inject", 1), ("advance", 0), ("inject", 4)], 3, 2)
+def test_inline_latch_check_agrees_with_query_state(rows, ops, recover_after, reboot_ticks):
+    cfg = SimConfig(rows=rows, default_recover_after=recover_after, reboot_ticks=reboot_ticks)
+    fast, ref = SimWorld(cfg), _QueryStateWorld(cfg)
+    for op, arg in ops:
+        if op == "inject":
+            assert fast.inject(bytes([arg])) == ref.inject(bytes([arg]))
+        elif op == "advance":
+            fast.advance(arg)
+            ref.advance(arg)
+        else:
+            getattr(fast, op)()
+            getattr(ref, op)()
+        assert (fast.tick, fast.exec_count) == (ref.tick, ref.exec_count)
+        assert fast.query_state() == ref.query_state()
+        assert fast.active_latch() == ref.active_latch()
+
+
 # ---------------------------------------------------------------------------
 # Config text format
 
