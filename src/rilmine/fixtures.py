@@ -7,6 +7,14 @@ reference analyzer. Generators are deterministic per seed.
 
 The small constructors (C/R/S/U, I, block, func) are exported for tests
 that need one-off programs.
+
+The figure fixtures and ``gen_random`` draw each recurring program shape
+from one private builder: ``_frame_bytes`` (payload bytes copied into the
+stack frame), ``_open_ctor`` (a constructor that opens a device into
+``this+8``), ``_fd_member`` (a method that calls an I/O function on that
+fd), ``_reader`` (``open`` + ``read`` into a buffer handed to a
+dispatcher) and ``_ladder`` (the dispatcher's compare-and-branch blocks).
+A new ``gen_random`` shape is added as one more builder next to these.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 
-from .commands import CommandDB, CommandRecord, classify_module
+from .commands import CommandDB, classify_module, make_record
 from .ir import (
     Block,
     ClassInfo,
@@ -183,6 +191,64 @@ _DEV_PATH = "/dev/umts_ipc0"
 
 
 # ---------------------------------------------------------------------------
+# Shape builders shared by the figure fixtures and gen_random
+
+def _frame_bytes(data: bytes, base: int = 16) -> list[Instruction]:
+    """One COPY per byte of ``data`` into the stack frame from ``base``."""
+    return [I("COPY", S(base + i, 1), (C(b, 1),)) for i, b in enumerate(data)]
+
+
+def _open_ctor(fid: str, cls: str, path_addr: int) -> Function:
+    """Constructor that opens the path at ``path_addr`` into ``this+8``."""
+    return func(fid, cls=cls, blocks=[block(0, [
+        I("CALL", U(0), (C(path_addr), C(2)), callee="open"),
+        I("INT_ADD", U(1), (R(0), C(0x08))),
+        I("STORE", None, (U(1), U(0))),
+        I("RETURN"),
+    ])])
+
+
+def _fd_member(fid: str, cls: str, params: tuple, api: str, args: tuple) -> Function:
+    """Method that loads the fd at ``this+8`` and calls ``api(fd, *args)``."""
+    return func(fid, cls=cls, params=params, blocks=[block(0, [
+        I("INT_ADD", U(0), (R(0), C(0x08))),
+        I("LOAD", U(1), (U(0),)),
+        I("CALL", None, (U(1),) + tuple(args), callee=api),
+        I("RETURN"),
+    ])])
+
+
+def _reader(fid: str, path_addr: int, api: str, dispatcher: str, extra: tuple = ()) -> Function:
+    """Poller: opens the path at ``path_addr``, reads 32 bytes into the
+    frame with ``api`` (``extra`` trails its arguments) and passes the
+    buffer to ``dispatcher``."""
+    return func(fid, blocks=[block(0, [
+        I("CALL", U(0), (C(path_addr), C(0)), callee="open"),
+        I("CALL", U(1), (U(0), S(16, 32), C(32)) + tuple(extra), callee=api),
+        I("CALL", None, (S(16, 32),), callee=dispatcher),
+        I("RETURN"),
+    ])])
+
+
+def _ladder(consts, handlers, byte_off: int) -> list[Block]:
+    """Dispatcher blocks: guard ``j`` compares packet byte ``byte_off`` with
+    ``consts[j]`` and calls ``handlers[j]``; the last block returns, so
+    with no constants the ladder is that one RETURN block."""
+    blocks = []
+    for j, (const, handler) in enumerate(zip(consts, handlers)):
+        ins = [I("INT_ADD", U(0), (R(0), C(byte_off))), I("LOAD", U(1, 1), (U(0),))] if j == 0 else []
+        ins += [
+            I("INT_EQUAL", U(100 + j, 1), (U(1, 1), C(const, 1))),
+            I("CBRANCH", None, (U(100 + j, 1),)),
+        ]
+        # a failed guard falls through to the next one, or to the RETURN block
+        blocks.append(block(2 * j, ins, succ=(2 * j + 1, 2 * j + 2)))
+        blocks.append(block(2 * j + 1, [I("CALL", None, (R(0),), callee=handler), I("RETURN")]))
+    blocks.append(block(2 * len(consts), [I("RETURN")]))
+    return blocks
+
+
+# ---------------------------------------------------------------------------
 # Solicited chain fixture (vtable dispatch end to end)
 
 def _tx_chain(name: str, with_subclass: bool) -> tuple[IRProgram, Manifest]:
@@ -208,14 +274,7 @@ def _tx_chain(name: str, with_subclass: bool) -> tuple[IRProgram, Manifest]:
         "IpcTxCallGetCallList",
         cls="IpcProtocol41",
         blocks=[
-            block(0, [
-                I("COPY", S(16, 1), (C(payload[0], 1),)),
-                I("COPY", S(17, 1), (C(payload[1], 1),)),
-                I("COPY", S(18, 1), (C(payload[2], 1),)),
-                I("COPY", S(19, 1), (C(payload[3], 1),)),
-                I("COPY", S(20, 1), (C(payload[4], 1),)),
-                I("COPY", S(21, 1), (C(payload[5], 1),)),
-                I("COPY", S(22, 1), (C(payload[6], 1),)),
+            block(0, _frame_bytes(payload) + [
                 I("INT_ADD", U(0), (R(0), C(0x10))),
                 I("LOAD", U(1), (U(0),)),
                 I("INT_ADD", U(2), (U(1), C(0x30))),
@@ -267,31 +326,9 @@ def _tx_chain(name: str, with_subclass: bool) -> tuple[IRProgram, Manifest]:
     modem_get_state = ret_stub("IpcModem::GetState", cls="IpcModem")
     modem_reset = ret_stub("IpcModem::Reset", cls="IpcModem")
 
-    chan_ctor = func(
-        "IoChannel::IoChannel",
-        cls="IoChannel",
-        blocks=[
-            block(0, [
-                I("CALL", U(0), (C(path_addr), C(2)), callee="open"),
-                I("INT_ADD", U(1), (R(0), C(0x08))),
-                I("STORE", None, (U(1), U(0))),
-                I("RETURN"),
-            ]),
-        ],
-    )
-    chan_write = func(
-        "IoChannel::Write",
-        cls="IoChannel",
-        params=(("buf", "bytes"), ("len", "int")),
-        blocks=[
-            block(0, [
-                I("INT_ADD", U(0), (R(0), C(0x08))),
-                I("LOAD", U(1), (U(0),)),
-                I("CALL", None, (U(1), R(1), R(2)), callee="write"),
-                I("RETURN"),
-            ]),
-        ],
-    )
+    chan_ctor = _open_ctor("IoChannel::IoChannel", "IoChannel", path_addr)
+    chan_write = _fd_member("IoChannel::Write", "IoChannel", (("buf", "bytes"), ("len", "int")),
+                            "write", (R(1), R(2)))
     chan_close = ret_stub("IoChannel::Close", cls="IoChannel")
 
     classes = [
@@ -404,44 +441,9 @@ def gen_fig5(n_handlers: int = 3, seed: int | None = None) -> tuple[IRProgram, M
     handlers = [f"Nv::{n}" for n in names]
 
     path_addr = 0x2000
-    poll = func(
-        "IpcRxPoll",
-        blocks=[
-            block(0, [
-                I("CALL", U(0), (C(path_addr), C(0)), callee="open"),
-                I("CALL", U(1), (U(0), S(16, 32), C(32)), callee="read"),
-                I("CALL", None, (S(16, 32),), callee="Nv::ProcessRfsPacket"),
-                I("RETURN"),
-            ]),
-        ],
-    )
-
-    blocks = []
-    if n_handlers == 0:
-        blocks.append(block(0, [I("RETURN")]))
-    else:
-        end_bid = 2 * n_handlers
-        for j in range(n_handlers):
-            cmp_bid = 2 * j
-            call_bid = 2 * j + 1
-            nxt = cmp_bid + 2 if j + 1 < n_handlers else end_bid
-            ins = []
-            if j == 0:
-                ins += [
-                    I("INT_ADD", U(0), (R(0), C(1))),
-                    I("LOAD", U(1, 1), (U(0),)),
-                ]
-            ins += [
-                I("INT_EQUAL", U(100 + j, 1), (U(1, 1), C(consts[j], 1))),
-                I("CBRANCH", None, (U(100 + j, 1),)),
-            ]
-            blocks.append(block(cmp_bid, ins, succ=(call_bid, nxt)))
-            blocks.append(
-                block(call_bid, [I("CALL", None, (R(0),), callee=handlers[j]), I("RETURN")])
-            )
-        blocks.append(block(end_bid, [I("RETURN")]))
-
-    dispatcher = func("Nv::ProcessRfsPacket", params=(("pkt", "bytes"),), blocks=blocks)
+    poll = _reader("IpcRxPoll", path_addr, "read", "Nv::ProcessRfsPacket")
+    dispatcher = func("Nv::ProcessRfsPacket", params=(("pkt", "bytes"),),
+                      blocks=_ladder(consts, handlers, 1))
     handler_fns = [ret_stub(h, params=(("pkt", "bytes"),)) for h in handlers]
 
     p = build_program(
@@ -534,95 +536,69 @@ def gen_hybrid(kind: str = "direct") -> tuple[IRProgram, Manifest]:
     dynamic serialized tail."""
     assert kind in ("direct", "derived", "structured")
     path_addr = 0x2000
-    data = [(path_addr, _DEV_PATH.encode() + b"\x00")]
 
+    # per kind: root, its params and blocks, the static prefix, the number
+    # of dynamic bytes after it, the length source and the extra externals
     if kind == "direct":
-        prefix = bytes([0x08, 0x00, 0x00, 0x00, 0x05, 0x02, 0x01])
-        body = [I("COPY", S(16 + i, 1), (C(b, 1),)) for i, b in enumerate(prefix)]
-        body += [
+        root, params = "IpcTxSimSetStatus", (("status", "int"),)
+        prefix, tail = bytes([0x08, 0x00, 0x00, 0x00, 0x05, 0x02, 0x01]), 1
+        blocks = [block(0, _frame_bytes(prefix) + [
             I("COPY", S(23, 1), (R(0, 1),)),
             I("CALL", U(0), (C(path_addr), C(2)), callee="open"),
             I("CALL", None, (U(0), S(16, 8), C(8)), callee="write"),
             I("RETURN"),
+        ])]
+        length, extra = "constant-arg(8)", ()
+    elif kind == "derived":
+        root, params = "IpcTxImeiPreconfigUpdate", (("s", "str"),)
+        prefix, tail = bytes([0x17, 0x00, 0x00, 0x00, 0x10, 0x03, 0x03]), 16
+        blocks = [
+            block(0, [
+                I("CALL", U(1), (R(0),), callee="strlen"),
+                I("COPY", S(8, 8), (U(1),)),
+                I("INT_EQUAL", U(2, 1), (U(1), C(255))),
+                I("CBRANCH", None, (U(2, 1),)),
+            ], succ=(1, 2)),
+            block(1, [
+                I("COPY", S(8, 8), (C(255),)),
+                I("BRANCH"),
+            ], succ=(2,)),
+            block(2, _frame_bytes(prefix) + [
+                I("LOAD", U(3, tail), (R(0),)),
+                I("COPY", S(16 + len(prefix), tail), (U(3, tail),)),
+                I("COPY", U(4), (S(8, 8),)),
+                I("INT_ADD", U(5), (U(4), C(len(prefix)))),
+                I("CALL", U(6), (C(path_addr), C(2)), callee="open"),
+                I("CALL", None, (U(6), S(16, len(prefix) + tail), U(5)), callee="write"),
+                I("RETURN"),
+            ]),
         ]
-        root = func("IpcTxSimSetStatus", params=(("status", "int"),), blocks=[block(0, body)])
-        p = build_program("hybrid-direct", functions=[root],
-                          data=data, externals=["write", "open"])
-        mask = "s" * 7 + "d"
-        m = Manifest(
-            program="hybrid-direct",
-            params={"kind": kind},
-            commands=[
-                _solicited_entry(
-                    "write", "IpcTxSimSetStatus", _masked(prefix + b"\x00", mask),
-                    _DEV_PATH, "constant-arg(8)", "hybrid",
-                )
-            ],
-        )
-        return p, m
-
-    if kind == "derived":
-        prefix = bytes([0x17, 0x00, 0x00, 0x00, 0x10, 0x03, 0x03])
-        tail = 16
-        b0 = block(0, [
-            I("CALL", U(1), (R(0),), callee="strlen"),
-            I("COPY", S(8, 8), (U(1),)),
-            I("INT_EQUAL", U(2, 1), (U(1), C(255))),
-            I("CBRANCH", None, (U(2, 1),)),
-        ], succ=(1, 2))
-        b1 = block(1, [
-            I("COPY", S(8, 8), (C(255),)),
-            I("BRANCH"),
-        ], succ=(2,))
-        b2_ins = [I("COPY", S(16 + i, 1), (C(b, 1),)) for i, b in enumerate(prefix)]
-        b2_ins += [
-            I("LOAD", U(3, tail), (R(0),)),
-            I("COPY", S(16 + len(prefix), tail), (U(3, tail),)),
-            I("COPY", U(4), (S(8, 8),)),
-            I("INT_ADD", U(5), (U(4), C(len(prefix)))),
-            I("CALL", U(6), (C(path_addr), C(2)), callee="open"),
-            I("CALL", None, (U(6), S(16, len(prefix) + tail), U(5)), callee="write"),
+        length, extra = "strlen-bounded(255)", ("strlen",)
+    else:
+        root, params = "IpcTxCfgSetProfile", (("obj", "bytes"),)
+        prefix, tail = bytes([0x1f, 0x00, 0x00, 0x00, 0x08, 0x07, 0x03]), 24
+        total = len(prefix) + tail
+        blocks = [block(0, _frame_bytes(prefix) + [
+            I("CALL", U(1, tail), (R(0),), callee="SerializeToJson"),
+            I("COPY", S(16 + len(prefix), tail), (U(1, tail),)),
+            I("CALL", U(2), (C(path_addr), C(2)), callee="open"),
+            I("CALL", None, (U(2), S(16, total), C(total)), callee="write"),
             I("RETURN"),
-        ]
-        root = func("IpcTxImeiPreconfigUpdate", params=(("s", "str"),),
-                    blocks=[b0, b1, block(2, b2_ins)])
-        p = build_program("hybrid-derived", functions=[root],
-                          data=data, externals=["write", "open", "strlen"])
-        mask = "s" * len(prefix) + "d" * tail
-        m = Manifest(
-            program="hybrid-derived",
-            params={"kind": kind},
-            commands=[
-                _solicited_entry(
-                    "write", "IpcTxImeiPreconfigUpdate",
-                    _masked(prefix + bytes(tail), mask),
-                    _DEV_PATH, "strlen-bounded(255)", "hybrid",
-                )
-            ],
-        )
-        return p, m
+        ])]
+        length, extra = f"constant-arg({total})", ("SerializeToJson",)
 
-    prefix = bytes([0x1f, 0x00, 0x00, 0x00, 0x08, 0x07, 0x03])
-    tail = 24
-    body = [I("COPY", S(16 + i, 1), (C(b, 1),)) for i, b in enumerate(prefix)]
-    body += [
-        I("CALL", U(1, tail), (R(0),), callee="SerializeToJson"),
-        I("COPY", S(16 + len(prefix), tail), (U(1, tail),)),
-        I("CALL", U(2), (C(path_addr), C(2)), callee="open"),
-        I("CALL", None, (U(2), S(16, len(prefix) + tail), C(len(prefix) + tail)), callee="write"),
-        I("RETURN"),
-    ]
-    root = func("IpcTxCfgSetProfile", params=(("obj", "bytes"),), blocks=[block(0, body)])
-    p = build_program("hybrid-structured", functions=[root],
-                      data=data, externals=["write", "open", "SerializeToJson"])
-    mask = "s" * len(prefix) + "d" * tail
+    name = f"hybrid-{kind}"
+    p = build_program(
+        name, functions=[func(root, params=params, blocks=blocks)],
+        data=[(path_addr, _DEV_PATH.encode() + b"\x00")], externals=["write", "open", *extra],
+    )
     m = Manifest(
-        program="hybrid-structured",
+        program=name,
         params={"kind": kind},
         commands=[
             _solicited_entry(
-                "write", "IpcTxCfgSetProfile", _masked(prefix + bytes(tail), mask),
-                _DEV_PATH, f"constant-arg({len(prefix) + tail})", "hybrid",
+                "write", root, _masked(prefix + bytes(tail), "s" * len(prefix) + "d" * tail),
+                _DEV_PATH, length, "hybrid",
             )
         ],
     )
@@ -664,8 +640,13 @@ class _RandBuilder:
         self.member_off: dict[str, int] = {}
         self.next_data = 0x2000
 
-    def add_fn(self, f: Function):
+    def add_fn(self, f: Function, ctor: bool = False):
+        """Append ``f``; a method also joins its class's members, or its
+        constructors when ``ctor``."""
         self.functions.append(f)
+        if f.owning_class is not None:
+            c = self.ensure_class(f.owning_class)
+            (c.constructors if ctor else c.members).append(f.id)
 
     def ensure_class(self, name: str, parents=()):
         if name not in self.classes:
@@ -674,24 +655,13 @@ class _RandBuilder:
             self.member_off[name] = 0x10
         return self.classes[name]
 
-    def add_member(self, cls: str, fid: str, ctor: bool = False):
-        c = self.ensure_class(cls)
-        if ctor:
-            c.constructors.append(fid)
-        else:
-            c.members.append(fid)
-
     def alloc_member_off(self, cls: str) -> int:
         off = self.member_off[cls]
         self.member_off[cls] = off + 8
         return off
 
     def add_string(self, s: str) -> int:
-        addr = self.next_data
-        blob = s.encode() + b"\x00"
-        self.data.append((addr, blob))
-        self.next_data += len(blob) + (8 - len(blob) % 8)
-        return addr
+        return self.add_blob(s.encode() + b"\x00")
 
     def add_blob(self, blob: bytes) -> int:
         addr = self.next_data
@@ -739,47 +709,26 @@ def gen_random(seed: int = 0, max_functions: int = 200, vcall_density: float = 0
     for li in range(rng.randint(1, 2)):
         cls = f"IoChannel{li}"
         dev = f"/dev/umts_ipc{li}"
-        addr = b.add_string(dev)
-        ctor = func(
-            f"{cls}::{cls}", cls=cls,
-            blocks=[block(0, [
-                I("CALL", U(0), (C(addr), C(2)), callee="open"),
-                I("INT_ADD", U(1), (R(0), C(0x08))),
-                I("STORE", None, (U(1), U(0))),
-                I("RETURN"),
-            ])],
-        )
-        b.add_fn(ctor)
-        b.add_member(cls, ctor.id, ctor=True)
+        b.add_fn(_open_ctor(f"{cls}::{cls}", cls, b.add_string(dev)), ctor=True)
         leaves.append({"cls": cls, "dev": dev, "write_fns": {}})
 
     def leaf_write_fn(leaf, api: str) -> str:
-        if api in leaf["write_fns"]:
-            return leaf["write_fns"][api]
-        cls = leaf["cls"]
-        fid = f"{cls}::Write{'' if api == 'write' else 'Chk'}"
-        args = [U(1), R(1), R(2)]
-        if api == "__write_chk":
-            args.append(C(4096))
-            b.externals.add("__write_chk")
-        fn = func(
-            fid, cls=cls, params=(("buf", "bytes"), ("len", "int")),
-            blocks=[block(0, [
-                I("INT_ADD", U(0), (R(0), C(0x08))),
-                I("LOAD", U(1), (U(0),)),
-                I("CALL", None, tuple(args), callee=api),
-                I("RETURN"),
-            ])],
-        )
-        b.add_fn(fn)
-        b.add_member(cls, fid)
-        leaf["write_fns"][api] = fid
-        return fid
+        if api not in leaf["write_fns"]:
+            cls = leaf["cls"]
+            fid = f"{cls}::Write{'' if api == 'write' else 'Chk'}"
+            args = (R(1), R(2)) + ((C(4096),) if api == "__write_chk" else ())
+            b.add_fn(_fd_member(fid, cls, (("buf", "bytes"), ("len", "int")), api, args))
+            leaf["write_fns"][api] = fid
+        return leaf["write_fns"][api]
 
-    def vcall_hop(caller_cls: str, callee_cls: str, callee_fid: str,
-                  args_after_recv: tuple) -> tuple[list[Instruction], tuple[str, str]]:
-        """Instructions dispatching to callee_fid through caller's member
-        object; caller's ctor gains the defining store."""
+    def hop(fid: str, caller_cls: str, callee_cls: str, callee_fid: str,
+            args: tuple) -> list[Instruction]:
+        """Body of ``fid`` that passes ``args`` on to ``callee_fid``: by a
+        direct call, or with probability ``vcall_density`` through a vtable
+        slot of a member object, whose store the caller's ctor gains."""
+        if rng.random() >= vcall_density:
+            return [I("CALL", None, (C(0),) + args, callee=callee_fid), I("RETURN")]
+        m.virtual_edges.append((fid, callee_fid))
         off = b.alloc_member_off(caller_cls)
         slot = rng.randint(0, 5)
         vt = b.vtables.setdefault(callee_cls, {})
@@ -797,8 +746,7 @@ def gen_random(seed: int = 0, max_functions: int = 200, vcall_density: float = 0
                 ctor_id, cls=caller_cls, params=(("obj", f"class:{callee_cls}"),),
                 blocks=[block(0, store + [I("RETURN")])],
             )
-            b.add_fn(ctor)
-            b.add_member(caller_cls, ctor_id, ctor=True)
+            b.add_fn(ctor, ctor=True)
         else:
             # extra ctor param wiring for a second member object
             have = b.functions[at]
@@ -810,14 +758,14 @@ def gen_random(seed: int = 0, max_functions: int = 200, vcall_density: float = 0
                 have, params=have.params + [Param(f"obj{k}", f"class:{callee_cls}")],
                 blocks=[entry] + have.blocks[1:],
             )
-        ins = [
+        return [
             I("INT_ADD", U(10), (R(0), C(off))),
             I("LOAD", U(11), (U(10),)),
             I("INT_ADD", U(12), (U(11), C(slot * 8))),
             I("LOAD", U(13), (U(12),)),
-            I("CALLIND", None, (U(13), U(11)) + args_after_recv),
+            I("CALLIND", None, (U(13), U(11)) + args),
+            I("RETURN"),
         ]
-        return ins, (callee_cls, callee_fid)
 
     used_names: dict[tuple[str, str], set[str]] = {}  # (class, module) -> names
 
@@ -839,26 +787,14 @@ def gen_random(seed: int = 0, max_functions: int = 200, vcall_density: float = 0
             leaf = rng.choice(leaves)
             cls = leaf["cls"]
             fid = f"{cls}::Ioctl{ci}"
-            fn = func(
-                fid, cls=cls, params=(("req", "int"),),
-                blocks=[block(0, [
-                    I("INT_ADD", U(0), (R(0), C(0x08))),
-                    I("LOAD", U(1), (U(0),)),
-                    I("CALL", None, (U(1), R(1)), callee="ioctl"),
-                    I("RETURN"),
-                ])],
-            )
-            b.add_fn(fn)
-            b.add_member(cls, fid)
-            root = func(
+            b.add_fn(_fd_member(fid, cls, (("req", "int"),), "ioctl", (R(1),)))
+            b.add_fn(func(
                 root_id, cls=root_cls,
                 blocks=[block(0, [
                     I("CALL", None, (C(0), C(req)), callee=fid),
                     I("RETURN"),
                 ])],
-            )
-            b.add_fn(root)
-            b.add_member(root_cls, root_id)
+            ))
             pb = req.to_bytes(8, "little")
             m.commands.append(
                 _solicited_entry("ioctl", root_id, _masked(pb, "s" * 8),
@@ -897,43 +833,18 @@ def gen_random(seed: int = 0, max_functions: int = 200, vcall_density: float = 0
                 b.ensure_class(fcls)
                 fid = f"{fcls}::Relay"
                 callee_cls_name = tail_cls if hi == 0 else f"Fwd{ci}H{hi-1}"
-                if rng.random() < vcall_density:
-                    ins, edge_info = vcall_hop(
-                        fcls, callee_cls_name, tail_callee, (R(1), R(2))
-                    )
-                    body = ins + [I("RETURN")]
-                    m.virtual_edges.append((fid, tail_callee))
-                else:
-                    body = [
-                        I("CALL", None, (C(0), R(1), R(2)), callee=tail_callee),
-                        I("RETURN"),
-                    ]
-                fn = func(fid, cls=fcls, params=(("buf", "bytes"), ("len", "int")),
-                          blocks=[block(0, body)])
-                b.add_fn(fn)
-                b.add_member(fcls, fid)
+                body = hop(fid, fcls, callee_cls_name, tail_callee, (R(1), R(2)))
+                b.add_fn(func(fid, cls=fcls, params=(("buf", "bytes"), ("len", "int")),
+                              blocks=[block(0, body)]))
                 tail_callee = fid
                 tail_cls = fcls
 
         root_params = (("arg1", "int"),) if dyn_positions else ()
-        body = []
-        for i in range(length):
-            if i in dyn_positions:
-                body.append(I("COPY", S(16 + i, 1), (R(1, 1),)))
-            else:
-                body.append(I("COPY", S(16 + i, 1), (C(body_bytes[i], 1),)))
-        if rng.random() < vcall_density:
-            ins, _ = vcall_hop(root_cls, tail_cls, tail_callee, (S(16, length), C(length)))
-            body += ins + [I("RETURN")]
-            m.virtual_edges.append((root_id, tail_callee))
-        else:
-            body += [
-                I("CALL", None, (C(0), S(16, length), C(length)), callee=tail_callee),
-                I("RETURN"),
-            ]
-        root = func(root_id, cls=root_cls, params=root_params, blocks=[block(0, body)])
-        b.add_fn(root)
-        b.add_member(root_cls, root_id)
+        body = _frame_bytes(body_bytes)
+        for i in dyn_positions:
+            body[i] = I("COPY", S(16 + i, 1), (R(1, 1),))
+        body += hop(root_id, root_cls, tail_cls, tail_callee, (S(16, length), C(length)))
+        b.add_fn(func(root_id, cls=root_cls, params=root_params, blocks=[block(0, body)]))
         m.commands.append(
             _solicited_entry(
                 api, root_id, _masked(bytes(body_bytes), mask), dev,
@@ -952,43 +863,16 @@ def gen_random(seed: int = 0, max_functions: int = 200, vcall_density: float = 0
         api = rng.choice(("read", "__read_chk"))
         b.externals.add(api)
         dev = f"/dev/rx_ipc{ri}"
-        addr = b.add_string(dev)
         disp_id = f"Nv{ri}::Process{mod}Packet"
-        read_args = [U(0), S(16, 32), C(32)]
-        if api == "__read_chk":
-            read_args.append(C(4096))
-        poll = func(
-            f"IpcRx{mod}Poll{ri}",
-            blocks=[block(0, [
-                I("CALL", U(0), (C(addr), C(0)), callee="open"),
-                I("CALL", U(1), tuple(read_args), callee=api),
-                I("CALL", None, (S(16, 32),), callee=disp_id),
-                I("RETURN"),
-            ])],
-        )
-        b.add_fn(poll)
+        extra = (C(4096),) if api == "__read_chk" else ()
+        b.add_fn(_reader(f"IpcRx{mod}Poll{ri}", b.add_string(dev), api, disp_id, extra))
         n_guards = rng.randint(1, 4)
         consts = rng.sample(range(1, 250), n_guards)
-        blocks = []
-        end_bid = 2 * n_guards
-        for j in range(n_guards):
-            handler = f"Nv{ri}::Handle{mod}{j}"
+        handlers = [f"Nv{ri}::Handle{mod}{j}" for j in range(n_guards)]
+        for const, handler in zip(consts, handlers):
             b.add_fn(ret_stub(handler, params=(("pkt", "bytes"),)))
-            nxt = 2 * j + 2 if j + 1 < n_guards else end_bid
-            ins = []
-            if j == 0:
-                ins += [I("INT_ADD", U(0), (R(0), C(4))), I("LOAD", U(1, 1), (U(0),))]
-            ins += [
-                I("INT_EQUAL", U(100 + j, 1), (U(1, 1), C(consts[j], 1))),
-                I("CBRANCH", None, (U(100 + j, 1),)),
-            ]
-            blocks.append(block(2 * j, ins, succ=(2 * j + 1, nxt)))
-            blocks.append(
-                block(2 * j + 1, [I("CALL", None, (R(0),), callee=handler), I("RETURN")])
-            )
-            m.commands.append(_unsolicited_entry(api, disp_id, consts[j], handler, dev))
-        blocks.append(block(end_bid, [I("RETURN")]))
-        b.add_fn(func(disp_id, params=(("pkt", "bytes"),), blocks=blocks))
+            m.commands.append(_unsolicited_entry(api, disp_id, const, handler, dev))
+        b.add_fn(func(disp_id, params=(("pkt", "bytes"),), blocks=_ladder(consts, handlers, 4)))
 
     if distractors:
         efs_addr = b.add_string(f"/efs/nv/protect{seed % 7}")
@@ -996,7 +880,7 @@ def gen_random(seed: int = 0, max_functions: int = 200, vcall_density: float = 0
             "EfsBackupStore",
             blocks=[block(0, [
                 I("CALL", U(0), (C(efs_addr), C(0x41)), callee="open"),
-                I("COPY", S(16, 1), (C(1, 1),)),
+                *_frame_bytes(b"\x01"),
                 I("CALL", None, (U(0), S(16, 1), C(1)), callee="write"),
                 I("RETURN"),
             ])],
@@ -1010,7 +894,7 @@ def gen_random(seed: int = 0, max_functions: int = 200, vcall_density: float = 0
             "WakeupPipeKick",
             blocks=[block(0, [
                 I("CALL", U(0), (S(8, 8),), callee="pipe"),
-                I("COPY", S(16, 1), (C(0x55, 1),)),
+                *_frame_bytes(b"\x55"),
                 I("CALL", None, (U(0), S(16, 1), C(1)), callee="write"),
                 I("RETURN"),
             ])],
@@ -1096,12 +980,8 @@ def gen_crash_suite() -> tuple[CommandDB, SimConfig, dict[str, str]]:
         data = prefix + bytes(dyn)
         mask = "s" * len(prefix) + "d" * dyn
         pb = PayloadBytes(data, mask, LengthSource("constant-arg", total))
-        db.add(CommandRecord(
-            binary="crashsuite", direction="solicited", api="write",
-            site=f"{root}@0:{i}", root_function=root,
-            module=classify_module(root), payload=pb,
-            channel_path=_DEV_PATH, kind="static" if dyn == 0 else "hybrid",
-        ))
+        db.add(make_record("crashsuite", "solicited", "write", f"{root}@0:{i}", root,
+                           payload=pb, channel_path=_DEV_PATH))
         effect = {"temporary": "temporary_crash", "recoverable": "recoverable_crash",
                   "permanent": "permanent_crash"}[crash]
         rows.append(BehaviorRow(
@@ -1119,12 +999,8 @@ def gen_mutation_target() -> tuple[CommandDB, SimConfig, bytes]:
     prefix = bytes([0x08, 0x00, 0x00, 0x00, 0x05, 0x02, 0x01])
     pb = PayloadBytes(prefix + b"\x00", "s" * 7 + "d", LengthSource("constant-arg", 8))
     db = CommandDB("mutsuite", provenance="fixture")
-    db.add(CommandRecord(
-        binary="mutsuite", direction="solicited", api="write",
-        site="IpcTxSimSetStatus@0:9", root_function="IpcTxSimSetStatus",
-        module=classify_module("IpcTxSimSetStatus"), payload=pb,
-        channel_path=_DEV_PATH, kind="hybrid",
-    ))
+    db.add(make_record("mutsuite", "solicited", "write", "IpcTxSimSetStatus@0:9",
+                       "IpcTxSimSetStatus", payload=pb, channel_path=_DEV_PATH))
     crash_payload = prefix + b"\xff"
     cfg = SimConfig(rows=[
         BehaviorRow(matcher=tuple(crash_payload), prefix=False,
@@ -1141,17 +1017,14 @@ def gen_diff_pair(seed: int = 0, base_total: int = 478, removed: int = 63,
     rng = random.Random(seed)
     mods = list(_MODULE_POOL)
 
-    def rec(i: int, binary: str) -> CommandRecord:
+    def rec(i: int, binary: str):
         # bytes derive from the index so base and cur agree on shared commands
         mod = mods[i % len(mods)]
         root = f"IpcProtocol41{mod}::IpcTx{mod}Cmd{i:04d}"
         data = bytes([8, 0, 0, 0, (i % 200) + 1, i & 0xFF, (i >> 8) & 0xFF, (i * 131) & 0xFF])
         pb = PayloadBytes(data, "s" * 8, LengthSource("constant-arg", 8))
-        return CommandRecord(
-            binary=binary, direction="solicited", api="write",
-            site=f"{root}@0:0", root_function=root, module=mod,
-            payload=pb, channel_path=_DEV_PATH, kind="static",
-        )
+        return make_record(binary, "solicited", "write", f"{root}@0:0", root,
+                           payload=pb, channel_path=_DEV_PATH)
 
     base = CommandDB("base", provenance="fixture")
     for i in range(base_total):
