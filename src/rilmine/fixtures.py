@@ -611,6 +611,7 @@ def gen_hybrid(kind: str = "direct") -> tuple[IRProgram, Manifest]:
 _MODULE_POOL = ("Call", "Sms", "Net", "Cfg", "Snd", "Ss", "Sim", "Sec", "Pwr", "Gps")
 _VERB_POOL = ("Query", "Update", "Sync", "Enable", "Apply", "Push")
 _NOUN_POOL = ("Status", "Config", "List", "Mode", "Info", "Channel", "Level", "Profile")
+_VCALL_SHARE = 0.5  # share of gen_random's call hops made through a vtable
 
 
 def _fresh_name(rng: random.Random, used: dict[tuple[str, str], set[str]],
@@ -687,17 +688,15 @@ class _RandBuilder:
         )
 
 
-def gen_random(seed: int = 0, max_functions: int = 200, vcall_density: float = 0.5,
-               distractors: bool = True) -> tuple[IRProgram, Manifest]:
+def gen_random(seed: int = 0, max_functions: int = 200) -> tuple[IRProgram, Manifest]:
     """Random solicited/unsolicited chains with planted ground truth plus
-    filter distractors. Deterministic for a given (seed, params)."""
+    filter distractors. Deterministic for a given seed.
+
+    Its one option, ``max_functions``, caps the program's function count:
+    a chain that would push past it is not started."""
     rng = random.Random(seed)
     b = _RandBuilder(f"rand{seed}")
-    m = Manifest(
-        program=b.name, seed=seed,
-        params={"max_functions": max_functions, "vcall_density": vcall_density,
-                "distractors": distractors},
-    )
+    m = Manifest(program=b.name, seed=seed, params={"max_functions": max_functions})
     b.externals |= {"write", "open"}
 
     modules = rng.sample(_MODULE_POOL, k=rng.randint(2, 5))
@@ -724,9 +723,9 @@ def gen_random(seed: int = 0, max_functions: int = 200, vcall_density: float = 0
     def hop(fid: str, caller_cls: str, callee_cls: str, callee_fid: str,
             args: tuple) -> list[Instruction]:
         """Body of ``fid`` that passes ``args`` on to ``callee_fid``: by a
-        direct call, or with probability ``vcall_density`` through a vtable
+        direct call, or with probability ``_VCALL_SHARE`` through a vtable
         slot of a member object, whose store the caller's ctor gains."""
-        if rng.random() >= vcall_density:
+        if rng.random() >= _VCALL_SHARE:
             return [I("CALL", None, (C(0),) + args, callee=callee_fid), I("RETURN")]
         m.virtual_edges.append((fid, callee_fid))
         off = b.alloc_member_off(caller_cls)
@@ -874,73 +873,73 @@ def gen_random(seed: int = 0, max_functions: int = 200, vcall_density: float = 0
             m.commands.append(_unsolicited_entry(api, disp_id, const, handler, dev))
         b.add_fn(func(disp_id, params=(("pkt", "bytes"),), blocks=_ladder(consts, handlers, 4)))
 
-    if distractors:
-        efs_addr = b.add_string(f"/efs/nv/protect{seed % 7}")
-        efs = func(
-            "EfsBackupStore",
-            blocks=[block(0, [
-                I("CALL", U(0), (C(efs_addr), C(0x41)), callee="open"),
-                *_frame_bytes(b"\x01"),
-                I("CALL", None, (U(0), S(16, 1), C(1)), callee="write"),
-                I("RETURN"),
-            ])],
-        )
-        b.add_fn(efs)
-        m.discards.append({"site": format_site("EfsBackupStore", 0, 2),
-                           "reason": "non-dev-path", "path": f"/efs/nv/protect{seed % 7}"})
+    # Distractors: sites the filter discards and a call it cannot resolve.
+    efs_addr = b.add_string(f"/efs/nv/protect{seed % 7}")
+    efs = func(
+        "EfsBackupStore",
+        blocks=[block(0, [
+            I("CALL", U(0), (C(efs_addr), C(0x41)), callee="open"),
+            *_frame_bytes(b"\x01"),
+            I("CALL", None, (U(0), S(16, 1), C(1)), callee="write"),
+            I("RETURN"),
+        ])],
+    )
+    b.add_fn(efs)
+    m.discards.append({"site": format_site("EfsBackupStore", 0, 2),
+                       "reason": "non-dev-path", "path": f"/efs/nv/protect{seed % 7}"})
 
-        b.externals.add("pipe")
-        pipe_fn = func(
-            "WakeupPipeKick",
-            blocks=[block(0, [
-                I("CALL", U(0), (S(8, 8),), callee="pipe"),
-                *_frame_bytes(b"\x55"),
-                I("CALL", None, (U(0), S(16, 1), C(1)), callee="write"),
-                I("RETURN"),
-            ])],
-        )
-        b.add_fn(pipe_fn)
-        m.discards.append({"site": format_site("WakeupPipeKick", 0, 2),
-                           "reason": "pipe", "path": None})
+    b.externals.add("pipe")
+    pipe_fn = func(
+        "WakeupPipeKick",
+        blocks=[block(0, [
+            I("CALL", U(0), (S(8, 8),), callee="pipe"),
+            *_frame_bytes(b"\x55"),
+            I("CALL", None, (U(0), S(16, 1), C(1)), callee="write"),
+            I("RETURN"),
+        ])],
+    )
+    b.add_fn(pipe_fn)
+    m.discards.append({"site": format_site("WakeupPipeKick", 0, 2),
+                       "reason": "pipe", "path": None})
 
-        b.externals |= {"socket", "sendto"}
-        sock_fn = func(
-            "OemNetReport",
-            blocks=[block(0, [
-                I("CALL", U(0), (C(2), C(1), C(0)), callee="socket"),
-                I("COPY", S(16, 4), (C(0xDEAD, 4),)),
-                I("CALL", None, (U(0), S(16, 4), C(4)), callee="sendto"),
-                I("RETURN"),
-            ])],
-        )
-        b.add_fn(sock_fn)
-        m.discards.append({"site": format_site("OemNetReport", 0, 2),
-                           "reason": "socket", "path": None})
+    b.externals |= {"socket", "sendto"}
+    sock_fn = func(
+        "OemNetReport",
+        blocks=[block(0, [
+            I("CALL", U(0), (C(2), C(1), C(0)), callee="socket"),
+            I("COPY", S(16, 4), (C(0xDEAD, 4),)),
+            I("CALL", None, (U(0), S(16, 4), C(4)), callee="sendto"),
+            I("RETURN"),
+        ])],
+    )
+    b.add_fn(sock_fn)
+    m.discards.append({"site": format_site("OemNetReport", 0, 2),
+                       "reason": "socket", "path": None})
 
-        fp_addr = b.add_blob(b"\x00" * 8)
-        fp = func(
-            "DynCallbackInvoke",
-            blocks=[block(0, [
-                I("LOAD", U(0), (C(fp_addr),)),
-                I("CALLIND", None, (U(0), C(0))),
-                I("RETURN"),
-            ])],
-        )
-        b.add_fn(fp)
-        m.unresolved.append({"site": format_site("DynCallbackInvoke", 0, 1),
-                             "reason": "no-vtable-pattern"})
+    fp_addr = b.add_blob(b"\x00" * 8)
+    fp = func(
+        "DynCallbackInvoke",
+        blocks=[block(0, [
+            I("LOAD", U(0), (C(fp_addr),)),
+            I("CALLIND", None, (U(0), C(0))),
+            I("RETURN"),
+        ])],
+    )
+    b.add_fn(fp)
+    m.unresolved.append({"site": format_site("DynCallbackInvoke", 0, 1),
+                         "reason": "no-vtable-pattern"})
 
-        for ni in range(rng.randint(1, 3)):
-            b.add_fn(func(
-                f"ScratchMath{ni}",
-                params=(("a", "int"), ("b", "int")),
-                ret="int",
-                blocks=[block(0, [
-                    I("INT_ADD", U(0), (R(0), R(1))),
-                    I("INT_SUB", U(1), (U(0), C(ni))),
-                    I("RETURN", None, (U(1),)),
-                ])],
-            ))
+    for ni in range(rng.randint(1, 3)):
+        b.add_fn(func(
+            f"ScratchMath{ni}",
+            params=(("a", "int"), ("b", "int")),
+            ret="int",
+            blocks=[block(0, [
+                I("INT_ADD", U(0), (R(0), R(1))),
+                I("INT_SUB", U(1), (U(0), C(ni))),
+                I("RETURN", None, (U(1),)),
+            ])],
+        ))
 
     p = b.finish()
     assert len(p.functions) <= max_functions, f"fixture exceeded budget: {len(p.functions)}"
