@@ -430,7 +430,8 @@ _FIG5_HANDLERS = (
 def gen_fig5(n_handlers: int = 3, seed: int | None = None) -> tuple[IRProgram, Manifest]:
     """read -> buffer -> dispatcher comparison ladder. Each guard compares
     one payload byte against a constant and calls its handler."""
-    assert 0 <= n_handlers <= len(_FIG5_HANDLERS)
+    if not 0 <= n_handlers <= len(_FIG5_HANDLERS):
+        raise ValueError(f"n_handlers must be in 0..{len(_FIG5_HANDLERS)}, not {n_handlers}")
     if seed is None:
         consts = [0x11 + j for j in range(n_handlers)]
         names = list(_FIG5_HANDLERS[:n_handlers])
@@ -470,7 +471,8 @@ def gen_fig5(n_handlers: int = 3, seed: int | None = None) -> tuple[IRProgram, M
 def gen_fig6(variant: str = "efs") -> tuple[IRProgram, Manifest]:
     """String write through a helper; the fd origin decides the verdict:
     'efs' -> non-device path, 'pipe' -> pipe fd, 'dev' -> kept command."""
-    assert variant in ("efs", "pipe", "dev")
+    if variant not in ("efs", "pipe", "dev"):
+        raise ValueError(f"unknown fig6 variant {variant!r}: want efs, pipe or dev")
     path_addr, true_addr = 0x2000, 0x2100
     paths = {"efs": "/efs/imei/selective", "dev": "/dev/umts_ipc1"}
 
@@ -534,7 +536,6 @@ def gen_hybrid(kind: str = "direct") -> tuple[IRProgram, Manifest]:
     """Hybrid payload shapes: 'direct' embeds one parameter byte, 'derived'
     sizes the payload with a clamped strlen, 'structured' appends a fully
     dynamic serialized tail."""
-    assert kind in ("direct", "derived", "structured")
     path_addr = 0x2000
 
     # per kind: root, its params and blocks, the static prefix, the number
@@ -574,7 +575,7 @@ def gen_hybrid(kind: str = "direct") -> tuple[IRProgram, Manifest]:
             ]),
         ]
         length, extra = "strlen-bounded(255)", ("strlen",)
-    else:
+    elif kind == "structured":
         root, params = "IpcTxCfgSetProfile", (("obj", "bytes"),)
         prefix, tail = bytes([0x1f, 0x00, 0x00, 0x00, 0x08, 0x07, 0x03]), 24
         total = len(prefix) + tail
@@ -586,6 +587,8 @@ def gen_hybrid(kind: str = "direct") -> tuple[IRProgram, Manifest]:
             I("RETURN"),
         ])]
         length, extra = f"constant-arg({total})", ("SerializeToJson",)
+    else:
+        raise ValueError(f"unknown hybrid kind {kind!r}: want direct, derived or structured")
 
     name = f"hybrid-{kind}"
     p = build_program(

@@ -220,7 +220,8 @@ def probe_nv_escape(config: SimConfig, outside_dir: str) -> NvEscapeReport:
     try to write through it. Escape is confirmed by the file landing
     outside. Also records whether a bare ``..`` path is rejected."""
     root = config.sandbox_root
-    assert root is not None, "config needs a sandbox_root"
+    if root is None:
+        raise ValueError("config needs a sandbox_root, not None")
     os.makedirs(root, exist_ok=True)
     os.makedirs(outside_dir, exist_ok=True)
     link = os.path.join(root, "esc")

@@ -6,6 +6,7 @@ to that manifest, three ways: manifest == pipeline == reference.
 """
 
 import random
+import re
 
 import pytest
 
@@ -27,8 +28,9 @@ from rilmine.fixtures import (
     gen_mutation_target,
     gen_random,
 )
+from rilmine.harness import probe_nv_escape
 from rilmine.ir import load_program, serialize
-from rilmine.sim import SimWorld
+from rilmine.sim import SimConfig, SimWorld
 
 NAMED_FIXTURES = {
     "fig2": gen_fig2,
@@ -107,6 +109,19 @@ def test_fresh_name_raises_once_a_class_has_every_name():
     assert rng.getstate() == state  # the check drew nothing
     # another class still has all of its names
     assert _fresh_name(rng, used, "IpcProtocol41Net", "Net").startswith("IpcTxNet")
+
+
+@pytest.mark.parametrize("call,bad", [
+    (lambda: gen_hybrid("typo"), "'typo'"),
+    (lambda: gen_fig6("bogus"), "'bogus'"),
+    (lambda: gen_fig5(n_handlers=9), "not 9"),
+    (lambda: gen_fig5(n_handlers=-1), "not -1"),
+    (lambda: probe_nv_escape(SimConfig(), "unused"), "sandbox_root, not None"),
+], ids=["hybrid-kind", "fig6-variant", "fig5-too-many", "fig5-negative", "nv-no-sandbox"])
+def test_bad_arguments_raise_value_error_naming_them(call, bad):
+    # a ValueError, not an assert that python -O strips
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        call()
 
 
 def test_generated_programs_survive_serialization():
