@@ -19,6 +19,7 @@ campaign. The world reads ``config.rows`` only when built.
 from __future__ import annotations
 
 import os
+import string
 from dataclasses import dataclass, field, replace
 
 IN_SERVICE = "IN_SERVICE"
@@ -83,15 +84,29 @@ class SimConfigError(ValueError):
     pass
 
 
-def _int_at(lineno: int, what: str, tok: str, base: int = 10, hi: int | None = None) -> int:
-    """``tok`` as an int in ``0..hi`` (no upper bound when ``hi`` is None)."""
+def _int_at(lineno: int, what: str, tok: str, base: int = 10, lo: int = 0,
+            hi: int | None = None) -> int:
+    """``tok`` as an int in ``lo..hi`` (no upper bound when ``hi`` is None)."""
     try:
         v = int(tok, base)
     except ValueError:
         raise SimConfigError(f"line {lineno}: bad {what} {tok!r}") from None
-    if v < 0 or (hi is not None and v > hi):
+    if v < lo or (hi is not None and v > hi):
         raise SimConfigError(f"line {lineno}: {what} out of range {tok!r}")
     return v
+
+
+# every token of exactly two hex digits, in either case, and its byte
+_HEX_BYTES = {a + b: int(a + b, 16) for a in string.hexdigits for b in string.hexdigits}
+
+
+def _byte_at(lineno: int, tok: str) -> int:
+    """``tok`` as a matcher byte: exactly two hex digits, as ``to_text``
+    writes them."""
+    if tok in _HEX_BYTES:
+        return _HEX_BYTES[tok]
+    _int_at(lineno, "byte", tok, base=16, hi=0xFF)  # names a non-number or a value past ff
+    raise SimConfigError(f"line {lineno}: bad byte {tok!r}")
 
 
 def _bool_at(lineno: int, what: str, tok: str) -> bool:
@@ -118,8 +133,7 @@ def parse_sim_config(text: str) -> SimConfig:
                 toks = toks[:-1]
             if not toks:
                 raise SimConfigError(f"line {lineno}: empty matcher")
-            matcher = [None if t == ".." else _int_at(lineno, "byte", t, base=16, hi=0xFF)
-                       for t in toks]
+            matcher = [None if t == ".." else _byte_at(lineno, t) for t in toks]
             eff = right.strip()
             args: tuple = ()
             if "(" in eff:
@@ -127,9 +141,11 @@ def parse_sim_config(text: str) -> SimConfig:
                 if not rest.endswith(")"):
                     raise SimConfigError(f"line {lineno}: unclosed args")
                 eff = name
-                # ok(code) is a response byte; temporary_crash(n) a tick count
+                # ok(code) is a response byte; temporary_crash(n) a tick count,
+                # and a latch of 0 ticks would expire inside its own injection
                 hi = 0xFF if eff == "ok" else None
-                args = tuple(_int_at(lineno, "effect argument", a, hi=hi)
+                lo = 1 if eff == "temporary_crash" else 0
+                args = tuple(_int_at(lineno, "effect argument", a, lo=lo, hi=hi)
                              for a in rest[:-1].split(",") if a.strip())
             if eff not in EFFECTS:
                 raise SimConfigError(f"line {lineno}: unknown effect {eff!r}")
@@ -140,7 +156,7 @@ def parse_sim_config(text: str) -> SimConfig:
             raise SimConfigError(f"line {lineno}: expected key = value or matcher -> effect")
         key, val = key.strip(), val.strip()
         if key == "recover_after":
-            cfg = replace(cfg, default_recover_after=_int_at(lineno, "recover_after", val))
+            cfg = replace(cfg, default_recover_after=_int_at(lineno, "recover_after", val, lo=1))
         elif key == "reboot_ticks":
             cfg = replace(cfg, reboot_ticks=_int_at(lineno, "reboot_ticks", val))
         elif key == "sandbox_root":

@@ -12,6 +12,7 @@ channel filter, are the rows of the one table ``IO_APIS``.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, field
 
 from .callgraph import CallGraph, caller_args
@@ -103,19 +104,24 @@ def payload_hex(pb: PayloadBytes) -> str:
     )
 
 
+# every token of exactly two hex digits, in either case, and its byte
+_HEX_BYTES = {a + b: int(a + b, 16) for a in string.hexdigits for b in string.hexdigits}
+
+
 def parse_payload_hex(text: str, length_source: LengthSource | None = None) -> PayloadBytes:
+    """Bytes as ``payload_hex`` writes them: each token is exactly two hex
+    digits, or ``..`` for a dynamic byte."""
     data = bytearray()
     mask = []
     for tok in text.split():
         if tok == "..":
             data.append(0)
             mask.append("d")
-        else:
-            try:
-                data.append(int(tok, 16))
-            except ValueError:
-                raise ValueError(f"bad payload byte {tok!r}") from None
+        elif tok in _HEX_BYTES:
+            data.append(_HEX_BYTES[tok])
             mask.append("s")
+        else:
+            raise ValueError(f"bad payload byte {tok!r}")
     return PayloadBytes(bytes(data), "".join(mask), length_source or LengthSource("unknown"))
 
 

@@ -1,6 +1,7 @@
 """Command database: naming, serialization, and comparison reports."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -153,6 +154,11 @@ def test_load_rejects_malformed_rows():
         ["x", "solicited", "write", "f@0:0", "f", "m", "07 1g ..", "-", "hybrid"]) + "\n"
     with pytest.raises(ValueError, match="^line 3: bad payload byte '1g'$"):
         load_db(text)
+    for tok in ("0x41", "1_0", "+7", "\u0663"):  # int(tok, 16) takes each of these
+        text = "# binary=x provenance=\n" + "\t".join(
+            ["x", "solicited", "write", "f@0:0", "f", "m", f"07 {tok}", "-", "static"]) + "\n"
+        with pytest.raises(ValueError, match=re.escape(f"line 2: bad payload byte '{tok}'") + "$"):
+            load_db(text)
     text = "# binary=x provenance=\n" + "\t".join(
         ["x", "solicted", "write", "f@0:0", "f", "m", "const=0x11;handler=h", "-", "static"]) + "\n"
     with pytest.raises(ValueError, match="^line 2: unknown direction 'solicted'$"):

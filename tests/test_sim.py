@@ -372,6 +372,15 @@ def test_parse_rows_and_comments():
     ("recover_after = -3", "line 1: recover_after out of range '-3'"),
     ("\nreboot_ticks = 1.5", "line 2: bad reboot_ticks '1.5'"),
     ("reboot_ticks = -6", "line 1: reboot_ticks out of range '-6'"),
+    # a 0-tick latch expires inside its own injection, a 0-tick window
+    # ends before a temporary crash could recover
+    ("\n07 -> temporary_crash(0)", "line 2: effect argument out of range '0'"),
+    ("recover_after = 0", "line 1: recover_after out of range '0'"),
+    # bytes are exactly two hex digits, as to_text writes them
+    ("0x41 -> ok", "line 1: bad byte '0x41'"),
+    ("07 1_0 -> ok", "line 1: bad byte '1_0'"),
+    ("+7 * -> ok", "line 1: bad byte '+7'"),
+    ("07 \u0663 -> ok", "line 1: bad byte '\u0663'"),
 ])
 def test_parse_rejects_malformed_lines(text, msg):
     with pytest.raises(SimConfigError, match=re.escape(msg)):
@@ -393,10 +402,10 @@ def test_parse_reads_booleans_in_any_case(key):
 
 
 def test_parse_accepts_the_range_ends():
-    cfg = parse_sim_config("recover_after = 0\nreboot_ticks = 0\n"
-                           "01 -> ok(0)\n02 -> ok(255)\n03 -> temporary_crash(0)\n")
-    assert (cfg.default_recover_after, cfg.reboot_ticks) == (0, 0)
-    assert [r.args for r in cfg.rows] == [(0,), (255,), (0,)]
+    cfg = parse_sim_config("recover_after = 1\nreboot_ticks = 0\n"
+                           "01 -> ok(0)\n02 -> ok(255)\n03 -> temporary_crash(1)\n")
+    assert (cfg.default_recover_after, cfg.reboot_ticks) == (1, 0)
+    assert [r.args for r in cfg.rows] == [(0,), (255,), (1,)]
 
 
 # ---------------------------------------------------------------------------
