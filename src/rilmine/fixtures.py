@@ -230,7 +230,7 @@ def _reader(fid: str, path_addr: int, api: str, dispatcher: str, extra: tuple = 
     ])])
 
 
-def _ladder(consts, handlers, byte_off: int) -> list[Block]:
+def _ladder(consts: list[int], handlers: list[str], byte_off: int) -> list[Block]:
     """Dispatcher blocks: guard ``j`` compares packet byte ``byte_off`` with
     ``consts[j]`` and calls ``handlers[j]``; the last block returns, so
     with no constants the ladder is that one RETURN block."""
