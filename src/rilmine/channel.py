@@ -34,10 +34,6 @@ DEVICE_PATH_PATTERN = r"^/dev/([^/ ]*)+(/[^/ ]*)*?$"
 _DEVICE_RE = re.compile(r"/dev/[^ ]*")
 
 
-def match_device_path(path: str) -> bool:
-    return _DEVICE_RE.fullmatch(path) is not None
-
-
 @dataclass
 class FilterConfig:
     keep_socket: bool = False
@@ -94,12 +90,13 @@ _CONFIG_VALUES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelResolution:
-    verdict: str  # "keep" | "discard"
-    origin: str  # "open" | "pipe" | "socket" | "unknown"
+    """A site is kept when ``reason`` is None; ``path`` is the constant path
+    its open-family fd resolved to, if one did."""
+
+    reason: str | None
     path: str | None = None
-    reason: str | None = None  # discard reason
 
 
 # The fd and path walks follow COPY through every space but const.
@@ -219,28 +216,26 @@ def resolve_channel(p: IRProgram, cg: CallGraph, site: tuple[str, int, int],
     f = p.fn(site[0])
     fd, pos = f.arg_at(site[1], site[2], fd_arg_index)
     if fd is None:
-        return ChannelResolution("discard", "unknown", reason="fd-arg-missing")
+        return ChannelResolution("fd-arg-missing")
     origins = _trace_fd(p, cg, f, fd, pos, config.fd_depth, set())
     distinct = sorted(set(origins))
     if not distinct:
-        return ChannelResolution("discard", "unknown", reason="fd-unresolved")
+        return ChannelResolution("fd-unresolved")
     if len(distinct) > 1:
-        return ChannelResolution("discard", "unknown", reason="fd-ambiguous")
+        return ChannelResolution("fd-ambiguous")
     o = distinct[0]
     if o[0] == "pipe":
-        return ChannelResolution("discard", "pipe", reason="pipe")
+        return ChannelResolution("pipe")
     if o[0] == "socket":
-        if config.keep_socket:
-            return ChannelResolution("keep", "socket")
-        return ChannelResolution("discard", "socket", reason="socket")
+        return ChannelResolution(None if config.keep_socket else "socket")
     if o[0] == "open":
         path = o[2]
         if path is None:
-            return ChannelResolution("discard", "open", reason="path-unresolved")
+            return ChannelResolution("path-unresolved")
         if config.pattern().fullmatch(path):
-            return ChannelResolution("keep", "open", path=path)
-        return ChannelResolution("discard", "open", path=path, reason="non-dev-path")
-    return ChannelResolution("discard", "unknown", reason=o[1])
+            return ChannelResolution(None, path)
+        return ChannelResolution("non-dev-path", path)
+    return ChannelResolution(o[1])
 
 
 @dataclass
@@ -282,7 +277,7 @@ def filter_commands(p: IRProgram, cg: CallGraph, binary: str | None = None,
         report.sites_total += 1
         _role, fd, _buf, _length = IO_APIS[q.api]
         res = resolve_channel(p, cg, q.site, fd, config)
-        if res.verdict == "discard":
+        if res.reason is not None:
             report.discards.append((q.site_str, res.reason, res.path))
             continue
         report.kept += 1
@@ -307,8 +302,7 @@ def filter_commands(p: IRProgram, cg: CallGraph, binary: str | None = None,
                     report.records += 1
         else:
             report.forward_runs += 1
-            t = forward_taint(p, cg, q)
-            for sink in t.sinks:
+            for sink in forward_taint(p, cg, q):
                 rec = make_record(
                     binary, "unsolicited", q.api, q.site_str, sink.fn,
                     constant=sink.constant, handler=sink.handler,

@@ -14,6 +14,7 @@ import os
 import pickle
 import select
 import sys
+import traceback
 from collections import deque
 
 from .callgraph import build_direct_cg, recover_vcalls
@@ -96,11 +97,14 @@ def _analyze_one(path: str, binary: str, config: FilterConfig, out: str):
 
 def _task(path: str, binary: str, config: FilterConfig, out: str):
     """Analyze one input: (summary line, None), or (None, error text) when
-    it fails to load or its artifacts cannot be written."""
+    it fails. A failed load or write gives its message; any other exception
+    gives its traceback, and costs only this input."""
     try:
         db, report = _analyze_one(path, binary, config, out)
     except (OSError, ValueError) as e:
         return None, f"{path}: {e}"
+    except Exception:
+        return None, f"{path}: raised\n{traceback.format_exc().rstrip()}"
     return (f"{binary}\trecords={len(db.records)}"
             f"\tsolicited={len(db.solicited())}"
             f"\tunsolicited={len(db.unsolicited())}"
@@ -137,12 +141,7 @@ def _fork_task(task: tuple[str, str], config: FilterConfig, out: str) -> tuple[i
     code = 1
     try:
         os.close(r)
-        path, binary = task
-        try:
-            result = _task(path, binary, config, out)
-        except Exception:  # reported as this input's error, like a failed load
-            import traceback
-            result = None, f"{path}: worker raised\n{traceback.format_exc().rstrip()}"
+        result = _task(*task, config, out)
         with open(w, "wb") as fh:
             fh.write(pickle.dumps(result))
         code = 0

@@ -89,7 +89,8 @@ def build_program(name: str, *, classes=(), functions=(), data=(), externals=(),
         externals=list(externals),
     )
     diags = validate(p)
-    assert not diags, f"fixture bug in {name}: {[str(d) for d in diags]}"
+    if diags:
+        raise ValueError(f"fixture bug in {name}: {[str(d) for d in diags]}")
     return p
 
 
@@ -615,6 +616,9 @@ _MODULE_POOL = ("Call", "Sms", "Net", "Cfg", "Snd", "Ss", "Sim", "Sec", "Pwr", "
 _VERB_POOL = ("Query", "Update", "Sync", "Enable", "Apply", "Push")
 _NOUN_POOL = ("Status", "Config", "List", "Mode", "Info", "Channel", "Level", "Profile")
 _VCALL_SHARE = 0.5  # share of gen_random's call hops made through a vtable
+# most functions outside gen_random's chains: 2 channel ctors, 4 distractors,
+# 3 ScratchMath helpers and nop_stub
+_RAND_FIXED_FUNCTIONS = 10
 
 
 def _fresh_name(rng: random.Random, used: dict[tuple[str, str], set[str]],
@@ -696,7 +700,11 @@ def gen_random(seed: int = 0, max_functions: int = 200) -> tuple[IRProgram, Mani
     filter distractors. Deterministic for a given seed.
 
     Its one option, ``max_functions``, caps the program's function count:
-    a chain that would push past it is not started."""
+    a chain that would push past it is not started, and a budget below
+    ``_RAND_FIXED_FUNCTIONS`` is a ValueError."""
+    if max_functions < _RAND_FIXED_FUNCTIONS:
+        raise ValueError(f"gen_random needs max_functions >= {_RAND_FIXED_FUNCTIONS}, "
+                         f"not {max_functions}")
     rng = random.Random(seed)
     b = _RandBuilder(f"rand{seed}")
     m = Manifest(program=b.name, seed=seed, params={"max_functions": max_functions})
@@ -945,7 +953,8 @@ def gen_random(seed: int = 0, max_functions: int = 200) -> tuple[IRProgram, Mani
         ))
 
     p = b.finish()
-    assert len(p.functions) <= max_functions, f"fixture exceeded budget: {len(p.functions)}"
+    if len(p.functions) > max_functions:
+        raise ValueError(f"fixture exceeded budget: {len(p.functions)} > {max_functions}")
     return p, m
 
 

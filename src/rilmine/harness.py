@@ -29,10 +29,11 @@ class ProbeReport:
     states: tuple  # observed state after inject and after each wait step
 
 
-def _classify_after_oos(world: SimWorld, window: int, states: list) -> str:
+def _classify_after_oos(world: SimWorld, states: list) -> str:
     """Finish the decision tree once an inject left the modem down: wait
-    out the recovery window, then reboot, then give up."""
-    for _ in range(window):
+    out the recovery window (twice the default temporary latch), then
+    reboot, then give up."""
+    for _ in range(2 * world.config.default_recover_after):
         world.advance(1)
         s = world.query_state()
         states.append(s)
@@ -44,18 +45,16 @@ def _classify_after_oos(world: SimWorld, window: int, states: list) -> str:
     return "recoverable" if s == IN_SERVICE else "permanent"
 
 
-def probe_command(world: SimWorld, payload: bytes, window: int | None = None) -> ProbeReport:
+def probe_command(world: SimWorld, payload: bytes) -> ProbeReport:
     """Inject once and classify. The world is reflashed before returning so
     successive probes start clean."""
-    if window is None:
-        window = 2 * world.config.default_recover_after
     states: list = []
     rsp = world.inject(payload)
     states.append(rsp.state)
     if rsp.state == IN_SERVICE:
         crash = "none"
     else:
-        crash = _classify_after_oos(world, window, states)
+        crash = _classify_after_oos(world, states)
     world.reflash()
     return ProbeReport(crash, rsp, tuple(states))
 
@@ -168,7 +167,7 @@ def campaign(db: CommandDB, config: SimConfig, budget: int = 1000,
         rng = _record_rng(seed, rec)
         bits = rng.getrandbits
         execs = 1
-        report = probe_command(world, rec.payload.data, window=None)
+        report = probe_command(world, rec.payload.data)
         stats.probes += 1
         if report.crash_class != "none":
             findings.append(Finding(report.crash_class, rec.root_function,
@@ -180,7 +179,6 @@ def campaign(db: CommandDB, config: SimConfig, budget: int = 1000,
             continue
         corpus = [rec.payload.data]
         history = {(report.response.code, report.states[0])}
-        window = 2 * config.default_recover_after
         for _ in range(budget):
             parent = corpus[_below(bits, len(corpus))]
             mutant = _mutate_at(parent, positions, rng)
@@ -189,7 +187,7 @@ def campaign(db: CommandDB, config: SimConfig, budget: int = 1000,
             stats.mutation_execs += 1
             if rsp.state != IN_SERVICE:
                 states = [rsp.state]
-                crash = _classify_after_oos(world, window, states)
+                crash = _classify_after_oos(world, states)
                 world.reflash()
                 findings.append(Finding(crash, rec.root_function, mutant,
                                         "mutation", execs))

@@ -262,22 +262,24 @@ class IRProgram:
         return out
 
     def ancestors(self, name: str) -> list[str]:
-        """Ancestor classes, root-most first (depth-first over parents)."""
-        seen: list[str] = []
-        self._add_ancestors(name, seen)
-        return seen
-
-    def _add_ancestors(self, n: str, seen: list[str]) -> None:
-        # A method rather than a nested function: a closure that calls itself
-        # is a reference cycle, and through ``self`` it would keep the whole
-        # program alive until the cyclic GC next ran.
-        c = self._cls_by_name.get(n)
-        if c is None:
-            return
-        for p in c.parents:
-            self._add_ancestors(p, seen)
-            if p not in seen:
-                seen.append(p)
+        """Ancestor classes, root-most first (depth-first over parents): each
+        parent, in order, comes after its own ancestors. Iterative, so a deep
+        hierarchy does not reach the interpreter's recursion limit."""
+        out: list[str] = []
+        entered = {name}
+        stack = [(name, 0)]  # (class, index of its next parent)
+        while stack:
+            n, i = stack.pop()
+            c = self._cls_by_name.get(n)
+            parents = c.parents if c is not None else ()
+            if i < len(parents):
+                stack.append((n, i + 1))
+                if parents[i] not in entered:
+                    entered.add(parents[i])
+                    stack.append((parents[i], 0))
+            elif n != name:
+                out.append(n)  # every ancestor of n is out already
+        return out
 
     def _segment_at(self, addr: int) -> tuple[int, bytes] | None:
         """The non-empty segment with the highest base at or below ``addr``."""

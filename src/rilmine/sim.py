@@ -86,11 +86,13 @@ class SimConfigError(ValueError):
 
 def _int_at(lineno: int, what: str, tok: str, base: int = 10, lo: int = 0,
             hi: int | None = None) -> int:
-    """``tok`` as an int in ``lo..hi`` (no upper bound when ``hi`` is None)."""
-    try:
-        v = int(tok, base)
-    except ValueError:
-        raise SimConfigError(f"line {lineno}: bad {what} {tok!r}") from None
+    """``tok`` as an int in ``lo..hi`` (no upper bound when ``hi`` is None):
+    ASCII digits of ``base`` after an optional ``-``, as ``to_text`` writes."""
+    digits = tok[1:] if tok.startswith("-") else tok
+    allowed = string.hexdigits if base == 16 else string.digits
+    if not digits or any(c not in allowed for c in digits):
+        raise SimConfigError(f"line {lineno}: bad {what} {tok!r}")
+    v = int(tok, base)
     if v < lo or (hi is not None and v > hi):
         raise SimConfigError(f"line {lineno}: {what} out of range {tok!r}")
     return v
@@ -181,10 +183,6 @@ class Response:
     code: int | None  # None = modem gave no response
     state: str
 
-    @property
-    def responded(self) -> bool:
-        return self.code is not None
-
 
 _UNKNOWN_REPLY = Response(RSP_UNKNOWN, IN_SERVICE)
 _DOWN_REPLY = Response(None, OUT_OF_SERVICE)
@@ -198,12 +196,11 @@ class SimWorld:
     this world. Build a new world for a changed table. Built once per
     world: the exact-row dict, each wildcard or prefix row's integer mask
     and value, and the reply of each ``ok`` row. Built on first use, once
-    per payload length: the list of loose rows that can match it. Expiring
-    temporary latches costs nothing while none is set.
+    per payload length: the list of loose rows that can match it.
 
-    ``inject`` checks the latches inline: a permanent or recoverable latch
-    answers at once, and only a pending temporary one goes through
-    ``active_latch``, which expires it. That is the decision
+    The temporary latch is one expiry tick, active while ahead of the clock:
+    a crash sets it only while no latch is active, so it is the latest. No
+    work expires it. ``inject`` checks the latches inline, the decision
     ``query_state`` gives, without its calls on every injection.
     """
 
@@ -211,7 +208,7 @@ class SimWorld:
         self.config = config
         self.tick = 0
         self.exec_count = 0
-        self._temporaries: list[int] = []  # expiry ticks
+        self._down_until = 0  # temporary latch: active while > tick
         self._recoverable = False
         self._permanent = False
         self._rows = tuple(config.rows)
@@ -240,17 +237,12 @@ class SimWorld:
 
     # -- state ----------------------------------------------------------
 
-    def _expire(self):
-        if self._temporaries:
-            self._temporaries = [t for t in self._temporaries if t > self.tick]
-
     def active_latch(self) -> str | None:
-        self._expire()
         if self._permanent:
             return "permanent"
         if self._recoverable:
             return "recoverable"
-        if self._temporaries:
+        if self._down_until > self.tick:
             return "temporary"
         return None
 
@@ -263,16 +255,14 @@ class SimWorld:
         if n < 0:
             raise ValueError(f"advance needs n >= 0, not {n}")
         self.tick += n
-        self._expire()
 
     def reboot(self):
         self.tick += self.config.reboot_ticks
         self._recoverable = False
-        self._expire()
 
     def reflash(self):
         self.tick += self.config.reboot_ticks
-        self._temporaries.clear()
+        self._down_until = 0
         self._recoverable = False
         self._permanent = False
 
@@ -301,7 +291,7 @@ class SimWorld:
     def inject(self, payload: bytes) -> Response:
         self.exec_count += 1
         self.tick += 1
-        if self._permanent or self._recoverable or (self._temporaries and self.active_latch()):
+        if self._permanent or self._recoverable or self._down_until > self.tick:
             return _DOWN_REPLY
         # No latch is active, and neither an unmatched payload nor an ok row
         # sets one: those replies are IN_SERVICE, built once.
@@ -314,7 +304,7 @@ class SimWorld:
         row = self._rows[i]
         if row.effect == "temporary_crash":
             after = row.args[0] if row.args else self.config.default_recover_after
-            self._temporaries.append(self.tick + after)
+            self._down_until = self.tick + after
         elif row.effect == "recoverable_crash":
             self._recoverable = True
         elif row.effect == "permanent_crash":

@@ -13,7 +13,7 @@ channel filter, are the rows of the one table ``IO_APIS``.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .callgraph import CallGraph, caller_args
 from .ir import NONCONST_SPACES, Function, IRProgram, Varnode, def_step, format_site
@@ -89,8 +89,10 @@ class PayloadBytes:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        assert len(self.data) == len(self.mask)
-        assert all(self.data[i] == 0 for i, m in enumerate(self.mask) if m == "d")
+        if len(self.data) != len(self.mask):
+            raise ValueError(f"payload has {len(self.data)} bytes but its mask {len(self.mask)}")
+        if any(self.data[i] for i, m in enumerate(self.mask) if m == "d"):
+            raise ValueError(f"dynamic payload bytes must be 00: {self.data.hex()} {self.mask}")
 
     @property
     def is_static(self) -> bool:
@@ -108,7 +110,7 @@ def payload_hex(pb: PayloadBytes) -> str:
 _HEX_BYTES = {a + b: int(a + b, 16) for a in string.hexdigits for b in string.hexdigits}
 
 
-def parse_payload_hex(text: str, length_source: LengthSource | None = None) -> PayloadBytes:
+def parse_payload_hex(text: str) -> PayloadBytes:
     """Bytes as ``payload_hex`` writes them: each token is exactly two hex
     digits, or ``..`` for a dynamic byte."""
     data = bytearray()
@@ -122,37 +124,39 @@ def parse_payload_hex(text: str, length_source: LengthSource | None = None) -> P
             mask.append("s")
         else:
             raise ValueError(f"bad payload byte {tok!r}")
-    return PayloadBytes(bytes(data), "".join(mask), length_source or LengthSource("unknown"))
+    return PayloadBytes(bytes(data), "".join(mask), LengthSource("unknown"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaintTrace:
+    """One backward walk along one path of callers: it ends at ``terminator``
+    (complete), or stops early and gives its ``reason``."""
+
     query: TaintQuery
     # (fn, site-in-that-frame) leaf-first; site of frame 0 is the query site,
     # later entries carry the call site into the previous frame.
-    frames: list[tuple[str, tuple[str, int, int]]] = field(default_factory=list)
+    frames: tuple[tuple[str, tuple[str, int, int]], ...]
     terminator: tuple | None = None
-    sinks: list[Sink] = field(default_factory=list)
-    complete: bool = False
     reason: str | None = None
 
     @property
+    def complete(self) -> bool:
+        return self.reason is None
+
+    @property
     def root(self) -> str | None:
-        if self.query.direction == "forward":
-            return self.sinks[0].fn if self.sinks else None
-        return self.frames[-1][0] if self.complete and self.frames else None
+        return self.frames[-1][0] if self.complete else None
 
 
-def find_sources(p: IRProgram, direction: str | None = None) -> list[TaintQuery]:
+def find_sources(p: IRProgram) -> list[TaintQuery]:
     """Every CALL to a backward or forward API, as a TaintQuery."""
-    wanted = ("backward", "forward") if direction is None else (direction,)
     out = []
     for f in p.functions:
         for bid, idx, ins in f.linear():
             if ins.op != "CALL" or ins.callee not in IO_APIS:
                 continue
             role = IO_APIS[ins.callee][0]
-            if role in wanted:
+            if role in ("backward", "forward"):
                 out.append(TaintQuery(site=(f.id, bid, idx), api=ins.callee, direction=role))
     out.sort(key=lambda q: q.site)
     return out
@@ -169,17 +173,15 @@ def backward_taint(p: IRProgram, cg: CallGraph, q: TaintQuery) -> list[TaintTrac
     """Trace the payload argument backward from the query site. Fan-in at
     function entries follows every caller, so one site may terminate in
     several root frames; each root yields its own trace. Incomplete walks
-    are returned too (complete=False) so callers can surface diagnostics.
+    are returned too (with a reason) so callers can surface diagnostics.
     """
     f = p.fn(q.site[0])
     _role, _fd, buf, _length = IO_APIS[q.api]
     v, start = f.arg_at(q.site[1], q.site[2], buf)
     if v is None:
-        return [
-            TaintTrace(q, frames=[(f.id, q.site)], complete=False, reason="arg-missing")
-        ]
+        return [TaintTrace(q, ((f.id, q.site),), reason="arg-missing")]
     results: list[TaintTrace] = []
-    _walk_back(p, cg, q, f, v, start, [(f.id, q.site)], frozenset([f.id]), results)
+    _walk_back(p, cg, q, f, v, start, ((f.id, q.site),), results)
     return results
 
 
@@ -188,9 +190,9 @@ def backward_taint(p: IRProgram, cg: CallGraph, q: TaintQuery) -> list[TaintTrac
 _BUFFER_WALK = frozenset(("reg", "ram", "unique"))
 
 
-def _walk_back(p, cg, q, f: Function, v: Varnode, pos: int, frames, visited, results):
+def _walk_back(p, cg, q, f: Function, v: Varnode, pos: int, frames, results):
     def end(term=None, reason=None):
-        results.append(TaintTrace(q, list(frames), term, complete=reason is None, reason=reason))
+        results.append(TaintTrace(q, frames, term, reason))
 
     while True:
         v, pos, d = def_step(f, v, pos, _BUFFER_WALK)
@@ -207,15 +209,14 @@ def _walk_back(p, cg, q, f: Function, v: Varnode, pos: int, frames, visited, res
             if not callers:
                 return end(reason="no-callers")
             for e, cf, a, cpos in callers:
-                if e.caller in visited:
+                if any(fn == e.caller for fn, _ in frames):
                     continue  # cycle cut
                 if len(frames) >= MAX_FRAMES:
                     end(reason="depth-bound")
                 elif a is None:
                     end(reason="arg-mismatch")
                 else:
-                    _walk_back(p, cg, q, cf, a, cpos, frames + [(e.caller, e.site)],
-                               visited | {e.caller}, results)
+                    _walk_back(p, cg, q, cf, a, cpos, frames + ((e.caller, e.site),), results)
             return
         pos, dins = d
         if dins.op not in ("INT_ADD", "INT_SUB"):
@@ -230,15 +231,13 @@ def _walk_back(p, cg, q, f: Function, v: Varnode, pos: int, frames, visited, res
 # ---------------------------------------------------------------------------
 # Forward
 
-def forward_taint(p: IRProgram, cg: CallGraph, q: TaintQuery) -> TaintTrace:
-    """Push taint from a read-family site into comparison sinks. Calls are
-    followed (direct and recovered virtual), each function analyzed at most
-    once per trace, depth bounded."""
+def forward_taint(p: IRProgram, cg: CallGraph, q: TaintQuery) -> list[Sink]:
+    """The comparison sinks that taint from a read-family site reaches,
+    sorted by function and location. Calls are followed (direct and
+    recovered virtual), each function analyzed at most once, depth bounded."""
     f = p.fn(q.site[0])
     ins = f.block(q.site[1]).instructions[q.site[2]]
     args = ins.args
-    trace = TaintTrace(q, frames=[(f.id, q.site)])
-    visited: set[str] = set()
     sinks: list[Sink] = []
 
     seeds = set()
@@ -254,11 +253,9 @@ def forward_taint(p: IRProgram, cg: CallGraph, q: TaintQuery) -> TaintTrace:
     if ins.output is not None:
         seeds.add(ins.output)  # bytes-read count carries CP data length
 
-    _flow_forward(p, cg, f, seeds, regions, visited, sinks, depth=0)
+    _flow_forward(p, cg, f, seeds, regions, set(), sinks, depth=0)
     sinks.sort(key=lambda s: (s.fn, s.loc))
-    trace.sinks = sinks
-    trace.complete = True
-    return trace
+    return sinks
 
 
 def _overlaps(v: Varnode, regions) -> bool:
@@ -390,7 +387,9 @@ def concretize_payload(p: IRProgram, trace: TaintTrace) -> PayloadBytes:
     dynamic mask, by abstract interpretation of the root frame in block
     order. Constant stores become static bytes; values derived from
     parameters or call results become dynamic placeholders (0x00)."""
-    assert trace.complete and trace.query.direction == "backward"
+    if not trace.complete or trace.query.direction != "backward":
+        raise ValueError(f"concretize_payload needs a complete backward trace, not a "
+                         f"{trace.query.direction} one stopped by {trace.reason}")
     term = trace.terminator
     _role, _fd, _buf, length_arg = IO_APIS[trace.query.api]
     ws = p.word_size
@@ -429,7 +428,7 @@ def concretize_payload(p: IRProgram, trace: TaintTrace) -> PayloadBytes:
         length_source = LengthSource("constant-arg", length_abs[1])
         length = length_abs[1]
     elif length_abs[0] == "root-varnode":
-        kind, bound = emu.classify_length(length_abs[1], length_abs[2])
+        kind, bound = emu.classify_length(length_abs[1])
         if kind == "const":
             length_source = LengthSource("constant-arg", bound)
             length = bound
@@ -459,7 +458,7 @@ def concretize_payload(p: IRProgram, trace: TaintTrace) -> PayloadBytes:
 
 def _length_along_trace(p, trace, len_idx):
     """Map the length argument from the query site up the recorded frames.
-    Returns ("const", n), ("root-varnode", varnode, pos) or ("unknown",)."""
+    Returns ("const", n), ("root-varnode", folded varnode) or ("unknown",)."""
     if len_idx is None:
         return ("unknown",)
     frames = trace.frames
@@ -472,7 +471,7 @@ def _length_along_trace(p, trace, len_idx):
         if v.is_const:
             return ("const", v.offset)
         if fi == len(frames) - 1:
-            return ("root-varnode", v, pos)
+            return ("root-varnode", v)
         k = f.param_index(v)
         if k is None or d is not None:
             return ("unknown",)
@@ -612,10 +611,10 @@ class _FrameEmu:
         else:
             self.env[out] = val
 
-    def classify_length(self, v: Varnode, pos: int) -> tuple[str, int | None]:
+    def classify_length(self, v: Varnode) -> tuple[str, int | None]:
         """Classify the root-frame length expression: constant, strlen with
         a clamp bound, or unknown."""
-        val = self._eval_expr(v, pos)
+        val = self._value(v)
         if val[0] == "const":
             return ("const", val[1])
         if "strlen" in val[0]:
@@ -624,6 +623,3 @@ class _FrameEmu:
             if self.strlen_bounds:
                 return ("strlen", min(self.strlen_bounds))
         return ("unknown", None)
-
-    def _eval_expr(self, v: Varnode, pos: int) -> tuple:
-        return self._value(_fold_within(self.f, v, pos)[0])

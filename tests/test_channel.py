@@ -11,7 +11,6 @@ from rilmine import channel, oracle
 from rilmine.channel import (
     FilterConfig,
     filter_commands,
-    match_device_path,
     resolve_channel,
 )
 from rilmine.fixtures import (
@@ -59,16 +58,17 @@ def test_device_pattern_literal_is_frozen():
     ("", False),
 ])
 def test_device_path_match_cases(path, ok):
-    assert match_device_path(path) is ok
+    assert (FilterConfig().pattern().fullmatch(path) is not None) is ok
 
 
 def test_device_path_match_agrees_with_the_oracle_pattern():
     # Every string over a small alphabet after each of a few prefixes.
     tails = ["".join(t) for n in range(7) for t in product("/ a\n", repeat=n)]
+    match = FilterConfig().pattern().fullmatch
     for head in ("", "/", "/de", "/dev", "/dev/", "dev/", "/dev/a", "/dev//"):
         for tail in tails:
             path = head + tail
-            assert match_device_path(path) is bool(oracle._DEV_RE.fullmatch(path)), path
+            assert bool(match(path)) is bool(oracle._DEV_RE.fullmatch(path)), path
 
 
 def test_long_non_device_path_is_discarded_at_once():
@@ -141,7 +141,7 @@ def test_member_held_fd_resolves_through_constructor_store():
     cg, db, _ = _run(p)
     site = ("IoChannel::Write", 0, 2)
     res = resolve_channel(p, cg, site, fd_arg_index=0)
-    assert (res.verdict, res.origin, res.path) == ("keep", "open", "/dev/umts_ipc0")
+    assert (res.reason, res.path) == (None, "/dev/umts_ipc0")
     assert db.records[0].channel_path == "/dev/umts_ipc0"
 
 
@@ -274,7 +274,6 @@ def test_fd_trace_depth_is_bounded():
     cg, _, _ = _run(p)
     res = resolve_channel(p, cg, ("IoChannel::Write", 0, 2), 0,
                           config=FilterConfig(fd_depth=1))
-    assert res.verdict == "discard"
     assert res.reason == "depth-bound"
 
 
@@ -359,7 +358,7 @@ def test_each_open_call_keeps_a_device_fd(api):
     p = _tx(I("CALL", U(0), (C(0x2010), C(0)), callee=api), externals=("write", api))
     cg, db, report = _run(p)
     res = resolve_channel(p, cg, ("tx", 0, 1), 0)
-    assert (res.verdict, res.origin, res.path) == ("keep", "open", "/dev/umts_ipc0")
+    assert (res.reason, res.path) == (None, "/dev/umts_ipc0")
     want = {("solicited", "write", "tx", "61 62 63", "/dev/umts_ipc0")}
     assert db_signatures(db) == oracle.analyze(p).commands == want
 
@@ -391,7 +390,7 @@ def test_each_fd_walk_branch_gives_its_discard_reason(reason):
     cg = build_direct_cg(p)
     recover_vcalls(p, cg)
     res = resolve_channel(p, cg, ("tx", 0, len(p.fn("tx").blocks[0].instructions) - 2), 0)
-    assert (res.verdict, res.origin, res.reason) == ("discard", "unknown", reason)
+    assert (res.reason, res.path) == (reason, None)
     _, report = filter_commands(p, cg)
     assert reason in {r for _, r, _ in report.discards}
 

@@ -247,11 +247,36 @@ def test_a_worker_that_dies_costs_only_its_own_input(death, tmp_path, capsys, mo
     assert [line.split("\t")[0] for line in out.splitlines()] == ["fig2"]
     assert sorted(artifacts) == ["fig2.cmdb.json", "fig2.cmdb.tsv", "fig2.report.txt"]
     if death == "raise":
-        assert err.startswith(f"error: {victim}: worker raised\nTraceback")
+        assert err.startswith(f"error: {victim}: raised\nTraceback")
         assert err.endswith("RuntimeError: boom\n")
     else:
         assert err == (f"error: {victim}: worker process was killed by signal "
                        f"{int(signal.SIGKILL)} before it reported\n")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_an_input_that_raises_in_this_process_costs_only_itself(cpus, tmp_path, capsys,
+                                                                 monkeypatch):
+    _gen(capsys, tmp_path, "fig2")
+    victim = tmp_path / "victim.ir.json"
+    victim.write_text((tmp_path / "fig2.ir.json").read_text())
+    parent = os.getpid()
+    analyze_one = cli._analyze_one
+
+    def raising(path, *rest):
+        if path == str(victim) and os.getpid() == parent:
+            raise RecursionError("deep")
+        return analyze_one(path, *rest)
+
+    monkeypatch.setattr(cli, "_analyze_one", raising)
+    # at 2 CPUs the first task goes to a worker and this process runs the second
+    (code, out, err, artifacts), forks = _analyze_on(
+        cpus, tmp_path, capsys, monkeypatch, [str(tmp_path / "fig2.ir.json"), str(victim)])
+    assert (code, forks) == (1, cpus - 1)
+    assert [line.split("\t")[0] for line in out.splitlines()] == ["fig2"]
+    assert sorted(artifacts) == ["fig2.cmdb.json", "fig2.cmdb.tsv", "fig2.report.txt"]
+    assert err.startswith(f"error: {victim}: raised\nTraceback")
+    assert err.endswith("RecursionError: deep\n")
 
 
 def test_out_dir_falls_back_to_environment(tmp_path, capsys, monkeypatch):

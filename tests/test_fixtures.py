@@ -13,6 +13,7 @@ import pytest
 from rilmine import oracle
 from rilmine.fixtures import (
     _NOUN_POOL,
+    _RAND_FIXED_FUNCTIONS,
     _VERB_POOL,
     CRASH_SUITE,
     _fresh_name,
@@ -109,6 +110,17 @@ def test_fresh_name_raises_once_a_class_has_every_name():
     assert rng.getstate() == state  # the check drew nothing
     # another class still has all of its names
     assert _fresh_name(rng, used, "IpcProtocol41Net", "Net").startswith("IpcTxNet")
+
+
+def test_random_programs_keep_every_budget_from_the_fixed_part_up():
+    for budget in (0, 5, _RAND_FIXED_FUNCTIONS - 1):
+        with pytest.raises(ValueError, match=re.escape(
+                f"needs max_functions >= {_RAND_FIXED_FUNCTIONS}, not {budget}")):
+            gen_random(seed=0, max_functions=budget)
+    for budget in range(_RAND_FIXED_FUNCTIONS, 61):
+        for seed in range(200):
+            p, _ = gen_random(seed=seed, max_functions=budget)
+            assert len(p.functions) <= budget, (seed, budget)
 
 
 @pytest.mark.parametrize("call,bad", [

@@ -67,9 +67,10 @@ def test_probe_window_is_twice_the_default_recovery():
                    default_recover_after=3, reboot_ticks=6)
     report = probe_command(world, bytes([0x07]))
     assert report.crash_class == "recoverable"
+    # the same latch inside a window of 12
     world2 = _world([BehaviorRow((0x07,), False, "temporary_crash", (10,))],
-                    default_recover_after=3, reboot_ticks=6)
-    assert probe_command(world2, bytes([0x07]), window=12).crash_class == "temporary"
+                    default_recover_after=6, reboot_ticks=6)
+    assert probe_command(world2, bytes([0x07])).crash_class == "temporary"
 
 
 def test_probe_states_trace_the_decision_path():

@@ -4,10 +4,15 @@ import gc
 import json
 import pickle
 import weakref
+from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rilmine import cli, ir
+from rilmine.callgraph import build_direct_cg, recover_vcalls
+from rilmine.channel import filter_commands
 from rilmine.fixtures import (
     C,
     I,
@@ -16,6 +21,7 @@ from rilmine.fixtures import (
     U,
     block,
     build_program,
+    db_signatures,
     func,
     gen_fig2,
     gen_fig4,
@@ -617,6 +623,52 @@ def test_subclass_and_ancestor_order():
     assert p.ancestors("IpcProtocol41") == ["IpcProtocol"]
 
 
+def _ancestors_recursive(p, name, seen):
+    """The recursive walk ``ancestors`` replaced: each parent after its own
+    ancestors, in parent order."""
+    c = next((c for c in p.classes if c.name == name), None)
+    for q in c.parents if c is not None else ():
+        _ancestors_recursive(p, q, seen)
+        if q not in seen:
+            seen.append(q)
+    return seen
+
+
+@st.composite
+def _hierarchies(draw):
+    """Classes K0..Kn-1 in any declaration order, each with parents drawn
+    from the classes before it (so acyclic, with diamonds) or an unknown
+    name."""
+    n = draw(st.integers(1, 12))
+    names = [f"K{i}" for i in range(n)]
+    classes = [ir.ClassInfo(f"K{i}", parents=draw(st.lists(
+        st.sampled_from(names[:i] + ["Ghost"]), unique=True, max_size=3))) for i in range(n)]
+    return ir.IRProgram(name="p", classes=draw(st.permutations(classes)))
+
+
+@given(_hierarchies())
+def test_ancestors_match_the_recursive_walk(p):
+    for c in p.classes:
+        assert p.ancestors(c.name) == _ancestors_recursive(p, c.name, []), c.name
+    assert p.ancestors("Ghost") == []
+
+
+def test_a_deep_class_hierarchy_mines_like_a_shallow_one():
+    # IpcProtocol under 1,500 more classes: past the default recursion limit
+    p, m = gen_fig2()
+    n = 1500
+    chain = [ir.ClassInfo(f"Base{i}", parents=[f"Base{i + 1}"] if i + 1 < n else [])
+             for i in range(n)]
+    classes = [replace(c, parents=["Base0"]) if c.name == "IpcProtocol" else c
+               for c in p.classes]
+    deep = ir.load_program(ir.serialize(replace(p, classes=classes + chain)))
+    assert len(deep.ancestors("IpcProtocol41")) == n + 1
+    cg = build_direct_cg(deep)
+    recover_vcalls(deep, cg)
+    db, _ = filter_commands(deep, cg)
+    assert db_signatures(db) == m.command_signatures()
+
+
 def test_subclasses_come_in_discovery_order_not_declaration_order():
     p = ir.IRProgram(name="p", classes=[
         ir.ClassInfo("C", parents=["B"]), ir.ClassInfo("B", parents=["A"]),
@@ -713,7 +765,8 @@ def test_format_site_shape():
 def test_fixture_builder_rejects_broken_programs():
     bad = func("f", stack=8, blocks=[block(0, [I("COPY", S(4, 8), (C(0),)),
                                                I("RETURN")])])
-    with pytest.raises(AssertionError):
+    # a ValueError, not an assert, so that python -O keeps the check
+    with pytest.raises(ValueError, match=r"fixture bug in broken: \['\[stack-bounds\]"):
         build_program("broken", functions=[bad])
 
 

@@ -170,7 +170,6 @@ def test_crash_rows_silence_the_modem():
         w = world(row([7], effect))
         r = w.inject(bytes([7]))
         assert r.code is None and r.state == OUT_OF_SERVICE
-        assert not r.responded
 
 
 def test_out_of_service_swallows_further_commands():
@@ -183,7 +182,7 @@ def test_out_of_service_swallows_further_commands():
 
 def test_latch_dominance_orders_severity():
     w = world()
-    w._temporaries.append(w.tick + 100)
+    w._down_until = w.tick + 100
     assert w.active_latch() == "temporary"
     w._recoverable = True
     assert w.active_latch() == "recoverable"
@@ -252,28 +251,61 @@ def test_advance_rejects_a_negative_step():
     assert w.query_state() == IN_SERVICE
 
 
-class _QueryStateWorld(SimWorld):
-    """A world whose inject decides with query_state() before anything else:
-    the rule the inline latch check in SimWorld.inject must keep."""
+class _QueryStateWorld:
+    """Reference model of the latch rules. It keeps the expiry tick of every
+    temporary crash in a list, finds rows by a scan of ``BehaviorRow.matches``,
+    and decides each injection with query_state() before anything else: the
+    answers SimWorld's one expiry tick and inline latch check must give."""
+
+    def __init__(self, config):
+        self.config = config
+        self.tick = 0
+        self.exec_count = 0
+        self.temporaries: list[int] = []  # expiry ticks
+        self.recoverable = False
+        self.permanent = False
+
+    def active_latch(self):
+        if self.permanent:
+            return "permanent"
+        if self.recoverable:
+            return "recoverable"
+        if any(t > self.tick for t in self.temporaries):
+            return "temporary"
+        return None
+
+    def query_state(self):
+        return OUT_OF_SERVICE if self.active_latch() else IN_SERVICE
+
+    def advance(self, n):
+        self.tick += n
+
+    def reboot(self):
+        self.tick += self.config.reboot_ticks
+        self.recoverable = False
+
+    def reflash(self):
+        self.tick += self.config.reboot_ticks
+        self.temporaries.clear()
+        self.recoverable = self.permanent = False
 
     def inject(self, payload):
         self.exec_count += 1
         self.tick += 1
         if self.query_state() == OUT_OF_SERVICE:
             return Response(None, OUT_OF_SERVICE)
-        i = next((k for k, r in enumerate(self._rows) if r.matches(payload)), None)
-        if i is None:
+        r = next((r for r in self.config.rows if r.matches(payload)), None)
+        if r is None:
             return Response(RSP_UNKNOWN, IN_SERVICE)
-        r = self._rows[i]
         if r.effect == "ok":
             return Response(r.args[0] if r.args else RSP_OK, IN_SERVICE)
         if r.effect == "temporary_crash":
-            self._temporaries.append(
+            self.temporaries.append(
                 self.tick + (r.args[0] if r.args else self.config.default_recover_after))
         elif r.effect == "recoverable_crash":
-            self._recoverable = True
+            self.recoverable = True
         else:
-            self._permanent = True
+            self.permanent = True
         return Response(None, self.query_state())
 
 
@@ -385,6 +417,16 @@ def test_parse_rows_and_comments():
 def test_parse_rejects_malformed_lines(text, msg):
     with pytest.raises(SimConfigError, match=re.escape(msg)):
         parse_sim_config(text)
+
+
+def test_decimal_values_are_ascii_digits_only():
+    # int() reads each of these, and to_text would write it back in another form
+    text = "recover_after = +7\nreboot_ticks = 1_0\n07 -> temporary_crash(\u0663)\n08 -> ok( 9)\n"
+    lines = text.splitlines()
+    for n, what in enumerate(["recover_after '+7'", "reboot_ticks '1_0'",
+                              "effect argument '\u0663'", "effect argument ' 9'"], 1):
+        with pytest.raises(SimConfigError, match=re.escape(f"line {n}: bad {what}")):
+            parse_sim_config("\n" * (n - 1) + lines[n - 1])
 
 
 @pytest.mark.parametrize("key", ["dotdot_check", "symlink_check"])

@@ -69,10 +69,10 @@ def test_fortified_variants_canonicalize():
 def test_find_sources_lists_io_calls_sorted():
     p, _ = gen_fig2()
     qs = find_sources(p)
-    assert [(q.api, q.site[0]) for q in qs] == [("write", "IoChannel::Write")]
-    assert find_sources(p, direction="forward") == []
+    assert [(q.api, q.site[0], q.direction) for q in qs] == [
+        ("write", "IoChannel::Write", "backward")]
     p5, _ = gen_fig5()
-    assert [q.api for q in find_sources(p5, direction="forward")] == ["read"]
+    assert [(q.api, q.direction) for q in find_sources(p5)] == [("read", "forward")]
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +208,13 @@ def test_immediate_request_code_becomes_word_payload():
 
 def test_forward_taint_recovers_dispatch_table():
     p, m = gen_fig5(n_handlers=3)
-    q = find_sources(p, direction="forward")[0]
-    t = forward_taint(p, _cg(p), q)
-    assert t.complete
-    got = {(s.constant, s.handler) for s in t.sinks}
+    (q,) = find_sources(p)
+    sinks = forward_taint(p, _cg(p), q)
+    got = {(s.constant, s.handler) for s in sinks}
     assert got == {(0x11, "Nv::ProcessOpenFile"), (0x12, "Nv::ProcessNvRead"),
                    (0x13, "Nv::ProcessNvWrite")}
-    assert all(s.fn == "Nv::ProcessRfsPacket" for s in t.sinks)
-    assert t.root == "Nv::ProcessRfsPacket"
+    assert all(s.fn == "Nv::ProcessRfsPacket" for s in sinks)
+    assert sinks == sorted(sinks, key=lambda s: (s.fn, s.loc))
 
 
 def test_notequal_guard_dispatches_on_fallthrough_successor():
@@ -236,8 +235,8 @@ def test_notequal_guard_dispatches_on_fallthrough_successor():
     ])
     p = build_program("ne", functions=[main, disp, ret_stub("handle7", params=(("pkt", "bytes"),))],
                       externals=["read"])
-    t = forward_taint(p, _cg(p), find_sources(p, direction="forward")[0])
-    assert [(s.constant, s.handler) for s in t.sinks] == [(7, "handle7")]
+    sinks = forward_taint(p, _cg(p), find_sources(p)[0])
+    assert [(s.constant, s.handler) for s in sinks] == [(7, "handle7")]
 
 
 def test_literal_arguments_do_not_seed_forward_taint():
@@ -250,8 +249,7 @@ def test_literal_arguments_do_not_seed_forward_taint():
         block(2, [I("RETURN")]),
     ])
     p = build_program("lit", functions=[main, ret_stub("lucky")], externals=["read"])
-    t = forward_taint(p, _cg(p), find_sources(p, direction="forward")[0])
-    assert t.sinks == []
+    assert forward_taint(p, _cg(p), find_sources(p)[0]) == []
 
 
 def test_store_taints_the_width_of_the_stored_value():
@@ -271,8 +269,8 @@ def test_store_taints_the_width_of_the_stored_value():
     p = build_program("wide", functions=[poll, ret_stub("handle5")],
                       data=[(0x2000, b"/dev/umts_ipc0\x00")], externals=["open", "read"])
     cg = _cg(p)
-    t = forward_taint(p, cg, find_sources(p, direction="forward")[0])
-    assert [(s.constant, s.handler) for s in t.sinks] == [(5, "handle5")]
+    sinks = forward_taint(p, cg, find_sources(p)[0])
+    assert [(s.constant, s.handler) for s in sinks] == [(5, "handle5")]
     db, _ = filter_commands(p, cg)
     want = {("unsolicited", "read", "poll", 5, "handle5", "/dev/umts_ipc0")}
     assert db_signatures(db) == oracle.analyze(p).commands == want
@@ -332,8 +330,11 @@ def test_payload_hex_round_trip(cells):
 
 
 def test_dynamic_bytes_must_be_zeroed():
-    with pytest.raises(AssertionError):
+    # ValueErrors, not asserts, so that python -O keeps the checks
+    with pytest.raises(ValueError, match="dynamic payload bytes must be 00: 41 d"):
         PayloadBytes(b"\x41", "d", LengthSource("unknown"))
+    with pytest.raises(ValueError, match="payload has 2 bytes but its mask 1"):
+        PayloadBytes(b"\x41\x00", "s", LengthSource("unknown"))
 
 
 # ---------------------------------------------------------------------------
@@ -379,5 +380,7 @@ _TAINT_REASONS = {
 def test_each_backward_walk_branch_gives_its_reason(reason):
     p = _TAINT_REASONS[reason]()
     traces = backward_taint(p, _cg(p), find_sources(p)[0])
-    assert [(t.complete, t.reason) for t in traces] == [(False, reason)]
+    assert [(t.complete, t.reason, t.root) for t in traces] == [(False, reason, None)]
     assert traces[0].frames[0] == ("tx", find_sources(p)[0].site)
+    with pytest.raises(ValueError, match=f"stopped by {reason}"):
+        concretize_payload(p, traces[0])
