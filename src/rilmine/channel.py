@@ -240,8 +240,10 @@ def resolve_channel(p: IRProgram, cg: CallGraph, site: tuple[str, int, int],
 
 @dataclass
 class AnalysisReport:
-    sites_total: int = 0
-    kept: int = 0
+    """What ``filter_commands`` did with each I/O site. Every site is either
+    discarded or traced in one direction, so the kept and total site counts
+    are derived from the discards and the per-direction taint runs."""
+
     backward_runs: int = 0
     forward_runs: int = 0
     incomplete_traces: int = 0
@@ -249,11 +251,19 @@ class AnalysisReport:
     discards: list[tuple[str, str, str | None]] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
 
+    @property
+    def kept(self) -> int:
+        return self.backward_runs + self.forward_runs
+
+    @property
+    def sites_total(self) -> int:
+        return self.kept + len(self.discards)
+
     def to_text(self) -> str:
         lines = [
             f"sites_total={self.sites_total}",
             f"kept={self.kept}",
-            f"taint_runs={self.backward_runs + self.forward_runs}",
+            f"taint_runs={self.kept}",
             f"incomplete_traces={self.incomplete_traces}",
             f"records={self.records}",
         ]
@@ -274,13 +284,11 @@ def filter_commands(p: IRProgram, cg: CallGraph, binary: str | None = None,
     db = CommandDB(binary, provenance=config.hash())
     report = AnalysisReport()
     for q in find_sources(p):
-        report.sites_total += 1
         _role, fd, _buf, _length = IO_APIS[q.api]
         res = resolve_channel(p, cg, q.site, fd, config)
         if res.reason is not None:
             report.discards.append((q.site_str, res.reason, res.path))
             continue
-        report.kept += 1
         if q.direction == "backward":
             report.backward_runs += 1
             for t in backward_taint(p, cg, q):
@@ -293,21 +301,18 @@ def filter_commands(p: IRProgram, cg: CallGraph, binary: str | None = None,
                 payload = concretize_payload(p, t)
                 for n in payload.notes:
                     report.diagnostics.append(f"{q.site_str}: {n}")
-                rec = make_record(
+                db.add(make_record(
                     binary, "solicited", q.api, q.site_str, t.root,
                     payload=payload, channel_path=res.path,
                     filter_tokens=config.filter_tokens,
-                )
-                if db.add(rec):
-                    report.records += 1
+                ))
         else:
             report.forward_runs += 1
             for sink in forward_taint(p, cg, q):
-                rec = make_record(
+                db.add(make_record(
                     binary, "unsolicited", q.api, q.site_str, sink.fn,
                     constant=sink.constant, handler=sink.handler,
                     channel_path=res.path, filter_tokens=config.filter_tokens,
-                )
-                if db.add(rec):
-                    report.records += 1
+                ))
+    report.records = len(db.records)
     return db, report

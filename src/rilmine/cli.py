@@ -207,8 +207,6 @@ def _cmd_analyze(args) -> int:
         except ValueError as e:
             print(f"error: {args.filter_config}: {e}", file=sys.stderr)
             return 1
-    if args.keep_socket:
-        config.keep_socket = True
     out = _out_dir(args)
 
     inputs: list[str] = []
@@ -375,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="IR json files, or a firmware directory to locate")
     a.add_argument("--out", default=None, help="output directory (or $RILMINE_OUT)")
     a.add_argument("--filter-config", default=None, help="filter config json")
-    a.add_argument("--keep-socket", action="store_true",
-                   help="keep socket-backed I/O sites")
     a.set_defaults(fn=_cmd_analyze)
 
     d = sub.add_parser("diff", help="compare two command databases")

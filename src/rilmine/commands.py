@@ -68,6 +68,10 @@ def classify_module(symbol: str, filter_tokens=DEFAULT_FILTER_TOKENS) -> str:
 
 @dataclass
 class CommandRecord:
+    """One recovered command. A solicited record carries its ``payload``, an
+    unsolicited one the compared ``constant`` and its ``handler``; ``kind``
+    is derived from the payload."""
+
     binary: str
     direction: str  # "solicited" | "unsolicited"
     api: str
@@ -78,7 +82,11 @@ class CommandRecord:
     constant: int | None = None  # unsolicited
     handler: str | None = None  # unsolicited
     channel_path: str | None = None
-    kind: str = "static"  # "static" | "hybrid"
+
+    @property
+    def kind(self) -> str:
+        """``hybrid`` when the payload has a dynamic byte, else ``static``."""
+        return "hybrid" if self.payload is not None and not self.payload.is_static else "static"
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -97,9 +105,6 @@ class CommandRecord:
 def make_record(binary, direction, api, site, root_function, *, payload=None,
                 constant=None, handler=None, channel_path=None,
                 filter_tokens=DEFAULT_FILTER_TOKENS) -> CommandRecord:
-    kind = "static"
-    if payload is not None and not payload.is_static:
-        kind = "hybrid"
     return CommandRecord(
         binary=binary,
         direction=direction,
@@ -111,7 +116,6 @@ def make_record(binary, direction, api, site, root_function, *, payload=None,
         constant=constant,
         handler=handler,
         channel_path=channel_path,
-        kind=kind,
     )
 
 
@@ -185,15 +189,13 @@ def save_db(db: CommandDB) -> str:
 def load_db(text: str) -> CommandDB:
     """Parse a ``.cmdb.tsv``. A malformed row raises ValueError naming its
     line."""
-    binary = ""
-    provenance = ""
     db = None
     for lineno, line in enumerate(text.splitlines(), 1):
         if line.startswith("# binary="):
-            head = line[2:].split()
-            binary = head[0].split("=", 1)[1]
-            provenance = head[1].split("=", 1)[1] if len(head) > 1 else ""
-            db = CommandDB(binary, provenance)
+            # the binary name may hold spaces; the provenance hash never does
+            head = line[len("# binary="):]
+            binary, sep, provenance = head.rpartition(" provenance=")
+            db = CommandDB(binary, provenance) if sep else CommandDB(head)
             continue
         if not line or line.startswith("#"):
             continue
@@ -217,21 +219,22 @@ def load_db(text: str) -> CommandDB:
             handler = None if m.group(2) == "-" else m.group(2)
         else:
             raise ValueError(f"line {lineno}: unknown direction {direction!r}")
-        db.add(
-            CommandRecord(
-                binary=bin_,
-                direction=direction,
-                api=api,
-                site=site,
-                root_function=root,
-                module=module,
-                payload=payload,
-                constant=constant,
-                handler=handler,
-                channel_path=None if channel == "-" else channel,
-                kind=kind,
-            )
+        rec = CommandRecord(
+            binary=bin_,
+            direction=direction,
+            api=api,
+            site=site,
+            root_function=root,
+            module=module,
+            payload=payload,
+            constant=constant,
+            handler=handler,
+            channel_path=None if channel == "-" else channel,
         )
+        if kind != rec.kind:
+            raise ValueError(f"line {lineno}: kind {kind!r} disagrees with the payload, "
+                             f"which makes it {rec.kind!r}")
+        db.add(rec)
     return db if db is not None else CommandDB("", "")
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .commands import CommandDB, classify_module, make_record
 from .ir import (
@@ -114,31 +114,13 @@ class Manifest:
         return set(self.virtual_edges)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "program": self.program,
-                "seed": self.seed,
-                "params": self.params,
-                "virtual_edges": [list(e) for e in self.virtual_edges],
-                "commands": self.commands,
-                "unresolved": self.unresolved,
-                "discards": self.discards,
-            },
-            separators=(",", ":"),
-        )
+        return json.dumps(asdict(self), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "Manifest":
         d = json.loads(text)
-        return cls(
-            program=d["program"],
-            seed=d.get("seed"),
-            params=d.get("params", {}),
-            virtual_edges=[tuple(e) for e in d.get("virtual_edges", [])],
-            commands=d.get("commands", []),
-            unresolved=d.get("unresolved", []),
-            discards=d.get("discards", []),
-        )
+        d["virtual_edges"] = [tuple(e) for e in d["virtual_edges"]]
+        return cls(**d)
 
 
 def command_signature(c: dict) -> tuple:

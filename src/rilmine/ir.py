@@ -537,9 +537,7 @@ def _segment_from(obj) -> tuple[int, bytes]:
         raise _Bad(str(e)) from None
     except TypeError:
         raise _Bad("hex must be a string") from None
-    if not isinstance(addr, int):
-        raise _Bad("addr must be an int")
-    return addr, blob
+    return _typed(addr, int, "addr"), blob
 
 
 @contextmanager

@@ -22,6 +22,8 @@ import os
 import string
 from dataclasses import dataclass, field, replace
 
+from .taint import HEX_BYTES
+
 IN_SERVICE = "IN_SERVICE"
 OUT_OF_SERVICE = "OUT_OF_SERVICE"
 
@@ -98,15 +100,11 @@ def _int_at(lineno: int, what: str, tok: str, base: int = 10, lo: int = 0,
     return v
 
 
-# every token of exactly two hex digits, in either case, and its byte
-_HEX_BYTES = {a + b: int(a + b, 16) for a in string.hexdigits for b in string.hexdigits}
-
-
 def _byte_at(lineno: int, tok: str) -> int:
     """``tok`` as a matcher byte: exactly two hex digits, as ``to_text``
     writes them."""
-    if tok in _HEX_BYTES:
-        return _HEX_BYTES[tok]
+    if tok in HEX_BYTES:
+        return HEX_BYTES[tok]
     _int_at(lineno, "byte", tok, base=16, hi=0xFF)  # names a non-number or a value past ff
     raise SimConfigError(f"line {lineno}: bad byte {tok!r}")
 
@@ -162,6 +160,8 @@ def parse_sim_config(text: str) -> SimConfig:
         elif key == "reboot_ticks":
             cfg = replace(cfg, reboot_ticks=_int_at(lineno, "reboot_ticks", val))
         elif key == "sandbox_root":
+            if not val:
+                raise SimConfigError(f"line {lineno}: sandbox_root must not be empty")
             cfg = replace(cfg, sandbox_root=val)
         elif key == "dotdot_check":
             cfg = replace(cfg, dotdot_check=_bool_at(lineno, key, val))
@@ -207,7 +207,6 @@ class SimWorld:
     def __init__(self, config: SimConfig):
         self.config = config
         self.tick = 0
-        self.exec_count = 0
         self._down_until = 0  # temporary latch: active while > tick
         self._recoverable = False
         self._permanent = False
@@ -289,7 +288,6 @@ class SimWorld:
         return hit
 
     def inject(self, payload: bytes) -> Response:
-        self.exec_count += 1
         self.tick += 1
         if self._permanent or self._recoverable or self._down_until > self.tick:
             return _DOWN_REPLY
@@ -335,7 +333,7 @@ def nv_handle(config: SimConfig, req: NvRequest) -> NvResult:
     symlink_check is set, so the default config follows planted links out
     of the sandbox."""
     root = config.sandbox_root
-    if root is None:
+    if not root:  # "" would resolve paths against the working directory
         return NvResult("error", reason="no-sandbox-root")
     if req.op not in ("read", "write"):
         return NvResult("error", reason=f"bad-op:{req.op}")

@@ -49,9 +49,15 @@ def canonical_api(name: str) -> str:
 
 @dataclass(frozen=True)
 class TaintQuery:
+    """One call to a backward or forward API; its ``direction`` is the
+    API's role in ``IO_APIS``."""
+
     site: tuple[str, int, int]
     api: str
-    direction: str
+
+    @property
+    def direction(self) -> str:
+        return IO_APIS[self.api][0]
 
     @property
     def site_str(self) -> str:
@@ -107,7 +113,7 @@ def payload_hex(pb: PayloadBytes) -> str:
 
 
 # every token of exactly two hex digits, in either case, and its byte
-_HEX_BYTES = {a + b: int(a + b, 16) for a in string.hexdigits for b in string.hexdigits}
+HEX_BYTES = {a + b: int(a + b, 16) for a in string.hexdigits for b in string.hexdigits}
 
 
 def parse_payload_hex(text: str) -> PayloadBytes:
@@ -119,8 +125,8 @@ def parse_payload_hex(text: str) -> PayloadBytes:
         if tok == "..":
             data.append(0)
             mask.append("d")
-        elif tok in _HEX_BYTES:
-            data.append(_HEX_BYTES[tok])
+        elif tok in HEX_BYTES:
+            data.append(HEX_BYTES[tok])
             mask.append("s")
         else:
             raise ValueError(f"bad payload byte {tok!r}")
@@ -155,9 +161,8 @@ def find_sources(p: IRProgram) -> list[TaintQuery]:
         for bid, idx, ins in f.linear():
             if ins.op != "CALL" or ins.callee not in IO_APIS:
                 continue
-            role = IO_APIS[ins.callee][0]
-            if role in ("backward", "forward"):
-                out.append(TaintQuery(site=(f.id, bid, idx), api=ins.callee, direction=role))
+            if IO_APIS[ins.callee][0] in ("backward", "forward"):
+                out.append(TaintQuery(site=(f.id, bid, idx), api=ins.callee))
     out.sort(key=lambda q: q.site)
     return out
 

@@ -366,6 +366,23 @@ def test_diff_command_reports_firmware_drift(tmp_path, capsys):
     assert sum(1 for ln in out.splitlines() if ln.startswith("cur-only\t")) == 12
 
 
+def test_diff_reads_a_binary_name_with_a_space(tmp_path, capsys):
+    _gen(capsys, tmp_path, "fig2")
+    src = tmp_path / "my lib.ir.json"
+    (tmp_path / "fig2.ir.json").rename(src)
+    out_dir = tmp_path / "out"
+    code, _, _ = run(capsys, "analyze", str(src), "--out", str(out_dir))
+    assert code == 0
+    db = out_dir / "my lib.cmdb.tsv"
+    assert db.read_text().splitlines()[1].startswith("# binary=my lib provenance=")
+    code, out, err = run(capsys, "diff", str(db), str(db))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:3] == [
+        "# diff base=my lib cur=my lib",
+        "direction\tbase_total\tcur_total\tbase_unique\tcur_unique",
+        "solicited\t1\t1\t0\t0"]
+
+
 # ---------------------------------------------------------------------------
 # sim
 

@@ -35,7 +35,6 @@ def _solicited(root, data, binary="b", module=None, mask=None, channel="/dev/x")
         binary=binary, direction="solicited", api="write", site=f"{root}@0:0",
         root_function=root, module=module or classify_module(root),
         payload=pb, channel_path=channel,
-        kind="static" if pb.is_static else "hybrid",
     )
 
 
@@ -163,6 +162,19 @@ def test_load_rejects_malformed_rows():
         ["x", "solicted", "write", "f@0:0", "f", "m", "const=0x11;handler=h", "-", "static"]) + "\n"
     with pytest.raises(ValueError, match="^line 2: unknown direction 'solicted'$"):
         load_db(text)
+
+
+def test_load_db_rejects_a_kind_that_disagrees_with_the_payload():
+    for payload_col, kind, want in (("07 .. 01", "static", "hybrid"),
+                                    ("07 08", "hybrid", "static"),
+                                    ("const=0x11;handler=h", "hybrid", "static"),
+                                    ("07 08", "Static", "static")):
+        direction = "unsolicited" if payload_col.startswith("const") else "solicited"
+        text = "# binary=x provenance=\n" + "\t".join(
+            ["x", direction, "write", "f@0:0", "f", "m", payload_col, "-", kind]) + "\n"
+        with pytest.raises(ValueError, match=re.escape(
+                f"line 2: kind {kind!r} disagrees with the payload, which makes it {want!r}")):
+            load_db(text)
 
 
 def test_config_hash_is_stable_and_order_free():

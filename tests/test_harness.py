@@ -265,7 +265,7 @@ def test_campaign_corpus_grows_on_novel_responses():
     db.add(CommandRecord(
         binary="novel", direction="solicited", api="write",
         site="IpcTxStep@0:0", root_function="IpcTxStep", module="Step",
-        payload=pb, channel_path="/dev/umts_ipc0", kind="hybrid"))
+        payload=pb, channel_path="/dev/umts_ipc0"))
     cfg = SimConfig(rows=[
         BehaviorRow((5, 0xFF, 0x7F), False, "recoverable_crash", ()),
         BehaviorRow((5, 0xFF), True, "ok", (0x44,)),
@@ -286,7 +286,7 @@ def test_campaign_crash_does_not_leak_into_the_next_command():
     db.add(CommandRecord(
         binary="mutsuite", direction="solicited", api="write",
         site="IpcTxZzBenign@0:0", root_function="IpcTxZzBenign", module="Zz",
-        payload=pb, channel_path="/dev/umts_ipc0", kind="static"))
+        payload=pb, channel_path="/dev/umts_ipc0"))
     findings, stats = campaign(db, cfg, budget=10_000, seed=1)
     assert [(f.root_function, f.crash_type, f.source) for f in findings] == [
         ("IpcTxSimSetStatus", "permanent", "mutation")]

@@ -188,10 +188,12 @@ def test_malformed_structure_is_a_parse_error_with_field_path(path, value, messa
      "functions[4].params[1].name: must be a string, not int"),
     (("classes", 2, "vtable_addr"), "zz", "classes[2].vtable_addr: must be an int, not str"),
     (("classes", 2, "vtable_addr"), True, "classes[2].vtable_addr: must be an int, not bool"),
+    (("data", 0, "addr"), "zz", "data[0].addr: must be an int, not str"),
+    (("data", 0, "addr"), True, "data[0].addr: must be an int, not bool"),
 ], ids=["fn-id-int", "fn-id-dict", "fn-class", "class-name", "parents-item", "vtable-item",
         "constructors-item", "members-item", "block-id-list", "block-id-bool", "succ-item",
         "succ-bool", "externals-item", "program-name", "fn-name", "param-name",
-        "vtable-addr-str", "vtable-addr-bool"])
+        "vtable-addr-str", "vtable-addr-bool", "data-addr-str", "data-addr-bool"])
 def test_ids_and_names_of_the_wrong_type_are_a_parse_error(path, value, message):
     # Ids and names are dict keys and set members after loading, so a value
     # of the wrong type, unhashable ones included, must stop at the loader.

@@ -177,7 +177,7 @@ def test_out_of_service_swallows_further_commands():
     w.inject(bytes([7]))
     r = w.inject(bytes([1]))
     assert r.code is None and r.state == OUT_OF_SERVICE
-    assert w.exec_count == 2
+    assert w.tick == 2  # each injection takes a tick, swallowed or not
 
 
 def test_latch_dominance_orders_severity():
@@ -260,7 +260,6 @@ class _QueryStateWorld:
     def __init__(self, config):
         self.config = config
         self.tick = 0
-        self.exec_count = 0
         self.temporaries: list[int] = []  # expiry ticks
         self.recoverable = False
         self.permanent = False
@@ -290,7 +289,6 @@ class _QueryStateWorld:
         self.recoverable = self.permanent = False
 
     def inject(self, payload):
-        self.exec_count += 1
         self.tick += 1
         if self.query_state() == OUT_OF_SERVICE:
             return Response(None, OUT_OF_SERVICE)
@@ -345,7 +343,7 @@ def test_inline_latch_check_agrees_with_query_state(rows, ops, recover_after, re
         else:
             getattr(fast, op)()
             getattr(ref, op)()
-        assert (fast.tick, fast.exec_count) == (ref.tick, ref.exec_count)
+        assert fast.tick == ref.tick
         assert fast.query_state() == ref.query_state()
         assert fast.active_latch() == ref.active_latch()
 
@@ -413,6 +411,8 @@ def test_parse_rows_and_comments():
     ("07 1_0 -> ok", "line 1: bad byte '1_0'"),
     ("+7 * -> ok", "line 1: bad byte '+7'"),
     ("07 \u0663 -> ok", "line 1: bad byte '\u0663'"),
+    # an empty root would put the Nv sandbox at the working directory
+    ("# nv\nsandbox_root =", "line 2: sandbox_root must not be empty"),
 ])
 def test_parse_rejects_malformed_lines(text, msg):
     with pytest.raises(SimConfigError, match=re.escape(msg)):
@@ -512,3 +512,14 @@ def test_nv_error_paths(sandbox):
     assert nv_handle(SimConfig(), NvRequest("read", "x")).reason == "no-sandbox-root"
     assert nv_handle(_cfg(root), NvRequest("chmod", "x")).reason == "bad-op:chmod"
     assert nv_handle(_cfg(root), NvRequest("write", "x")).reason == "write-without-data"
+
+
+def test_nv_empty_sandbox_root_is_no_root(tmp_path, monkeypatch):
+    # "" joined with a path is that path, relative to the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "serial").write_bytes(b"0042")
+    res = nv_handle(SimConfig(sandbox_root=""), NvRequest("read", "serial"))
+    assert (res.status, res.reason) == ("error", "no-sandbox-root")
+    res = nv_handle(SimConfig(sandbox_root=""), NvRequest("write", "leak", data=b"x"))
+    assert (res.status, res.reason) == ("error", "no-sandbox-root")
+    assert not (tmp_path / "leak").exists()
