@@ -40,6 +40,7 @@ import json
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 SPACES = ("const", "reg", "stack", "ram", "unique")
 NONCONST_SPACES = frozenset(SPACES) - {"const"}
@@ -89,8 +90,7 @@ class ValidationError(ValueError):
         return type(self), (self.diagnostics,)
 
 
-@dataclass(frozen=True)
-class Varnode:
+class Varnode(NamedTuple):
     """Storage cell (space, offset, size).
 
     const varnodes carry their literal value in ``offset``.  A stack
@@ -111,8 +111,7 @@ class Varnode:
         return self.space == "const"
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     op: str
     output: Varnode | None = None
     inputs: tuple[Varnode, ...] = ()
@@ -374,12 +373,15 @@ def _all(kind: type, items, name: str) -> list:
 
 def _each(items, name: str, decode, *args) -> list:
     """``[decode(x, *args) for x in items]`` for the list ``items``; a
-    failure in item n is located at ``name[n]``."""
+    failure in item n is located at ``name[n]``. Each item of ``items`` is
+    set to None once it is decoded, so the document shrinks as the program
+    grows."""
     items = _list(items, name)
     out = []
     try:
-        for x in items:
+        for n, x in enumerate(items):
             out.append(decode(x, *args))
+            items[n] = None
     except _Bad as e:
         e.where.append(f"{name}[{len(out)}]")
         raise
@@ -393,19 +395,39 @@ _SPACE = {s: s for s in SPACES}
 _OPCODE = {op: op for op in OPCODES}
 
 
+def _varnode_hook(table: dict):
+    """``json.loads`` object hook that turns each object with exactly the
+    keys space, offset and size, which ``_varnode_from`` would accept, into
+    the load's interned Varnode, and leaves any other object a dict.
+    ``table`` maps (space, offset, size) to the Varnode built for it in this
+    load. Only exact-int keys are entered and hit: ``1.0`` and ``True``
+    equal ``1`` as dict keys, and are left for ``_varnode_from`` to reject."""
+    def hook(d: dict):
+        if len(d) != 3 or "size" not in d:
+            return d
+        try:
+            space, offset, size = d["space"], d["offset"], d["size"]
+        except KeyError:
+            return d
+        if type(offset) is not int or type(size) is not int:
+            return d
+        try:
+            return table[space, offset, size]
+        except KeyError:
+            pass
+        except TypeError:  # an unhashable space
+            return d
+        if space not in SPACES or size <= 0:
+            return d
+        v = table[space, offset, size] = Varnode(_SPACE[space], offset, size)
+        return v
+    return hook
+
+
 def _varnode_from(obj, table: dict) -> Varnode:
-    """The interned varnode for ``obj``. ``table`` maps (space, offset, size)
-    to the Varnode already built for it in this load, so the checks run once
-    per distinct varnode. Only exact-int keys are entered and hit: ``1.0``
-    and ``True`` equal ``1`` as dict keys, and must take the checks."""
-    try:
-        key = (obj["space"], obj["offset"], obj["size"])
-        v = table[key]
-    except (KeyError, TypeError):  # first sighting, or not a varnode at all
-        pass
-    else:
-        if type(key[1]) is int and type(key[2]) is int:
-            return v
+    """The interned varnode for ``obj``, a value the object hook left as it
+    was: check it and locate what is wrong with it. ``table`` is the load's
+    as in ``_varnode_hook``."""
     if not isinstance(obj, dict):
         raise _Bad("varnode must be an object")
     try:
@@ -416,7 +438,10 @@ def _varnode_from(obj, table: dict) -> Varnode:
         raise _Bad(f"unknown space {space!r}")
     if type(offset) is not int or type(size) is not int or size <= 0:
         raise _Bad("offset must be int, size a positive int")
-    v = table[space, offset, size] = Varnode(_SPACE[space], offset, size)
+    key = (space, offset, size)
+    v = table.get(key)
+    if v is None:
+        v = table[key] = Varnode(_SPACE[space], offset, size)
     return v
 
 
@@ -429,23 +454,25 @@ def _ins_from(obj, table: dict) -> Instruction:
         raise _Bad(f"unknown opcode {obj.get('op')!r}") from None
     out = None
     if "out" in obj:
-        try:
-            out = _varnode_from(obj["out"], table)
-        except _Bad as e:
-            e.where.append("out")
-            raise
+        out = obj["out"]
+        if type(out) is not Varnode:
+            try:
+                out = _varnode_from(out, table)
+            except _Bad as e:
+                e.where.append("out")
+                raise
     inputs = ()
     if "in" in obj:
         # _each, unrolled: this loop runs once per operand of the binary
         raw = _list(obj["in"], "in")
-        inputs = []
-        try:
-            for v in raw:
-                inputs.append(_varnode_from(v, table))
-        except _Bad as e:
-            e.where.append(f"in[{len(inputs)}]")
-            raise
-        inputs = tuple(inputs)
+        for n, v in enumerate(raw):
+            if type(v) is not Varnode:
+                try:
+                    raw[n] = _varnode_from(v, table)
+                except _Bad as e:
+                    e.where.append(f"in[{n}]")
+                    raise
+        inputs = tuple(raw)
     callee = obj.get("callee")
     if callee is not None and not isinstance(callee, str):
         raise _Bad("callee must be a string")
@@ -578,21 +605,42 @@ def load_program(text: str) -> IRProgram:
 
 
 def _load(text: str) -> IRProgram:
+    table: dict = {}  # this load's interned varnodes
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_hook=_varnode_hook(table))
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno} col {e.colno}: {e.msg}") from None
+    try:
+        prog = _program_from(doc, table)
+    except ParseError:
+        # The hook made a Varnode of a varnode-shaped object that belongs
+        # elsewhere, or left one that is not a varnode where one belongs:
+        # the plain document words the error as the text has it.
+        prog = _program_from(json.loads(text), {})
+    diags = validate(prog)
+    for d in diags:
+        form = _LINK_ERRORS.get(d.invariant)
+        if form is not None:
+            raise ParseError(form.format(location=d.location, message=d.message))
+    if diags:
+        raise ValidationError(diags)
+    return prog
+
+
+def _program_from(doc, table: dict) -> IRProgram:
+    """The program the decoded document ``doc`` describes, built without
+    ``validate``; ParseError on a malformed document. ``table`` is the
+    load's as in ``_varnode_hook``."""
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     if doc.get("ir_version") != 1:
         raise ParseError(f"unsupported ir_version {doc.get('ir_version')!r}")
-    table: dict = {}  # this load's interned varnodes
     try:
         data = _each(doc.get("data", []), "data", _segment_from)
         word_size = _typed(doc.get("word_size", 8), int, "word_size")
         if word_size <= 0:
             raise _Bad(f"must be positive, not {word_size}", "word_size")
-        prog = IRProgram(
+        return IRProgram(
             name=_typed(doc.get("name", "unnamed"), str, "name"),
             word_size=word_size,
             classes=_each(doc.get("classes", []), "classes", _class_from),
@@ -602,14 +650,6 @@ def _load(text: str) -> IRProgram:
         )
     except _Bad as e:
         raise e.parse_error() from None
-    diags = validate(prog)
-    for d in diags:
-        form = _LINK_ERRORS.get(d.invariant)
-        if form is not None:
-            raise ParseError(form.format(location=d.location, message=d.message))
-    if diags:
-        raise ValidationError(diags)
-    return prog
 
 
 # The rules on names and cross-references, with the text of the ParseError
