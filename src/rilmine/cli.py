@@ -230,7 +230,10 @@ def _cmd_analyze(args) -> int:
     errors: dict[int, str] = {}  # input index -> error text
     for k, path in enumerate(inputs):
         binary = _binary_name(path)
-        if binary in taken:
+        if "\t" in binary or "".join(binary.splitlines()) != binary:
+            # the name is a field of the database's tab-separated lines
+            errors[k] = f"{path}: binary name {binary!r} holds a tab or a line break"
+        elif binary in taken:
             errors[k] = f"{path}: binary name {binary!r} already taken by {taken[binary]}"
         else:
             taken[binary] = path

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from .commands import CommandDB, classify_module, make_record
 from .ir import (
@@ -114,7 +114,7 @@ class Manifest:
         return set(self.virtual_edges)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), separators=(",", ":"))
+        return json.dumps(vars(self), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "Manifest":

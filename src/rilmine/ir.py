@@ -558,13 +558,16 @@ def _class_from(obj) -> ClassInfo:
 def _segment_from(obj) -> tuple[int, bytes]:
     if not isinstance(obj, dict):
         raise _Bad("segment must be an object")
+    for key in ("addr", "hex"):
+        if key not in obj:
+            raise _Bad(f"segment missing key {key!r}")
     try:
-        addr, blob = obj["addr"], bytes.fromhex(obj["hex"])
-    except (KeyError, ValueError) as e:
+        blob = bytes.fromhex(obj["hex"])
+    except ValueError as e:
         raise _Bad(str(e)) from None
     except TypeError:
         raise _Bad("hex must be a string") from None
-    return _typed(addr, int, "addr"), blob
+    return _typed(obj["addr"], int, "addr"), blob
 
 
 @contextmanager
@@ -822,9 +825,10 @@ def program_to_dict(p: IRProgram) -> dict:
 
 def serialize(p: IRProgram) -> str:
     """Compact JSON text of ``p``. Without ``indent``, ``json`` keeps to its
-    C encoder. The dict tree is acyclic, so GC is paused as in the loader."""
+    C encoder. ``program_to_dict`` builds a fresh, acyclic tree, so the
+    encoder skips its cycle check, and GC is paused as in the loader."""
     with _gc_paused():
-        return json.dumps(program_to_dict(p), separators=(",", ":"))
+        return json.dumps(program_to_dict(p), separators=(",", ":"), check_circular=False)
 
 
 def reaching_def(f: Function, v: Varnode, before: int) -> tuple[int, Instruction] | None:

@@ -166,6 +166,24 @@ def test_batch_rejects_a_second_input_with_the_same_binary_name(tmp_path, capsys
     assert line.startswith(f"error: {second}: ") and first in line
 
 
+@pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb"], ids=["tab", "newline", "return"])
+def test_batch_rejects_a_binary_name_that_breaks_a_db_row(name, tmp_path, capsys):
+    # The name goes unescaped into the tab-separated rows and the header of
+    # the database, which diff and sim would then reject.
+    _gen(capsys, tmp_path, "fig2")
+    _gen(capsys, tmp_path, "fig5")
+    bad = tmp_path / f"{name}.ir.json"
+    (tmp_path / "fig2.ir.json").rename(bad)
+    out_dir = tmp_path / "out"
+    code, stdout, err = run(capsys, "analyze", str(bad), str(tmp_path / "fig5.ir.json"),
+                            "--out", str(out_dir))
+    assert code == 1
+    assert sorted(f.name for f in out_dir.iterdir()) == [
+        f"fig5{ext}" for ext in (".cmdb.json", ".cmdb.tsv", ".report.txt")]
+    assert [line.split("\t")[0] for line in stdout.splitlines()] == ["fig5"]
+    assert err == f"error: {bad}: binary name {name!r} holds a tab or a line break\n"
+
+
 def _analyze_on(cpus, tmp_path, capsys, monkeypatch, inputs):
     """Run ``analyze`` as if ``cpus`` CPUs were usable. Returns (exit code,
     stdout, stderr, artifact bytes by name) and the workers started."""

@@ -3,6 +3,7 @@
 import gc
 import json
 import pickle
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -150,9 +151,11 @@ def _set(doc, path, value):
     (("functions", 1, "params"), [3],
      "functions[1].params[0]: param must be an object"),
     (("data",), ["x"], "data[0]: segment must be an object"),
+    (("data", 0), {"hex": "00"}, "data[0]: segment missing key 'addr'"),
+    (("data", 0), {"addr": 0x1000}, "data[0]: segment missing key 'hex'"),
     (("functions", 1, "blocks"), 5, "functions[1].blocks: must be a list, not int"),
 ], ids=["ins-item", "in-list", "succ-list", "stack-size", "stack-size-bool", "params-item",
-        "data-item", "blocks-list"])
+        "data-item", "data-no-addr", "data-no-hex", "blocks-list"])
 def test_malformed_structure_is_a_parse_error_with_field_path(path, value, message):
     doc = _fig5_doc()
     _set(doc, path, value)
@@ -268,11 +271,33 @@ def test_equal_varnodes_in_one_load_are_one_object():
     assert ins[0].output is not ins[1].output
 
 
+def _varnodes(p):
+    return [v for f in p.functions for _, _, ins in f.linear()
+            for v in ins.inputs + ((ins.output,) if ins.output else ())]
+
+
 def test_separate_loads_share_no_varnodes():
-    text = json.dumps(_two_copies_doc({"space": "reg", "offset": 1, "size": 8}))
-    a = ir.load_program(text).fn("main").blocks[0].instructions[0].inputs[0]
-    b = ir.load_program(text).fn("main").blocks[0].instructions[0].inputs[0]
-    assert a == b and a is not b
+    text = ir.serialize(gen_fig5()[0])
+    a, b = _varnodes(ir.load_program(text)), _varnodes(ir.load_program(text))
+    assert a == b
+    assert not {id(v) for v in a} & {id(v) for v in b}
+
+
+def test_load_peaks_below_twice_the_program_it_returns():
+    # The decoded document is dropped function by function as the program
+    # is built, and holds one shared Varnode per distinct cell.
+    fns = [func(f"F{k:04d}", blocks=[block(0, [I("INT_ADD", U(i), (U(i - 1) if i else C(k), C(i)))
+                                               for i in range(7)] + [I("RETURN")])])
+           for k in range(1000)]
+    text = ir.serialize(build_program("big", functions=fns))
+    tracemalloc.start()
+    try:
+        p = ir.load_program(text)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(p.functions) == 1000
+    assert peak <= 2 * size, (peak, size)
 
 
 def _ir_fixture_kinds():
