@@ -6,17 +6,25 @@ The model is a small P-Code-style language: varnodes addressed by
 vtables, constructor/member lists) rides alongside the code because the
 downstream analyses need it to resolve virtual calls.
 
-Varnodes and instructions are frozen. The program, its classes, functions
-and blocks are plain dataclasses, but IRProgram and Function build their
-lookup indexes when they are constructed, and no analysis writes to a
-program. To change one, build new objects (``dataclasses.replace``): a
-list edited in place leaves the indexes stale.
+Varnodes and instructions, the cells of the code, are named tuples: small,
+immutable, and hashed and compared in C. The program, its classes,
+functions and blocks are plain dataclasses, but IRProgram and Function
+build their lookup indexes when they are constructed, and no analysis
+writes to a program. To change one, build new objects
+(``dataclasses.replace``): a list edited in place leaves the indexes stale.
 
-``load_program`` is built for large binaries:
+``load_program`` is built for large binaries, and holds about one copy of
+the program at its peak:
 
-* Varnodes are interned per load. Equal varnodes in one program are one
-  shared (frozen) object, whichever instructions use them; two loads
-  share nothing.
+* Varnodes are interned per load, while the JSON decodes: an object hook
+  turns each well-formed varnode object into the load's one shared
+  Varnode for that cell, so equal varnodes in one program are one object,
+  whichever instructions use them. Two loads share nothing.
+* The decoded document is freed as the program is built: each function's
+  JSON is dropped once its Function exists.
+* A document the hooked decode rejects is decoded again without the hook
+  and built from that, so an error reads as the text has it, even where a
+  varnode-shaped object sits in another field.
 * It pauses the cyclic garbage collector while it builds the program,
   and restores the collector's previous state on the way out, whether
   the load succeeds or raises. Each call pauses on its own: where loads
@@ -438,11 +446,7 @@ def _varnode_from(obj, table: dict) -> Varnode:
         raise _Bad(f"unknown space {space!r}")
     if type(offset) is not int or type(size) is not int or size <= 0:
         raise _Bad("offset must be int, size a positive int")
-    key = (space, offset, size)
-    v = table.get(key)
-    if v is None:
-        v = table[key] = Varnode(_SPACE[space], offset, size)
-    return v
+    return table.setdefault((space, offset, size), Varnode(_SPACE[space], offset, size))
 
 
 def _ins_from(obj, table: dict) -> Instruction:
@@ -616,9 +620,9 @@ def _load(text: str) -> IRProgram:
     try:
         prog = _program_from(doc, table)
     except ParseError:
-        # The hook made a Varnode of a varnode-shaped object that belongs
-        # elsewhere, or left one that is not a varnode where one belongs:
-        # the plain document words the error as the text has it.
+        # The hook may have made a Varnode of an object where something
+        # else belongs: the plain document words the error as the text has
+        # it. Only the build is retried; validate sees the same program.
         prog = _program_from(json.loads(text), {})
     diags = validate(prog)
     for d in diags:
