@@ -86,12 +86,12 @@ def _analyze_one(path: str, binary: str, config: FilterConfig, out: str):
     cg = build_direct_cg(p)
     recover_vcalls(p, cg)
     db, report = filter_commands(p, cg, binary=binary, config=config)
-    with open(os.path.join(out, binary + ".cmdb.tsv"), "w", encoding="utf-8") as fh:
-        fh.write(save_db(db))
-    with open(os.path.join(out, binary + ".cmdb.json"), "w", encoding="utf-8") as fh:
-        fh.write(save_db_json(db))
-    with open(os.path.join(out, binary + ".report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_text())
+    # every text first: a database save_db refuses leaves no artifact
+    texts = {".cmdb.tsv": save_db(db), ".cmdb.json": save_db_json(db),
+             ".report.txt": report.to_text()}
+    for ext, text in texts.items():
+        with open(os.path.join(out, binary + ext), "w", encoding="utf-8") as fh:
+            fh.write(text)
     return db, report
 
 
@@ -230,10 +230,7 @@ def _cmd_analyze(args) -> int:
     errors: dict[int, str] = {}  # input index -> error text
     for k, path in enumerate(inputs):
         binary = _binary_name(path)
-        if "\t" in binary or "".join(binary.splitlines()) != binary:
-            # the name is a field of the database's tab-separated lines
-            errors[k] = f"{path}: binary name {binary!r} holds a tab or a line break"
-        elif binary in taken:
+        if binary in taken:
             errors[k] = f"{path}: binary name {binary!r} already taken by {taken[binary]}"
         else:
             taken[binary] = path
@@ -292,7 +289,7 @@ def _cmd_sim(args) -> int:
         "crash_type\troot_function\tpayload\tsource\texecs",
     ]
     for f in findings:
-        payload = " ".join(f"{b:02x}" for b in f.payload)
+        payload = f.payload.hex(" ")
         lines.append(f"{f.crash_type}\t{f.root_function}\t{payload}\t{f.source}\t{f.execs}")
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -161,43 +161,67 @@ def config_hash(config: dict) -> str:
 _COLUMNS = "binary direction api site root_function module payload channel kind".split()
 
 
+def _row(r: CommandRecord) -> list[str]:
+    return [r.binary, r.direction, r.api, r.site, r.root_function, r.module,
+            r.payload_column(), r.channel_path or "-", r.kind]
+
+
 def save_db(db: CommandDB) -> str:
+    """The ``.cmdb.tsv`` text of ``db``: three comment lines (a version
+    line, the ``# binary=<name> provenance=<hash>`` header, the column
+    names), then one tab-separated row per record, in ``sorted_records``
+    order. A solicited payload is written as ``payload_hex`` writes it.
+
+    Fields are written unescaped, so a field that holds a tab or a line
+    break would make a row ``load_db`` rejects or misreads: ValueError
+    names the first such field, the binary name, the provenance or the
+    record's site and column."""
+    records = db.sorted_records()
+    rows = [_row(r) for r in records]
     lines = [
         "# rilmine command db v1",
         f"# binary={db.binary} provenance={db.provenance}",
         "# " + "\t".join(_COLUMNS),
+        *map("\t".join, rows),
     ]
-    for r in db.sorted_records():
-        lines.append(
-            "\t".join(
-                [
-                    r.binary,
-                    r.direction,
-                    r.api,
-                    r.site,
-                    r.root_function,
-                    r.module,
-                    r.payload_column(),
-                    r.channel_path or "-",
-                    r.kind,
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    # the column-name line and each row hold one tab fewer than columns
+    if text.count("\t") != (len(_COLUMNS) - 1) * (len(lines) - 2) or text.splitlines() != lines:
+        fields = [("binary name", db.binary), ("provenance", db.provenance)]
+        fields += [(f"record at site {r.site!r}: {name}", cell)
+                   for r, cells in zip(records, rows) for name, cell in zip(_COLUMNS, cells)]
+        label, value = next((label, value) for label, value in fields
+                            if "\t" in value or "".join(value.splitlines()) != value)
+        raise ValueError(f"{label} {value!r} holds a tab or a line break")
+    return text
+
+
+_UNSOLICITED_COLUMN = re.compile(r"const=0x([0-9a-fA-F]+);handler=(.*)")
 
 
 def load_db(text: str) -> CommandDB:
     """Parse a ``.cmdb.tsv``. A malformed row raises ValueError naming its
-    line."""
+    line.
+
+    Blank lines and lines that start with ``#`` are skipped, except the
+    ``# binary=`` header, which names the database's binary and
+    provenance. The header may come once, before every row; a database
+    without one loads with an empty name. A solicited payload is read by
+    ``parse_payload_hex``, and each row's ``kind`` must be the one its
+    payload makes."""
     db = None
     for lineno, line in enumerate(text.splitlines(), 1):
-        if line.startswith("# binary="):
-            # the binary name may hold spaces; the provenance hash never does
-            head = line[len("# binary="):]
-            binary, sep, provenance = head.rpartition(" provenance=")
-            db = CommandDB(binary, provenance) if sep else CommandDB(head)
+        if line[:1] == "#":
+            if line.startswith("# binary="):
+                if db is not None:
+                    raise ValueError(f"line {lineno}: a '# binary=' header may come only "
+                                     f"once, before every row")
+                # the binary name may hold spaces; the provenance hash never does
+                head = line[len("# binary="):]
+                binary, sep, provenance = head.rpartition(" provenance=")
+                db = CommandDB(binary, provenance) if sep else CommandDB(head)
             continue
-        if not line or line.startswith("#"):
+        if not line:
             continue
         if db is None:
             db = CommandDB("", "")
@@ -211,30 +235,21 @@ def load_db(text: str) -> CommandDB:
                 payload = parse_payload_hex(payload_col)
             except ValueError as e:
                 raise ValueError(f"line {lineno}: {e}") from None
+            made = "hybrid" if "d" in payload.mask else "static"
         elif direction == "unsolicited":
-            m = re.match(r"const=0x([0-9a-fA-F]+);handler=(.*)", payload_col)
+            m = _UNSOLICITED_COLUMN.match(payload_col)
             if not m:
                 raise ValueError(f"line {lineno}: bad unsolicited payload column: {payload_col!r}")
             constant = int(m.group(1), 16)
             handler = None if m.group(2) == "-" else m.group(2)
+            made = "static"
         else:
             raise ValueError(f"line {lineno}: unknown direction {direction!r}")
-        rec = CommandRecord(
-            binary=bin_,
-            direction=direction,
-            api=api,
-            site=site,
-            root_function=root,
-            module=module,
-            payload=payload,
-            constant=constant,
-            handler=handler,
-            channel_path=None if channel == "-" else channel,
-        )
-        if kind != rec.kind:
+        if kind != made:
             raise ValueError(f"line {lineno}: kind {kind!r} disagrees with the payload, "
-                             f"which makes it {rec.kind!r}")
-        db.add(rec)
+                             f"which makes it {made!r}")
+        db.add(CommandRecord(bin_, direction, api, site, root, module, payload, constant,
+                             handler, None if channel == "-" else channel))
     return db if db is not None else CommandDB("", "")
 
 

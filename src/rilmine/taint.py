@@ -12,6 +12,7 @@ channel filter, are the rows of the one table ``IO_APIS``.
 
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import dataclass
 
@@ -97,7 +98,7 @@ class PayloadBytes:
     def __post_init__(self):
         if len(self.data) != len(self.mask):
             raise ValueError(f"payload has {len(self.data)} bytes but its mask {len(self.mask)}")
-        if any(self.data[i] for i, m in enumerate(self.mask) if m == "d"):
+        if "d" in self.mask and any(self.data[i] for i, m in enumerate(self.mask) if m == "d"):
             raise ValueError(f"dynamic payload bytes must be 00: {self.data.hex()} {self.mask}")
 
     @property
@@ -105,20 +106,45 @@ class PayloadBytes:
         return "d" not in self.mask
 
 
+_DYNAMIC_RUN = re.compile("d+")
+
+
 def payload_hex(pb: PayloadBytes) -> str:
-    """Hex dump with dynamic bytes masked: ``07 00 00 00 08 01 .. ..``"""
-    return " ".join(
-        ".." if m == "d" else f"{b:02x}" for b, m in zip(pb.data, pb.mask)
-    )
+    """Hex dump with dynamic bytes masked: ``07 00 00 00 08 01 .. ..``.
+
+    Each byte is two lowercase hex digits, as ``bytes.hex`` writes them,
+    or ``..`` where the mask has a ``d``; one space separates the tokens."""
+    text = pb.data.hex(" ")
+    if "d" not in pb.mask:
+        return text
+    tokens = text.split(" ")
+    for run in _DYNAMIC_RUN.finditer(pb.mask):
+        tokens[run.start():run.end()] = [".."] * (run.end() - run.start())
+    return " ".join(tokens)
 
 
 # every token of exactly two hex digits, in either case, and its byte
 HEX_BYTES = {a + b: int(a + b, 16) for a in string.hexdigits for b in string.hexdigits}
 
+# The text payload_hex writes, and the same in upper or mixed case: single
+# spaces between tokens that are two ASCII hex digits or ``..``.
+_WRITTEN_FORM = re.compile(r"(?:[0-9A-Fa-f]{2}|\.\.)(?: (?:[0-9A-Fa-f]{2}|\.\.))*")
+# token i of that form starts at 3 * i, and its first character gives its mask cell
+_MASK_OF_TOKEN_START = str.maketrans({".": "d", **dict.fromkeys(string.hexdigits, "s")})
+_UNKNOWN_LENGTH = LengthSource("unknown")
+
 
 def parse_payload_hex(text: str) -> PayloadBytes:
     """Bytes as ``payload_hex`` writes them: each token is exactly two hex
-    digits, or ``..`` for a dynamic byte."""
+    digits, in either case, or ``..`` for a dynamic byte.
+
+    Tokens may be separated by any run of whitespace ``str.split`` knows,
+    and the text may start or end with some. The written form, with single
+    spaces only, is converted by ``bytes.fromhex``; any other text is read
+    token by token, and the first bad token is named."""
+    if _WRITTEN_FORM.fullmatch(text):
+        return PayloadBytes(bytes.fromhex(text.replace("..", "00")),
+                            text[::3].translate(_MASK_OF_TOKEN_START), _UNKNOWN_LENGTH)
     data = bytearray()
     mask = []
     for tok in text.split():
@@ -130,7 +156,7 @@ def parse_payload_hex(text: str) -> PayloadBytes:
             mask.append("s")
         else:
             raise ValueError(f"bad payload byte {tok!r}")
-    return PayloadBytes(bytes(data), "".join(mask), LengthSource("unknown"))
+    return PayloadBytes(bytes(data), "".join(mask), _UNKNOWN_LENGTH)
 
 
 @dataclass(frozen=True)

@@ -184,6 +184,32 @@ def test_batch_rejects_a_binary_name_that_breaks_a_db_row(name, tmp_path, capsys
     assert err == f"error: {bad}: binary name {name!r} holds a tab or a line break\n"
 
 
+@pytest.mark.parametrize("kind, old, new, other", [
+    ("fig2", '"IpcTxCallGetCallList"', '"IpcTx\\tCallGetCallList"', "fig5"),
+    ("fig2", b"/dev/umts_ipc0\0".hex(), b"/dev/umts\tipc0\0".hex(), "fig5"),
+    ("fig5", '"Nv::ProcessNvRead"', '"Nv::Process\\nNvRead"', "fig2"),
+], ids=["function-id", "channel-path", "handler"])
+def test_batch_rejects_a_field_that_breaks_a_db_row(kind, old, new, other, tmp_path, capsys):
+    # Function ids, handlers and channel paths go unescaped into the
+    # tab-separated rows, like the binary name.
+    _gen(capsys, tmp_path, kind)
+    _gen(capsys, tmp_path, other)
+    bad = tmp_path / f"{kind}.ir.json"
+    text = bad.read_text()
+    assert old in text
+    bad.write_text(text.replace(old, new))
+    out_dir = tmp_path / "out"
+    code, stdout, err = run(capsys, "analyze", str(bad), str(tmp_path / f"{other}.ir.json"),
+                            "--out", str(out_dir))
+    assert code == 1
+    assert sorted(f.name for f in out_dir.iterdir()) == [
+        f"{other}{ext}" for ext in (".cmdb.json", ".cmdb.tsv", ".report.txt")]
+    assert [line.split("\t")[0] for line in stdout.splitlines()] == [other]
+    (line, *rest) = err.splitlines()
+    assert line.startswith(f"error: {bad}: record at site ")
+    assert (line + "".join(rest)).endswith(" holds a tab or a line break")
+
+
 def _analyze_on(cpus, tmp_path, capsys, monkeypatch, inputs):
     """Run ``analyze`` as if ``cpus`` CPUs were usable. Returns (exit code,
     stdout, stderr, artifact bytes by name) and the workers started."""

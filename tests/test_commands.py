@@ -17,6 +17,7 @@ from rilmine.commands import (
     evolution_report,
     infer_group_byte,
     load_db,
+    make_record,
     module_distribution,
     render_diff,
     render_evolution,
@@ -24,7 +25,7 @@ from rilmine.commands import (
     save_db_json,
     tokenize,
 )
-from rilmine.fixtures import CRASH_SUITE, gen_crash_suite, gen_diff_pair
+from rilmine.fixtures import CRASH_SUITE, gen_crash_suite, gen_diff_pair, gen_mutation_target
 from rilmine.taint import LengthSource, PayloadBytes
 
 
@@ -175,6 +176,72 @@ def test_load_db_rejects_a_kind_that_disagrees_with_the_payload():
         with pytest.raises(ValueError, match=re.escape(
                 f"line 2: kind {kind!r} disagrees with the payload, which makes it {want!r}")):
             load_db(text)
+
+
+def test_load_db_rejects_a_header_after_a_row_or_a_second_header():
+    text = save_db(gen_crash_suite()[0])
+    lines = text.splitlines(keepends=True)  # version, header, column names, 7 rows
+    late = "".join(lines[:1] + lines[2:5] + lines[1:2] + lines[5:])
+    message = "a '# binary=' header may come only once, before every row"
+    with pytest.raises(ValueError, match=re.escape(f"line 5: {message}") + "$"):
+        load_db(late)
+    with pytest.raises(ValueError, match=re.escape(f"line 12: {message}") + "$"):
+        load_db(text + save_db(gen_mutation_target()[0]))
+    headless = load_db("".join(line for line in lines if not line.startswith("#")))
+    assert (headless.binary, headless.provenance) == ("", "")
+    assert headless.keys() == load_db(text).keys()
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("binary", "a\tb", "binary name 'a\\tb'"),
+    ("provenance", "abc\r", "provenance 'abc\\r'"),
+    ("handler", "h\x85",
+     "record at site 'Nv::ProcessRfsPacket@0:0': payload 'const=0x11;handler=h\\x85'"),
+    ("channel_path", "/dev/x\ty",
+     "record at site 'IpcProtocol41::IpcTxCallGetCallList@0:0': channel '/dev/x\\ty'"),
+], ids=["binary", "provenance", "handler", "channel"])
+def test_save_db_rejects_a_field_that_breaks_a_row(field, value, named):
+    db = _mixed_db()
+    target = db if field in ("binary", "provenance") else next(
+        r for r in db.records if getattr(r, field) is not None)
+    setattr(target, field, value)
+    with pytest.raises(ValueError, match=re.escape(f"{named} holds a tab or a line break") + "$"):
+        save_db(db)
+
+
+_NAMES = st.text("AbNvTx_:@0", min_size=1, max_size=8)
+_RECORDS = st.lists(st.tuples(
+    st.booleans(), _NAMES, _NAMES,
+    st.lists(st.tuples(st.integers(0, 255), st.booleans()), max_size=10),
+    st.integers(0, 0xFFFF), st.one_of(st.none(), _NAMES),
+    st.sampled_from([None, "/dev/umts_ipc0", "/efs/x y"]),
+), max_size=12)
+
+
+@given(_RECORDS, _NAMES, st.text("0123456789abcdef", max_size=12))
+def test_tsv_round_trips_random_databases(rows, binary, provenance):
+    db = CommandDB(binary, provenance)
+    for solicited, root, site, cells, constant, handler, channel in rows:
+        if solicited:
+            pb = PayloadBytes(bytes(0 if dyn else v for v, dyn in cells),
+                              "".join("d" if dyn else "s" for _, dyn in cells),
+                              LengthSource("constant-arg", len(cells)))
+            db.add(make_record(binary, "solicited", "write", site, root, payload=pb,
+                               channel_path=channel))
+        else:
+            db.add(make_record(binary, "unsolicited", "read", site, root, constant=constant,
+                               handler=handler, channel_path=channel))
+    text = save_db(db)
+    again = load_db(text)
+    assert save_db(again) == text
+    assert (again.binary, again.provenance, again.keys()) == (binary, provenance, db.keys())
+
+    def fields(r):
+        payload = None if r.payload is None else (r.payload.data, r.payload.mask)
+        return (r.binary, r.direction, r.api, r.site, r.root_function, r.module, payload,
+                r.constant, r.handler, r.channel_path, r.kind)
+
+    assert list(map(fields, again.sorted_records())) == list(map(fields, db.sorted_records()))
 
 
 def test_config_hash_is_stable_and_order_free():

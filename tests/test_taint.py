@@ -1,7 +1,7 @@
 """Bidirectional dataflow: backward payload recovery and forward dispatch."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rilmine import oracle, taint
@@ -327,6 +327,61 @@ def test_payload_hex_round_trip(cells):
     again = parse_payload_hex(payload_hex(pb))
     assert again.data == pb.data
     assert again.mask == pb.mask
+
+
+@given(st.lists(st.tuples(st.integers(0, 255), st.booleans()), max_size=40))
+def test_payload_hex_matches_the_per_byte_form(cells):
+    pb = PayloadBytes(bytes(0 if dyn else v for v, dyn in cells),
+                      "".join("d" if dyn else "s" for _, dyn in cells), LengthSource("unknown"))
+    per_byte = " ".join(".." if m == "d" else f"{b:02x}" for b, m in zip(pb.data, pb.mask))
+    assert payload_hex(pb) == per_byte
+
+
+def _parse_token_by_token(text):
+    """The payload reader as one loop over ``str.split`` tokens, the
+    reference that ``parse_payload_hex`` must agree with on every text."""
+    data, mask = bytearray(), []
+    for tok in text.split():
+        if tok == "..":
+            data.append(0)
+            mask.append("d")
+        elif len(tok) == 2 and all(c in "0123456789abcdefABCDEF" for c in tok):
+            data.append(int(tok, 16))
+            mask.append("s")
+        else:
+            raise ValueError(f"bad payload byte {tok!r}")
+    return PayloadBytes(bytes(data), "".join(mask), LengthSource("unknown"))
+
+
+def _read(parse, text):
+    try:
+        return parse(text)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+_PAYLOAD_CHARS = "0123456789abcdefABCDEF. \u00a0\x0bg\u0663"
+_PAYLOAD_TEXT = st.one_of(
+    st.text(st.sampled_from(_PAYLOAD_CHARS), max_size=24),
+    # near the written form: tokens of two characters, mostly single spaces
+    st.lists(st.text(st.sampled_from(_PAYLOAD_CHARS), min_size=2, max_size=2), max_size=8)
+    .flatmap(lambda toks: st.tuples(st.just(toks), st.lists(
+        st.sampled_from([" ", " ", " ", "  ", "\u00a0", "\x0b"]),
+        min_size=len(toks), max_size=len(toks))))
+    .map(lambda t: "".join(tok + sep for tok, sep in zip(*t))[:-1]),
+)
+
+
+@given(_PAYLOAD_TEXT)
+@example("")
+@example(" ")
+@example("..")
+@example("0708")
+@example("07  00")
+@example("07 ")
+@example("0A 0b .. ff")
+def test_parse_payload_hex_agrees_with_the_token_loop(text):
+    assert _read(parse_payload_hex, text) == _read(_parse_token_by_token, text)
 
 
 def test_dynamic_bytes_must_be_zeroed():
