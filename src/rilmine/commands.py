@@ -161,11 +161,6 @@ def config_hash(config: dict) -> str:
 _COLUMNS = "binary direction api site root_function module payload channel kind".split()
 
 
-def _row(r: CommandRecord) -> list[str]:
-    return [r.binary, r.direction, r.api, r.site, r.root_function, r.module,
-            r.payload_column(), r.channel_path or "-", r.kind]
-
-
 def save_db(db: CommandDB) -> str:
     """The ``.cmdb.tsv`` text of ``db``: three comment lines (a version
     line, the ``# binary=<name> provenance=<hash>`` header, the column
@@ -177,7 +172,8 @@ def save_db(db: CommandDB) -> str:
     names the first such field, the binary name, the provenance or the
     record's site and column."""
     records = db.sorted_records()
-    rows = [_row(r) for r in records]
+    rows = [[r.binary, r.direction, r.api, r.site, r.root_function, r.module,
+             r.payload_column(), r.channel_path or "-", r.kind] for r in records]
     lines = [
         "# rilmine command db v1",
         f"# binary={db.binary} provenance={db.provenance}",
