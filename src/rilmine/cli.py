@@ -20,8 +20,8 @@ from collections import deque
 from .callgraph import build_direct_cg, recover_vcalls
 from .channel import FilterConfig, filter_commands
 from .commands import diff as db_diff
-from .commands import load_db, render_diff, save_db, save_db_json
-from .harness import campaign
+from .commands import CommandDB, load_db, render_diff, save_db, save_db_json
+from .harness import campaign, merge, planned_injections
 from .ir import load_program, serialize
 from .sim import load_sim_config
 from . import fixtures as fx
@@ -119,15 +119,16 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fork_task(task: tuple[str, str], config: FilterConfig, out: str) -> tuple[int, int]:
-    """Run ``_task`` in a forked worker; returns (read end of its pipe, pid).
+def _fork(fn, *args) -> tuple[int, int]:
+    """Call ``fn(*args)`` in a forked worker; returns (read end of its
+    pipe, pid), for ``_join``.
 
     ``fork`` rather than a fresh interpreter: the worker starts with the
-    package imported and the filter config built, and the CLI starts no
-    threads that a fork could copy mid-operation. The worker sends back
-    the pickled (summary, error) pair and exits without running the
-    parent's clean-up or flushing its copies of the parent's stdio
-    buffers."""
+    package imported and its inputs built, and the CLI starts no threads
+    that a fork could copy mid-operation. The worker sends back its
+    pickled result, or the traceback if ``fn`` raised, and exits without
+    running the parent's clean-up or flushing its copies of the parent's
+    stdio buffers."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -141,25 +142,41 @@ def _fork_task(task: tuple[str, str], config: FilterConfig, out: str) -> tuple[i
     code = 1
     try:
         os.close(r)
-        result = _task(*task, config, out)
+        try:
+            reply = True, fn(*args)
+        except Exception:
+            reply = False, traceback.format_exc().rstrip()
         with open(w, "wb") as fh:
-            fh.write(pickle.dumps(result))
+            fh.write(pickle.dumps(reply))
         code = 0
     finally:
         os._exit(code)
 
 
-def _reap(r: int, pid: int, path: str):
-    """The result a worker sent on pipe ``r``, or an error naming how it died."""
+def _join(r: int, pid: int):
+    """The result of the worker ``_fork`` started with pipe ``r``. Raises
+    ChildProcessError saying how the worker ended when it raised or sent
+    no complete result."""
     chunks = []
     while chunk := os.read(r, 1 << 16):
         chunks.append(chunk)
     os.close(r)
     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status == 0 and chunks:
-        return pickle.loads(b"".join(chunks))
+        ok, value = pickle.loads(b"".join(chunks))
+        if ok:
+            return value
+        raise ChildProcessError(f"worker process raised\n{value}")
     how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
-    return None, f"{path}: worker process {how} before it reported"
+    raise ChildProcessError(f"worker process {how} before it reported")
+
+
+def _abandon(workers) -> None:
+    """Close the pipe of each (pipe, pid) in ``workers`` and wait for its
+    worker to end; for a process that raised while they ran."""
+    for r, pid in workers:
+        os.close(r)
+        os.waitpid(pid, 0)
 
 
 def _analyze_all(tasks: list[tuple[str, str]], config: FilterConfig, out: str) -> list:
@@ -182,7 +199,7 @@ def _analyze_all(tasks: list[tuple[str, str]], config: FilterConfig, out: str) -
         while pending or running:
             while pending and len(running) < width - 1:
                 i = pending.popleft()
-                r, pid = _fork_task(tasks[i], config, out)
+                r, pid = _fork(_task, *tasks[i], config, out)
                 running[r] = (pid, i)
             if pending:
                 i = pending.popleft()
@@ -190,11 +207,12 @@ def _analyze_all(tasks: list[tuple[str, str]], config: FilterConfig, out: str) -
             ready, _, _ = select.select(list(running), [], [], 0 if pending else None)
             for r in ready:
                 pid, i = running.pop(r)
-                results[i] = _reap(r, pid, tasks[i][0])
+                try:
+                    results[i] = _join(r, pid)
+                except ChildProcessError as e:
+                    results[i] = None, f"{tasks[i][0]}: {e}"
     finally:
-        for r, (pid, _) in running.items():  # only when this process raised
-            os.close(r)
-            os.waitpid(pid, 0)
+        _abandon((r, pid) for r, (pid, _) in running.items())  # only when this process raised
     return results
 
 
@@ -273,7 +291,43 @@ def _cmd_diff(args) -> int:
 # ---------------------------------------------------------------------------
 # sim
 
+# Planned injections (``harness.planned_injections``) that each sim worker
+# must have to pay for its fork and reap; CHANGES.md has the measurement.
+SIM_WORKER_INJECTIONS = 6_000
+
+
+def _sim_shares(db: CommandDB, budget: int) -> list[CommandDB]:
+    """``db``'s solicited commands, in ``sorted_records`` order, cut into
+    contiguous shares of about equal planned injections
+    (``harness.planned_injections``): one share per usable CPU, but no
+    more than one per ``SIM_WORKER_INJECTIONS`` planned. A command goes to
+    the share that holds the midpoint of its planned injections, and empty
+    shares are dropped. With one share, or no ``os.fork``, returns
+    ``[db]``."""
+    total = sum(planned_injections(r, budget) for r in db.solicited())
+    width = min(_usable_cpus(), total // SIM_WORKER_INJECTIONS) if hasattr(os, "fork") else 1
+    if width <= 1:
+        return [db]
+    shares: list[list] = [[] for _ in range(width)]
+    done = 0
+    for rec in db.sorted_records():
+        if rec.direction == "solicited":
+            cost = planned_injections(rec, budget)
+            shares[(2 * done + cost) * width // (2 * total)].append(rec)
+            done += cost
+    return [CommandDB(db.binary, db.provenance, share) for share in shares if share]
+
+
 def _cmd_sim(args) -> int:
+    """Probe and fuzz the database's solicited commands; print the findings
+    or write them to ``--out``.
+
+    The commands, in ``sorted_records`` order, are cut into contiguous
+    shares (``_sim_shares``). Each share but the last runs ``campaign`` in
+    a forked worker, or here if no process can be forked; the last runs
+    here, and ``harness.merge`` joins the results in share order, so the
+    findings are the same for every cut. A worker that raises or dies
+    fails the call before anything is printed or written."""
     if args.budget < 0:
         print(f"error: --budget must be 0 or more, not {args.budget}", file=sys.stderr)
         return 1
@@ -282,7 +336,25 @@ def _cmd_sim(args) -> int:
         config = load_sim_config(args.sim_config)
     except ValueError as e:
         raise ValueError(f"{args.sim_config}: {e}") from None
-    findings, stats = campaign(db, config, budget=args.budget, seed=args.seed)
+
+    def run(share):
+        return campaign(share, config, budget=args.budget, seed=args.seed)
+
+    *forked, last = _sim_shares(db, args.budget)
+    parts: list = [None] * (len(forked) + 1)
+    workers: dict[int, tuple[int, int]] = {}  # share index -> (pipe read end, pid)
+    try:
+        for i, share in enumerate(forked):
+            try:
+                workers[i] = _fork(run, share)
+            except OSError:  # no process to be had: the share runs here
+                parts[i] = run(share)
+        parts[-1] = run(last)
+        for i in list(workers):
+            parts[i] = _join(*workers.pop(i))
+    finally:
+        _abandon(workers.values())  # only when this process raised
+    findings, stats = merge(parts)
     lines = [
         "# rilmine findings v1",
         f"# probes={stats.probes} mutation_execs={stats.mutation_execs}",

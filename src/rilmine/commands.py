@@ -170,7 +170,8 @@ def save_db(db: CommandDB) -> str:
     Fields are written unescaped, so a field that holds a tab or a line
     break would make a row ``load_db`` rejects or misreads: ValueError
     names the first such field, the binary name, the provenance or the
-    record's site and column."""
+    record's site and column. A binary name that starts with ``#`` is
+    refused too, since a row that starts with it would read as a comment."""
     records = db.sorted_records()
     rows = [[r.binary, r.direction, r.api, r.site, r.root_function, r.module,
              r.payload_column(), r.channel_path or "-", r.kind] for r in records]
@@ -189,6 +190,10 @@ def save_db(db: CommandDB) -> str:
         label, value = next((label, value) for label, value in fields
                             if "\t" in value or "".join(value.splitlines()) != value)
         raise ValueError(f"{label} {value!r} holds a tab or a line break")
+    # only the version, header and column-name lines may start with '#'
+    if text.count("\n#") != 2:
+        name = next(r.binary for r in records if r.binary.startswith("#"))
+        raise ValueError(f"binary name {name!r} starts with '#', which reads as a comment")
     return text
 
 

@@ -136,6 +136,33 @@ class CampaignStats:
     first_crash_execs: dict = field(default_factory=dict)
 
 
+def planned_injections(rec: CommandRecord, budget: int) -> int:
+    """The injections ``campaign`` plans for the solicited command ``rec``:
+    one probe, plus ``budget`` mutations when its payload has a dynamic
+    byte. A crash ends a command early, so it may spend fewer."""
+    return 1 + (max(budget, 0) if rec.kind == "hybrid" else 0)
+
+
+def merge(parts) -> tuple[list, CampaignStats]:
+    """One campaign's result from the ``(findings, stats)`` of ``campaign``
+    on contiguous shares of its commands, given in share order: the
+    findings concatenated, then stably sorted by severity and root
+    function; the counters summed; each root's first crash taken from the
+    first share that has one. For any split this equals ``campaign`` of
+    the whole database, ``first_crash_execs`` order included."""
+    findings: list = []
+    stats = CampaignStats()
+    for part_findings, part in parts:
+        findings += part_findings
+        stats.probes += part.probes
+        stats.mutation_execs += part.mutation_execs
+        stats.corpus_adds += part.corpus_adds
+        for root, execs in part.first_crash_execs.items():
+            stats.first_crash_execs.setdefault(root, execs)
+    findings.sort(key=lambda f: (-SEVERITY[f.crash_type], f.root_function))
+    return findings, stats
+
+
 def _record_rng(seed: int, rec: CommandRecord) -> random.Random:
     tag = f"{seed}:{rec.site}:{rec.root_function}".encode()
     sub = int.from_bytes(hashlib.sha256(tag).digest()[:8], "big")
@@ -154,7 +181,12 @@ def campaign(db: CommandDB, config: SimConfig, budget: int = 1000,
     parent from the corpus, then the mutation in the order ``mutate``
     documents, all through ``rng.getrandbits`` as ``_below`` does; the
     draws are part of the findings, so changing them means regenerating
-    ``tests/golden/findings.json``."""
+    ``tests/golden/findings.json``.
+
+    Nothing carries over from one command to the next, so ``merge`` of
+    this over contiguous shares of the commands equals one call over all
+    of them; ``rilmine sim`` runs large campaigns that way, one share per
+    process, and this ends with ``merge`` of its one share."""
     findings: list = []
     stats = CampaignStats()
     # One world, reflashed before each command: latches compare ticks only
@@ -198,8 +230,7 @@ def campaign(db: CommandDB, config: SimConfig, budget: int = 1000,
                 history.add(sig)
                 corpus.append(mutant)
                 stats.corpus_adds += 1
-    findings.sort(key=lambda f: (-SEVERITY[f.crash_type], f.root_function))
-    return findings, stats
+    return merge([(findings, stats)])
 
 
 # ---------------------------------------------------------------------------

@@ -52,3 +52,26 @@ def test_every_bench_hook_records_its_span_and_counters(tmp_path, capsys, monkey
     assert tracer.counters[ops["sim"]]["harness.probes"] == 7
     for (m, a), fn in originals.items():
         assert getattr(importlib.import_module(m), a) is fn, (m, a)
+
+
+def test_a_forked_sim_records_the_campaign_of_this_process(tmp_path, capsys, monkeypatch):
+    spans = _load_spans(monkeypatch)
+    assert cli.main(["fixtures", "crashsuite", "--out", str(tmp_path)]) == 0
+    argv = ["sim", "--db", str(tmp_path / "crashsuite.cmdb.tsv"),
+            "--sim-config", str(tmp_path / "crashsuite.sim.txt"), "--budget", "50"]
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "SIM_WORKER_INJECTIONS", 1)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.operation("sim") as op:
+            assert cli.main(argv) == 0
+    finally:
+        tracer.remove()
+    assert capsys.readouterr().out == serial
+    assert [name for name, *_ in tracer.spans].count("harness.campaign") == 1
+    # the worker's share of the seven commands is counted in the worker only
+    assert tracer.counters[op]["harness.probes"] == 4

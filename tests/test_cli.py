@@ -8,7 +8,7 @@ import pytest
 
 from rilmine import cli
 from rilmine.cli import FIXTURE_KINDS, locate_ril_library, main
-from rilmine.fixtures import C, I, S, block, func, gen_fig2
+from rilmine.fixtures import C, I, S, block, func, gen_crash_suite, gen_fig2
 from rilmine.ir import IRProgram, serialize
 
 
@@ -166,10 +166,16 @@ def test_batch_rejects_a_second_input_with_the_same_binary_name(tmp_path, capsys
     assert line.startswith(f"error: {second}: ") and first in line
 
 
-@pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb"], ids=["tab", "newline", "return"])
-def test_batch_rejects_a_binary_name_that_breaks_a_db_row(name, tmp_path, capsys):
+@pytest.mark.parametrize("name, why", [
+    ("a\tb", "holds a tab or a line break"),
+    ("a\nb", "holds a tab or a line break"),
+    ("a\rb", "holds a tab or a line break"),
+    ("#x", "starts with '#', which reads as a comment"),
+], ids=["tab", "newline", "return", "hash"])
+def test_batch_rejects_a_binary_name_that_breaks_a_db_row(name, why, tmp_path, capsys):
     # The name goes unescaped into the tab-separated rows and the header of
-    # the database, which diff and sim would then reject.
+    # the database, which diff and sim would then reject, or read as empty
+    # when every row starts with '#'.
     _gen(capsys, tmp_path, "fig2")
     _gen(capsys, tmp_path, "fig5")
     bad = tmp_path / f"{name}.ir.json"
@@ -181,7 +187,7 @@ def test_batch_rejects_a_binary_name_that_breaks_a_db_row(name, tmp_path, capsys
     assert sorted(f.name for f in out_dir.iterdir()) == [
         f"fig5{ext}" for ext in (".cmdb.json", ".cmdb.tsv", ".report.txt")]
     assert [line.split("\t")[0] for line in stdout.splitlines()] == ["fig5"]
-    assert err == f"error: {bad}: binary name {name!r} holds a tab or a line break\n"
+    assert err == f"error: {bad}: binary name {name!r} {why}\n"
 
 
 @pytest.mark.parametrize("kind, old, new, other", [
@@ -210,9 +216,9 @@ def test_batch_rejects_a_field_that_breaks_a_db_row(kind, old, new, other, tmp_p
     assert (line + "".join(rest)).endswith(" holds a tab or a line break")
 
 
-def _analyze_on(cpus, tmp_path, capsys, monkeypatch, inputs):
-    """Run ``analyze`` as if ``cpus`` CPUs were usable. Returns (exit code,
-    stdout, stderr, artifact bytes by name) and the workers started."""
+def _on_cpus(cpus, monkeypatch) -> list:
+    """Make the CLI see ``cpus`` usable CPUs; returns the list that the pid
+    of each worker it forks from now on is appended to."""
     forks = []
     fork = os.fork
 
@@ -224,6 +230,13 @@ def _analyze_on(cpus, tmp_path, capsys, monkeypatch, inputs):
 
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def _analyze_on(cpus, tmp_path, capsys, monkeypatch, inputs):
+    """Run ``analyze`` as if ``cpus`` CPUs were usable. Returns (exit code,
+    stdout, stderr, artifact bytes by name) and the workers started."""
+    forks = _on_cpus(cpus, monkeypatch)
     out_dir = tmp_path / f"out-{cpus}-{len(inputs)}"
     code, out, err = run(capsys, "analyze", *inputs, "--out", str(out_dir))
     artifacts = {f.name: f.read_bytes() for f in out_dir.iterdir()}
@@ -508,6 +521,109 @@ def test_sim_rejects_a_negative_budget(tmp_path, capsys):
                          "--budget", "-5")
     assert (code, out) == (1, "")
     assert err == "error: --budget must be 0 or more, not -5\n"
+
+
+def _sim_on(cpus, tmp_path, capsys, monkeypatch, suite, budget=50):
+    """Run ``sim`` on a fixture suite twice, to stdout and to ``--out``, as
+    if ``cpus`` CPUs were usable and one planned injection paid for a
+    worker. Returns ((exit code, stdout, stderr) of each run, the bytes
+    written to ``--out`` or None) and the workers started."""
+    forks = _on_cpus(cpus, monkeypatch)
+    monkeypatch.setattr(cli, "SIM_WORKER_INJECTIONS", 1)
+    argv = ["sim", "--db", str(tmp_path / f"{suite}.cmdb.tsv"),
+            "--sim-config", str(tmp_path / f"{suite}.sim.txt"),
+            "--budget", str(budget), "--seed", "3"]
+    out_file = tmp_path / f"findings-{cpus}.tsv"
+    runs = run(capsys, *argv), run(capsys, *argv, "--out", str(out_file))
+    return (*runs, out_file.read_bytes() if out_file.exists() else None), len(forks)
+
+
+@pytest.mark.parametrize("budget", [0, 50])
+@pytest.mark.parametrize("suite", ["crashsuite", "mutsuite"])
+def test_sim_gives_the_same_findings_in_worker_processes(suite, budget, tmp_path, capsys,
+                                                         monkeypatch):
+    _gen(capsys, tmp_path, suite)
+    serial, forks = _sim_on(1, tmp_path, capsys, monkeypatch, suite, budget)
+    (code, out, err), to_file, written = serial
+    assert (code, err, to_file, forks) == (0, "", (0, "", ""), 0)
+    assert written == out.encode()
+    for cpus in (2, 3):
+        forked, forks = _sim_on(cpus, tmp_path, capsys, monkeypatch, suite, budget)
+        assert forked == serial
+        # crashsuite's seven commands make one share per CPU, in both runs;
+        # mutsuite's one command cannot be split
+        assert forks == (2 * (cpus - 1) if suite == "crashsuite" else 0)
+
+
+def test_sim_shares_are_contiguous_and_balanced_by_planned_injections(monkeypatch):
+    db, _, _ = gen_crash_suite()
+    records = db.sorted_records()
+    assert [r.kind for r in records] == ["hybrid"] * 4 + ["static"] * 2 + ["hybrid"]
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(cli, "SIM_WORKER_INJECTIONS", 100)
+    # 502 planned injections at budget 99: five shares of about 100
+    shares = cli._sim_shares(db, 99)
+    assert [len(share.records) for share in shares] == [1, 1, 1, 3, 1]
+    assert [r for share in shares for r in share.records] == records
+    assert {(share.binary, share.provenance) for share in shares} == {(db.binary, db.provenance)}
+    (whole,) = cli._sim_shares(db, 0)  # 7 planned: one share
+    assert whole is db
+    monkeypatch.delattr(os, "fork")
+    assert cli._sim_shares(db, 99)[0] is db
+
+
+@pytest.mark.parametrize("death", ["raise", "kill"])
+def test_a_sim_worker_that_dies_fails_the_call(death, tmp_path, capsys, monkeypatch):
+    _gen(capsys, tmp_path, "crashsuite")
+    parent = os.getpid()
+    campaign = cli.campaign
+
+    def dying(*args, **kwargs):
+        if os.getpid() != parent:
+            if death == "raise":
+                raise RuntimeError("boom")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return campaign(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "campaign", dying)
+    (to_stdout, to_file, written), forks = _sim_on(2, tmp_path, capsys, monkeypatch, "crashsuite")
+    assert forks == 2 and to_stdout == to_file and written is None
+    code, out, err = to_file
+    assert (code, out) == (1, "")
+    if death == "raise":
+        assert err.startswith("error: worker process raised\nTraceback")
+        assert err.endswith("RuntimeError: boom\n")
+    else:
+        assert err == (f"error: worker process was killed by signal "
+                       f"{int(signal.SIGKILL)} before it reported\n")
+
+
+def test_sim_runs_a_share_here_when_no_process_can_be_forked(tmp_path, capsys, monkeypatch):
+    _gen(capsys, tmp_path, "crashsuite")
+    serial, _ = _sim_on(1, tmp_path, capsys, monkeypatch, "crashsuite")
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _sim_on(3, tmp_path, capsys, monkeypatch, "crashsuite") == (serial, 0)
+
+
+def test_sim_reaps_its_workers_when_its_own_share_raises(tmp_path, capsys, monkeypatch):
+    _gen(capsys, tmp_path, "crashsuite")
+    parent = os.getpid()
+    campaign = cli.campaign
+
+    def raising(*args, **kwargs):
+        if os.getpid() == parent:
+            raise ValueError("bad share")
+        return campaign(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "campaign", raising)
+    (_, to_file, written), forks = _sim_on(3, tmp_path, capsys, monkeypatch, "crashsuite")
+    assert (to_file, written, forks) == ((1, "", "error: bad share\n"), None, 4)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no worker is left unreaped
 
 
 # ---------------------------------------------------------------------------

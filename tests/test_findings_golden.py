@@ -6,7 +6,9 @@ The suites are the bundled ``crashsuite`` and ``mutsuite`` and a 200-row
 table built here over commands mined from ``gen_random`` programs. That
 table mixes exact, ``..`` and prefix rows, repeats matchers with different
 effects, and puts prefix rows ahead of exact rows they shadow, so a
-first-match lookup that picks any other row moves a digest.
+first-match lookup that picks any other row moves a digest. ``sim`` cut
+into shares run by worker processes must give the same digests, and
+``harness.merge`` of any two contiguous shares the whole campaign.
 
 A change that moves any digest changes what ``sim`` reports. When that is
 intended, regenerate the file and say why in the change:
@@ -23,13 +25,15 @@ import sys
 import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rilmine import cli
 from rilmine.callgraph import build_direct_cg, recover_vcalls
 from rilmine.channel import filter_commands
 from rilmine.commands import CommandDB, save_db
 from rilmine.fixtures import gen_crash_suite, gen_mutation_target, gen_random
-from rilmine.harness import INTERESTING_BYTES, SEVERITY, CampaignStats, campaign
+from rilmine.harness import INTERESTING_BYTES, SEVERITY, CampaignStats, campaign, merge
 from rilmine.sim import BehaviorRow, SimConfig
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "findings.json")
@@ -195,6 +199,33 @@ def test_one_world_per_campaign_equals_one_per_command(case, suites):
             stats.first_crash_execs.setdefault(root, execs)
     findings.sort(key=lambda f: (-SEVERITY[f.crash_type], f.root_function))
     assert campaign(db, cfg, budget=int(budget), seed=int(seed)) == (findings, stats)
+
+
+@pytest.mark.parametrize("case", _cases())
+def test_findings_match_golden_digest_in_worker_processes(case, suites, golden, monkeypatch):
+    """``sim`` cut into one share per CPU, as many as three, writes the
+    same findings file."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(cli, "SIM_WORKER_INJECTIONS", 1)
+    assert case_result(case, suites) == golden[case]
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(RUNS)), budget=st.integers(0, 400),
+       seed=st.integers(0, 2**32), cut=st.integers(0, 100))
+@example(name="mined200", budget=300, seed=5, cut=0)  # empty first share
+@example(name="mined200", budget=300, seed=5, cut=100)  # empty last share
+def test_merge_of_two_shares_equals_the_whole_campaign(suites, name, budget, seed, cut):
+    db, cfg = suites[name]
+    records = db.sorted_records()
+    assert len(records) <= 100
+    cut = min(cut, len(records))
+    parts = [campaign(CommandDB(db.binary, records=share), cfg, budget=budget, seed=seed)
+             for share in (records[:cut], records[cut:])]
+    findings, stats = merge(parts)
+    whole = campaign(db, cfg, budget=budget, seed=seed)
+    assert (findings, stats) == whole
+    assert list(stats.first_crash_execs.items()) == list(whole[1].first_crash_execs.items())
 
 
 if __name__ == "__main__":

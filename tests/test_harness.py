@@ -10,7 +10,10 @@ from rilmine.fixtures import gen_crash_suite, gen_mutation_target
 from rilmine.harness import (
     INTERESTING_BYTES,
     SEVERITY,
+    CampaignStats,
+    Finding,
     campaign,
+    merge,
     mutate,
     probe_command,
     probe_nv_escape,
@@ -238,6 +241,18 @@ def test_campaign_is_deterministic():
     b = campaign(db, cfg, budget=10_000, seed=1)
     assert a[0] == b[0]
     assert a[1] == b[1]
+
+
+def test_merge_keeps_share_order_and_each_roots_first_crash():
+    # two commands of one root, in different shares, both crash
+    first = Finding("temporary", "r", b"\x01", "probe", 1)
+    second = Finding("temporary", "r", b"\x02", "mutation", 6)
+    worse = Finding("permanent", "s", b"\x03", "probe", 1)
+    findings, stats = merge([([first], CampaignStats(2, 0, 0, {"r": 1})),
+                             ([second, worse], CampaignStats(2, 5, 1, {"r": 6, "s": 1}))])
+    assert findings == [worse, first, second]
+    assert stats == CampaignStats(4, 5, 1, {"r": 1, "s": 1})
+    assert list(stats.first_crash_execs) == ["r", "s"]
 
 
 def test_campaign_mutation_finds_the_planted_byte():
