@@ -1,10 +1,14 @@
 """Register-transfer IR for lifted vendor RIL binaries.
 
-Programs arrive as JSON text (``ir_version: 1``, see docs/ir_format.md).
-The model is a small P-Code-style language: varnodes addressed by
-(space, offset, size) and twelve opcodes. Class metadata (hierarchy,
-vtables, constructor/member lists) rides alongside the code because the
-downstream analyses need it to resolve virtual calls.
+Programs arrive as JSON text (see docs/ir_format.md). ``serialize`` writes
+``ir_version: 2``, where one top-level table lists each distinct varnode
+once and instructions are positional rows that refer to it by index;
+``load_program`` reads that and the older ``ir_version: 1``, which spells
+every operand out as an object. The model is a small P-Code-style
+language: varnodes addressed by (space, offset, size) and twelve opcodes.
+Class metadata (hierarchy, vtables, constructor/member lists) rides
+alongside the code because the downstream analyses need it to resolve
+virtual calls.
 
 Varnodes and instructions, the cells of the code, are named tuples: small,
 immutable, and hashed and compared in C. The program, its classes,
@@ -16,15 +20,18 @@ writes to a program. To change one, build new objects
 ``load_program`` is built for large binaries, and holds about one copy of
 the program at its peak:
 
-* Varnodes are interned per load, while the JSON decodes: an object hook
-  turns each well-formed varnode object into the load's one shared
-  Varnode for that cell, so equal varnodes in one program are one object,
-  whichever instructions use them. Two loads share nothing.
+* Each cell is one shared Varnode per load, whichever instructions use it.
+  Two loads share nothing. In version 2 the table gives each cell one row,
+  checked once, and a duplicate row is an error. In version 1 an object
+  hook interns the varnodes while the JSON decodes: it turns each
+  well-formed varnode object into the load's Varnode for that cell.
 * The decoded document is freed as the program is built: each function's
   JSON is dropped once its Function exists.
-* A document the hooked decode rejects is decoded again without the hook
+* Both versions share every decoder but the instruction's. A version 1
+  document the hooked decode rejects is decoded again without the hook
   and built from that, so an error reads as the text has it, even where a
-  varnode-shaped object sits in another field.
+  varnode-shaped object sits in another field. Text that opens as
+  ``serialize`` writes version 2 is decoded without the hook at once.
 * It pauses the cyclic garbage collector while it builds the program,
   and restores the collector's previous state on the way out, whether
   the load succeeds or raises. Each call pauses on its own: where loads
@@ -45,6 +52,7 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -341,7 +349,8 @@ def class_of_type(t: str) -> str | None:
 # so the success path does no work for error reporting: a failed check raises
 # _Bad with a message, and each enclosing decoder appends its own field to
 # ``where`` on the way out. load_program joins the parts into the field path
-# of the ParseError, e.g. ``functions[2].blocks[0].ins[5].in[1]: ...``.
+# of the ParseError, e.g. ``functions[2].blocks[0].ins[5].in[1]: ...``, or
+# ``functions[2].blocks[0].ins[5][2][1]: ...`` in a version 2 row.
 
 class _Bad(Exception):
     def __init__(self, msg: str, *where: str):
@@ -349,7 +358,8 @@ class _Bad(Exception):
         self.where = list(where)  # innermost field first
 
     def parse_error(self) -> ParseError:
-        return ParseError(f"{'.'.join(reversed(self.where))}: {self.msg}")
+        path = "".join(w if w[0] == "[" else "." + w for w in reversed(self.where))
+        return ParseError(f"{path[1:]}: {self.msg}")
 
 
 def _list(x, name: str) -> list:
@@ -483,6 +493,74 @@ def _ins_from(obj, table: dict) -> Instruction:
     return Instruction(op, out, inputs, callee)
 
 
+def _table_from(rows) -> list[Varnode]:
+    """The Varnodes of a version 2 ``varnodes`` table, each row checked
+    once. Two equal rows would make two objects of one cell, so a
+    duplicate is an error. The rows are cleared once they are built."""
+    rows = _list(rows, "varnodes")
+    first: dict = {}  # Varnode -> its row; only exact ints get in, so 1.0 never equals 1
+    for n, row in enumerate(rows):
+        try:
+            if type(row) is not list or len(row) != 3:
+                raise _Bad("varnode row must be a list [space, offset, size]")
+            space, offset, size = row
+            try:
+                space = _SPACE[space]
+            except (KeyError, TypeError):
+                raise _Bad(f"unknown space {space!r}") from None
+            if type(offset) is not int or type(size) is not int or size <= 0:
+                raise _Bad("offset must be int, size a positive int")
+            v = Varnode(space, offset, size)
+            if first.setdefault(v, n) != n:
+                raise _Bad(f"duplicate of varnodes[{first[v]}]")
+        except _Bad as e:
+            e.where.append(f"varnodes[{n}]")
+            raise
+    rows.clear()
+    return list(first)
+
+
+def _bad_index(i, where: str) -> _Bad:
+    """The error for ``i``, which is not an index into the table."""
+    if type(i) is not int:
+        return _Bad(f"varnode index must be an int, not {type(i).__name__}", where)
+    return _Bad(f"varnode index {i} out of range", where)
+
+
+def _row_from(row, table: list) -> Instruction:
+    """A version 2 instruction row, ``[op, out, [in, ...]]`` with an
+    optional callee; ``out`` and each input index ``table``, and ``out``
+    is null when the instruction has none."""
+    if type(row) is not list:
+        raise _Bad(f"instruction row must be a list, not {type(row).__name__}")
+    if not 3 <= len(row) <= 4:
+        raise _Bad(f"instruction row must have 3 or 4 items, not {len(row)}")
+    try:
+        op = _OPCODE[row[0]]
+    except (KeyError, TypeError):
+        raise _Bad(f"unknown opcode {row[0]!r}", "[0]") from None
+    n = len(table)
+    out = row[1]
+    if out is not None:
+        if type(out) is not int or not 0 <= out < n:
+            raise _bad_index(out, "[1]")
+        out = table[out]
+    raw = row[2]
+    if type(raw) is not list:
+        raise _Bad(f"must be a list, not {type(raw).__name__}", "[2]")
+    inputs = []
+    for i in raw:
+        if type(i) is not int or not 0 <= i < n:  # a bool is an int; -1 would wrap
+            raise _bad_index(i, f"[2][{len(inputs)}]")
+        inputs.append(table[i])
+    callee = None
+    if len(row) == 4:
+        callee = row[3]
+        if type(callee) is not str:
+            raise _Bad(f"callee must be a string, not {type(callee).__name__}", "[3]")
+    return Instruction(op, out, tuple(inputs), callee)
+
+
 def _check_type_str(t) -> str:
     if not isinstance(t, str) or (
         t not in _SCALAR_TYPES and not t.startswith("class:")
@@ -500,7 +578,7 @@ def _param_from(obj) -> Param:
     return Param(_typed(obj["name"], str, "name"), _check_type_str(obj["type"]))
 
 
-def _block_from(obj, table: dict) -> Block:
+def _block_from(obj, ins_from, table) -> Block:
     if not isinstance(obj, dict):
         raise _Bad("block must be an object")
     if "id" not in obj:
@@ -510,7 +588,7 @@ def _block_from(obj, table: dict) -> Block:
     instructions = []
     try:
         for x in raw:
-            instructions.append(_ins_from(x, table))
+            instructions.append(ins_from(x, table))
     except _Bad as e:
         e.where.append(f"ins[{len(instructions)}]")
         raise
@@ -518,14 +596,14 @@ def _block_from(obj, table: dict) -> Block:
                  tuple(_all(int, obj.get("succ", []), "succ")))
 
 
-def _function_from(obj, table: dict) -> Function:
+def _function_from(obj, ins_from, table) -> Function:
     if not isinstance(obj, dict):
         raise _Bad("function must be an object")
     for key in ("id", "name", "stack_size", "blocks"):
         if key not in obj:
             raise _Bad(f"missing key {key!r}")
     params = _each(obj.get("params", []), "params", _param_from)
-    blocks = _each(obj["blocks"], "blocks", _block_from, table)
+    blocks = _each(obj["blocks"], "blocks", _block_from, ins_from, table)
     try:
         return_type = _check_type_str(obj.get("return", "void"))
     except _Bad as e:
@@ -565,12 +643,15 @@ def _segment_from(obj) -> tuple[int, bytes]:
     for key in ("addr", "hex"):
         if key not in obj:
             raise _Bad(f"segment missing key {key!r}")
+    text = obj["hex"]
     try:
-        blob = bytes.fromhex(obj["hex"])
+        blob = bytes.fromhex(text)
     except ValueError as e:
         raise _Bad(str(e)) from None
     except TypeError:
         raise _Bad("hex must be a string") from None
+    if blob.hex() != text:  # what serialize would write back
+        raise _Bad("must be lowercase hex without spaces", "hex")
     return _typed(obj["addr"], int, "addr"), blob
 
 
@@ -611,15 +692,26 @@ def load_program(text: str) -> IRProgram:
         return _load(text)
 
 
+# How ``serialize`` opens a version 2 document (any JSON whitespace allowed).
+_V2_HEAD = re.compile(r'\s*\{\s*"ir_version"\s*:\s*2\s*,')
+
+
 def _load(text: str) -> IRProgram:
-    table: dict = {}  # this load's interned varnodes
+    table: dict = {}  # this load's interned varnodes, for version 1
+    # The version 1 hook only slows a version 2 decode: no well-formed
+    # version 2 field is a varnode object. Where the text does not open as
+    # version 2, the hook runs and a failed build is retried without it, so
+    # the outcome does not depend on which decode a document gets.
+    hooked = _V2_HEAD.match(text) is None
     try:
-        doc = json.loads(text, object_hook=_varnode_hook(table))
+        doc = json.loads(text, object_hook=_varnode_hook(table) if hooked else None)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno} col {e.colno}: {e.msg}") from None
     try:
         prog = _program_from(doc, table)
     except ParseError:
+        if not hooked:
+            raise
         # The hook may have made a Varnode of an object where something
         # else belongs: the plain document words the error as the text has
         # it. Only the build is retried; validate sees the same program.
@@ -637,12 +729,16 @@ def _load(text: str) -> IRProgram:
 def _program_from(doc, table: dict) -> IRProgram:
     """The program the decoded document ``doc`` describes, built without
     ``validate``; ParseError on a malformed document. ``table`` is the
-    load's as in ``_varnode_hook``."""
+    load's as in ``_varnode_hook``; a version 2 document brings its own."""
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
-    if doc.get("ir_version") != 1:
-        raise ParseError(f"unsupported ir_version {doc.get('ir_version')!r}")
+    version = doc.get("ir_version")
+    if version not in (1, 2):
+        raise ParseError(f"unsupported ir_version {version!r}")
+    ins_from = _ins_from if version == 1 else _row_from
     try:
+        if version == 2:
+            table = _table_from(doc.get("varnodes", []))
         data = _each(doc.get("data", []), "data", _segment_from)
         word_size = _typed(doc.get("word_size", 8), int, "word_size")
         if word_size <= 0:
@@ -651,7 +747,8 @@ def _program_from(doc, table: dict) -> IRProgram:
             name=_typed(doc.get("name", "unnamed"), str, "name"),
             word_size=word_size,
             classes=_each(doc.get("classes", []), "classes", _class_from),
-            functions=_each(doc.get("functions", []), "functions", _function_from, table),
+            functions=_each(doc.get("functions", []), "functions", _function_from,
+                            ins_from, table),
             data=data,
             externals=_all(str, doc.get("externals", []), "externals"),
         )
@@ -772,26 +869,41 @@ def validate(p: IRProgram) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 # Encode
 
-def _varnode_to(v: Varnode) -> dict:
-    return {"space": v.space, "offset": v.offset, "size": v.size}
-
-
-def _ins_to(x: Instruction) -> dict:
-    d: dict = {"op": x.op}
-    if x.output is not None:
-        d["out"] = _varnode_to(x.output)
-    if x.inputs:
-        d["in"] = [_varnode_to(v) for v in x.inputs]
-    if x.callee is not None:
-        d["callee"] = x.callee
-    return d
-
-
 def program_to_dict(p: IRProgram) -> dict:
+    """The ``ir_version: 2`` document of ``p``: each distinct varnode is one
+    ``varnodes`` row, in order of first use, and each instruction the row
+    ``[op, out, [in, ...]]`` of indexes into it (``out`` None when there is
+    none), with the callee appended when it has one."""
+    index: dict[Varnode, int] = {}  # varnode -> its row, in first-use order
+
+    def row(x: Instruction) -> list:
+        out = x.output
+        r = [x.op, None if out is None else index.setdefault(out, len(index)),
+             [index.setdefault(v, len(index)) for v in x.inputs]]
+        if x.callee is not None:
+            r.append(x.callee)
+        return r
+
+    functions = [
+        {
+            "id": f.id,
+            "name": f.name,
+            **({"class": f.owning_class} if f.owning_class else {}),
+            "params": [{"name": q.name, "type": q.type} for q in f.params],
+            "return": f.return_type,
+            "stack_size": f.stack_size,
+            "blocks": [
+                {"id": b.id, "succ": list(b.successors), "ins": [row(x) for x in b.instructions]}
+                for b in f.blocks
+            ],
+        }
+        for f in p.functions
+    ]
     return {
-        "ir_version": 1,
+        "ir_version": 2,
         "name": p.name,
         "word_size": p.word_size,
+        "varnodes": [list(v) for v in index],
         "classes": [
             {
                 "name": c.name,
@@ -803,34 +915,17 @@ def program_to_dict(p: IRProgram) -> dict:
             }
             for c in p.classes
         ],
-        "functions": [
-            {
-                "id": f.id,
-                "name": f.name,
-                **({"class": f.owning_class} if f.owning_class else {}),
-                "params": [{"name": q.name, "type": q.type} for q in f.params],
-                "return": f.return_type,
-                "stack_size": f.stack_size,
-                "blocks": [
-                    {
-                        "id": b.id,
-                        "succ": list(b.successors),
-                        "ins": [_ins_to(x) for x in b.instructions],
-                    }
-                    for b in f.blocks
-                ],
-            }
-            for f in p.functions
-        ],
+        "functions": functions,
         "data": [{"addr": a, "hex": blob.hex()} for a, blob in p.data],
         "externals": p.externals,
     }
 
 
 def serialize(p: IRProgram) -> str:
-    """Compact JSON text of ``p``. Without ``indent``, ``json`` keeps to its
-    C encoder. ``program_to_dict`` builds a fresh, acyclic tree, so the
-    encoder skips its cycle check, and GC is paused as in the loader."""
+    """Compact JSON text of ``p``, as ``ir_version: 2``: the only version
+    written. Without ``indent``, ``json`` keeps to its C encoder.
+    ``program_to_dict`` builds a fresh, acyclic tree, so the encoder skips
+    its cycle check, and GC is paused as in the loader."""
     with _gc_paused():
         return json.dumps(program_to_dict(p), separators=(",", ":"), check_circular=False)
 

@@ -31,9 +31,11 @@ from rilmine.fixtures import (
     ret_stub,
 )
 
+from ir_v1 import v1_doc
 
-def _doc(p):
-    return ir.program_to_dict(p)
+# The tests that edit a document in place edit its version 1 form, whose
+# reader keeps every outcome it had; the version 2 reader has its own.
+_doc = v1_doc
 
 
 def make_minimal():
@@ -230,6 +232,126 @@ def test_parse_error_path_names_the_operand():
     assert str(exc.value) == "functions[1].blocks[2].ins[0].in[1]: varnode missing key 'size'"
 
 
+@pytest.mark.parametrize("text", ["2F6465762F756D74735F6970633000",
+                                  "2f 6465762f756d74735f6970633000",
+                                  "2f6465762f756d74735f697063 3000\n"],
+                         ids=["upper-case", "space", "space-and-newline"])
+@pytest.mark.parametrize("to_doc", [v1_doc, ir.program_to_dict], ids=["v1", "v2"])
+def test_segment_hex_must_be_what_serialize_writes(text, to_doc):
+    # bytes.fromhex takes all of these, but serialize would write other text
+    doc = to_doc(gen_fig5()[0])
+    assert bytes.fromhex(text).hex() == doc["data"][0]["hex"]
+    doc["data"][0]["hex"] = text
+    with pytest.raises(ir.ParseError) as exc:
+        ir.load_program(json.dumps(doc))
+    assert str(exc.value) == "data[0].hex: must be lowercase hex without spaces"
+
+
+# ---------------------------------------------------------------------------
+# Version 2: the varnode table and instruction rows
+
+def _v2_fig5():
+    """fig5's version 2 document: 15 varnode rows; functions[1].blocks[0]
+    starts ["INT_ADD", 0, [6, 7]] and functions[0].blocks[0] starts
+    ["CALL", 0, [1, 2], "open"]."""
+    doc = ir.program_to_dict(gen_fig5()[0])
+    assert len(doc["varnodes"]) == 15
+    return doc
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("varnodes",), {}, "varnodes: must be a list, not dict"),
+    (("varnodes", 7), {"space": "reg", "offset": 1, "size": 8},
+     "varnodes[7]: varnode row must be a list [space, offset, size]"),
+    (("varnodes", 7), ["reg", 1], "varnodes[7]: varnode row must be a list [space, offset, size]"),
+    (("varnodes", 7, 0), "x", "varnodes[7]: unknown space 'x'"),
+    (("varnodes", 7, 0), ["reg"], "varnodes[7]: unknown space ['reg']"),
+    (("varnodes", 7, 1), 1.0, "varnodes[7]: offset must be int, size a positive int"),
+    (("varnodes", 7, 1), True, "varnodes[7]: offset must be int, size a positive int"),
+    (("varnodes", 7, 2), 0, "varnodes[7]: offset must be int, size a positive int"),
+    (("varnodes", 7), ["reg", 0, 8], "varnodes[7]: duplicate of varnodes[6]"),
+    (("functions", 1, "blocks", 0, "ins", 0), {"op": "COPY"},
+     "functions[1].blocks[0].ins[0]: instruction row must be a list, not dict"),
+    (("functions", 1, "blocks", 0, "ins", 0), ["COPY", 0],
+     "functions[1].blocks[0].ins[0]: instruction row must have 3 or 4 items, not 2"),
+    (("functions", 1, "blocks", 0, "ins", 0), ["CALL", 0, [], "f", "g"],
+     "functions[1].blocks[0].ins[0]: instruction row must have 3 or 4 items, not 5"),
+    (("functions", 1, "blocks", 0, "ins", 0, 0), "XOR",
+     "functions[1].blocks[0].ins[0][0]: unknown opcode 'XOR'"),
+    (("functions", 1, "blocks", 0, "ins", 0, 1), -1,
+     "functions[1].blocks[0].ins[0][1]: varnode index -1 out of range"),
+    (("functions", 1, "blocks", 0, "ins", 0, 1), 15,
+     "functions[1].blocks[0].ins[0][1]: varnode index 15 out of range"),
+    (("functions", 1, "blocks", 0, "ins", 0, 1), 0.0,
+     "functions[1].blocks[0].ins[0][1]: varnode index must be an int, not float"),
+    (("functions", 1, "blocks", 0, "ins", 0, 2), 6,
+     "functions[1].blocks[0].ins[0][2]: must be a list, not int"),
+    (("functions", 1, "blocks", 0, "ins", 0, 2, 1), 99,
+     "functions[1].blocks[0].ins[0][2][1]: varnode index 99 out of range"),
+    (("functions", 1, "blocks", 0, "ins", 0, 2, 1), True,
+     "functions[1].blocks[0].ins[0][2][1]: varnode index must be an int, not bool"),
+    (("functions", 1, "blocks", 0, "ins", 0, 2, 0), None,
+     "functions[1].blocks[0].ins[0][2][0]: varnode index must be an int, not NoneType"),
+    (("functions", 0, "blocks", 0, "ins", 0, 3), 7,
+     "functions[0].blocks[0].ins[0][3]: callee must be a string, not int"),
+    (("functions", 0, "blocks", 0, "ins", 0, 3), None,
+     "functions[0].blocks[0].ins[0][3]: callee must be a string, not NoneType"),
+], ids=["table", "row-object", "row-short", "space", "space-list", "offset-float",
+        "offset-bool", "size-zero", "duplicate", "ins-object", "ins-2", "ins-5", "opcode",
+        "out-negative", "out-table-length", "out-float", "in-not-list", "in-range",
+        "in-bool", "in-null", "callee-int", "callee-null"])
+def test_v2_rows_are_checked_with_field_paths(path, value, message):
+    doc = _v2_fig5()
+    _set(doc, path, value)
+    with pytest.raises(ir.ParseError) as exc:
+        ir.load_program(json.dumps(doc, separators=(",", ":")))
+    assert str(exc.value) == message
+
+
+def test_v2_null_out_is_no_output_and_the_callee_is_optional():
+    doc = _v2_fig5()
+    doc["functions"][0]["blocks"][0]["ins"][0] = ["COPY", 3, [1]]
+    doc["functions"][0]["blocks"][0]["ins"].insert(0, ["STORE", None, [4, 2]])
+    ins = ir.load_program(json.dumps(doc)).fn("IpcRxPoll").blocks[0].instructions
+    assert ins[:2] == [ir.Instruction("STORE", None, (S(16, 32), C(0)), None),
+                       ir.Instruction("COPY", U(1), (C(0x2000),), None)]
+
+
+def test_v2_table_rows_are_one_object_each():
+    p = ir.load_program(ir.serialize(gen_fig5()[0]))
+    got = {}
+    for v in _varnodes(p):
+        assert got.setdefault(v, v) is v
+    assert len(got) == 15
+
+
+def test_v2_loads_alike_whichever_decode_it_gets():
+    # Text that does not open as serialize writes version 2 (here: sorted
+    # keys, so "classes" comes first) goes through the version 1 decode and
+    # its retry. A program, or an error, must come out the same.
+    good = _v2_fig5()
+    bad = _v2_fig5()
+    bad["data"][0] = {"space": "reg", "offset": 1, "size": 8}
+    for doc in (good, bad):
+        texts = [json.dumps(doc), json.dumps(doc, sort_keys=True)]
+        assert [ir._V2_HEAD.match(t) is not None for t in texts] == [True, False]
+        outcomes = set()
+        for text in texts:
+            try:
+                outcomes.add(ir.serialize(ir.load_program(text)))
+            except ir.ParseError as e:
+                outcomes.add(str(e))
+        assert len(outcomes) == 1, outcomes
+    assert outcomes == {"data[0]: segment missing key 'addr'"}
+
+
+def test_a_v2_document_without_varnodes_has_an_empty_table():
+    doc = ir.program_to_dict(ir.IRProgram(name="p", functions=[ret_stub("f")]))
+    assert doc["varnodes"] == []
+    del doc["varnodes"]
+    assert ir.load_program(json.dumps(doc)).fn("f").blocks[0].instructions == [I("RETURN")]
+
+
 # ---------------------------------------------------------------------------
 # Varnode interning
 
@@ -333,14 +455,15 @@ def test_serialize_writes_compact_json(tmp_path, capsys):
     for label, p in _written_programs(tmp_path):
         text = ir.serialize(p)
         assert ", " not in text and '": ' not in text and "\n" not in text, label
-        assert json.loads(text) == _doc(p), label
+        assert json.loads(text) == ir.program_to_dict(p), label
 
 
 def test_indented_documents_load_and_serialize_compactly(tmp_path, capsys):
-    # the old writer's output, as existing IR files on disk hold it
+    # the old writers' output, as existing IR files on disk hold it
     for label, p in _written_programs(tmp_path):
-        indented = json.dumps(_doc(p), indent=1)
-        assert ir.serialize(ir.load_program(indented)) == ir.serialize(p), label
+        for doc in (v1_doc(p), ir.program_to_dict(p)):
+            indented = json.dumps(doc, indent=1)
+            assert ir.serialize(ir.load_program(indented)) == ir.serialize(p), label
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Artifacts of mutated programs stay byte-identical.
 
-A seeded mutator edits each IR fixture kind and ``gen_random`` seeds 0-11
-a few times over and keeps the programs that still load. The edits reach
-the walkers' odd branches (undefined values, loads through non-object
-bases, constant and uninitialized descriptors, unmodeled defs) that the
-well-formed fixtures never take. For each base program, the sha256 of
+A seeded mutator edits the ``ir_version: 1`` document (``ir_v1.v1_doc``)
+of each IR fixture kind and of ``gen_random`` seeds 0-11 a few times over,
+and keeps the programs that still load. The edits reach the walkers' odd
+branches (undefined values, loads through non-object bases, constant and
+uninitialized descriptors, unmodeled defs) that the well-formed fixtures
+never take. For each base program, the sha256 of
 every mutant's ``callgraph.dump``, and of its ``.cmdb.tsv``, ``.cmdb.json``
 and ``.report.txt`` under each of two filter configs, is checked against
 ``tests/golden/mutants.json``, together with the number of mutants kept
@@ -35,8 +36,9 @@ from rilmine.ir import (
     ParseError,
     ValidationError,
     load_program,
-    program_to_dict,
 )
+
+from ir_v1 import v1_doc
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "mutants.json")
 IR_KINDS = [k for k in cli.FIXTURE_KINDS if k not in ("crashsuite", "mutsuite", "diffpair", "rand")]
@@ -60,7 +62,7 @@ def _base_doc(base: str) -> dict:
         p, _ = gen_random(seed=int(arg))
     else:
         p, _ = cli._IR_FIXTURES[arg](0)
-    return program_to_dict(p)
+    return v1_doc(p)
 
 
 def _slots(ins: dict) -> list[tuple[dict, object]]:

@@ -1,7 +1,8 @@
 """The oracle sweep's per-seed check, run over seeds 0-99.
 
 ``scripts/run_oracle_sweep.py`` round-trips each ``gen_random`` program
-through ``serialize`` -> ``load_program`` -> ``serialize`` byte for byte and
+through ``serialize`` -> ``load_program`` -> ``serialize`` byte for byte,
+requires its ``ir_version: 1`` form to load to the same program, and
 requires pipeline, ``oracle.py`` and manifest to agree. The script runs
 more seeds; this keeps the first hundred in the test suite.
 """
