@@ -460,6 +460,7 @@ def _varnode_from(obj, table: dict) -> Varnode:
 
 
 def _ins_from(obj, table: dict) -> Instruction:
+    """A version 1 instruction object; ``table`` as in ``_varnode_hook``."""
     try:
         op = _OPCODE[obj["op"]]
     except (KeyError, TypeError):
@@ -529,8 +530,8 @@ def _bad_index(i, where: str) -> _Bad:
 
 def _row_from(row, table: list) -> Instruction:
     """A version 2 instruction row, ``[op, out, [in, ...]]`` with an
-    optional callee; ``out`` and each input index ``table``, and ``out``
-    is null when the instruction has none."""
+    optional callee. ``out`` and each input are indexes into ``table``,
+    the load's Varnodes, and ``out`` is None when there is no output."""
     if type(row) is not list:
         raise _Bad(f"instruction row must be a list, not {type(row).__name__}")
     if not 3 <= len(row) <= 4:
