@@ -27,11 +27,12 @@ the program at its peak:
   well-formed varnode object into the load's Varnode for that cell.
 * The decoded document is freed as the program is built: each function's
   JSON is dropped once its Function exists.
-* Both versions share every decoder but the instruction's. A version 1
-  document the hooked decode rejects is decoded again without the hook
-  and built from that, so an error reads as the text has it, even where a
-  varnode-shaped object sits in another field. Text that opens as
-  ``serialize`` writes version 2 is decoded without the hook at once.
+* Both versions share every decoder but the instruction's, and one
+  decode: every document goes through the hook, which in a well-formed
+  version 2 document meets no varnode object. A document the hooked
+  decode rejects is decoded again without the hook and built from that,
+  so an error reads as the text has it, even where a varnode-shaped
+  object sits in another field.
 * It pauses the cyclic garbage collector while it builds the program,
   and restores the collector's previous state on the way out, whether
   the load succeeds or raises. Each call pauses on its own: where loads
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 import gc
 import json
-import re
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -693,26 +693,15 @@ def load_program(text: str) -> IRProgram:
         return _load(text)
 
 
-# How ``serialize`` opens a version 2 document (any JSON whitespace allowed).
-_V2_HEAD = re.compile(r'\s*\{\s*"ir_version"\s*:\s*2\s*,')
-
-
 def _load(text: str) -> IRProgram:
     table: dict = {}  # this load's interned varnodes, for version 1
-    # The version 1 hook only slows a version 2 decode: no well-formed
-    # version 2 field is a varnode object. Where the text does not open as
-    # version 2, the hook runs and a failed build is retried without it, so
-    # the outcome does not depend on which decode a document gets.
-    hooked = _V2_HEAD.match(text) is None
     try:
-        doc = json.loads(text, object_hook=_varnode_hook(table) if hooked else None)
+        doc = json.loads(text, object_hook=_varnode_hook(table))
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno} col {e.colno}: {e.msg}") from None
     try:
         prog = _program_from(doc, table)
     except ParseError:
-        if not hooked:
-            raise
         # The hook may have made a Varnode of an object where something
         # else belongs: the plain document words the error as the text has
         # it. Only the build is retried; validate sees the same program.
@@ -734,7 +723,8 @@ def _program_from(doc, table: dict) -> IRProgram:
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     version = doc.get("ir_version")
-    if version not in (1, 2):
+    # 2 only as an exact int; ``true`` and ``1.0`` still read as version 1
+    if version not in (1, 2) or (version == 2 and type(version) is not int):
         raise ParseError(f"unsupported ir_version {version!r}")
     ins_from = _ins_from if version == 1 else _row_from
     try:
