@@ -187,8 +187,9 @@ def _analyze_all(tasks: list[tuple[str, str]], config: FilterConfig, out: str) -
     included: the parent runs the next task itself whenever every worker
     slot is taken, and waits only when no task is left to start. A worker
     writes its own artifacts and sends back only its (summary, error)
-    pair, so one that raises or dies costs only its own task. With room
-    for one busy process, or no ``os.fork``, every task runs here."""
+    pair, so one that raises or dies costs only its own task. A task no
+    process can be forked for runs here; with room for one busy process,
+    or no ``os.fork``, every task does."""
     width = min(len(tasks), _usable_cpus()) if hasattr(os, "fork") else 1
     if width <= 1:
         return [_task(path, binary, config, out) for path, binary in tasks]
@@ -198,12 +199,16 @@ def _analyze_all(tasks: list[tuple[str, str]], config: FilterConfig, out: str) -
     try:
         while pending or running:
             while pending and len(running) < width - 1:
-                i = pending.popleft()
-                r, pid = _fork(_task, *tasks[i], config, out)
-                running[r] = (pid, i)
+                try:
+                    r, pid = _fork(_task, *tasks[pending[0]], config, out)
+                except OSError:  # no process to be had: the task runs here
+                    break
+                running[r] = (pid, pending.popleft())
             if pending:
                 i = pending.popleft()
                 results[i] = _task(*tasks[i], config, out)
+            if not running:
+                continue
             ready, _, _ = select.select(list(running), [], [], 0 if pending else None)
             for r in ready:
                 pid, i = running.pop(r)

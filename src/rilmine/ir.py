@@ -22,17 +22,13 @@ the program at its peak:
 
 * Each cell is one shared Varnode per load, whichever instructions use it.
   Two loads share nothing. In version 2 the table gives each cell one row,
-  checked once, and a duplicate row is an error. In version 1 an object
-  hook interns the varnodes while the JSON decodes: it turns each
-  well-formed varnode object into the load's Varnode for that cell.
-* The decoded document is freed as the program is built: each function's
-  JSON is dropped once its Function exists.
-* Both versions share every decoder but the instruction's, and one
-  decode: every document goes through the hook, which in a well-formed
-  version 2 document meets no varnode object. A document the hooked
-  decode rejects is decoded again without the hook and built from that,
-  so an error reads as the text has it, even where a varnode-shaped
-  object sits in another field.
+  checked once, and a duplicate row is an error. In version 1 each
+  varnode object is checked as its instruction is built, and replaced by
+  the load's Varnode for that cell.
+* The text is decoded once, by a plain ``json.loads``, and the decoded
+  document is freed as the program is built: each function's JSON is
+  dropped once its Function exists. Both versions share every decoder but
+  the instruction's.
 * It pauses the cyclic garbage collector while it builds the program,
   and restores the collector's previous state on the way out, whether
   the load succeeds or raises. Each call pauses on its own: where loads
@@ -413,39 +409,9 @@ _SPACE = {s: s for s in SPACES}
 _OPCODE = {op: op for op in OPCODES}
 
 
-def _varnode_hook(table: dict):
-    """``json.loads`` object hook that turns each object with exactly the
-    keys space, offset and size, which ``_varnode_from`` would accept, into
-    the load's interned Varnode, and leaves any other object a dict.
-    ``table`` maps (space, offset, size) to the Varnode built for it in this
-    load. Only exact-int keys are entered and hit: ``1.0`` and ``True``
-    equal ``1`` as dict keys, and are left for ``_varnode_from`` to reject."""
-    def hook(d: dict):
-        if len(d) != 3 or "size" not in d:
-            return d
-        try:
-            space, offset, size = d["space"], d["offset"], d["size"]
-        except KeyError:
-            return d
-        if type(offset) is not int or type(size) is not int:
-            return d
-        try:
-            return table[space, offset, size]
-        except KeyError:
-            pass
-        except TypeError:  # an unhashable space
-            return d
-        if space not in SPACES or size <= 0:
-            return d
-        v = table[space, offset, size] = Varnode(_SPACE[space], offset, size)
-        return v
-    return hook
-
-
 def _varnode_from(obj, table: dict) -> Varnode:
-    """The interned varnode for ``obj``, a value the object hook left as it
-    was: check it and locate what is wrong with it. ``table`` is the load's
-    as in ``_varnode_hook``."""
+    """The load's Varnode for the version 1 varnode object ``obj``, once it
+    is checked; ``table`` maps each cell (space, offset, size) to it."""
     if not isinstance(obj, dict):
         raise _Bad("varnode must be an object")
     try:
@@ -460,7 +426,7 @@ def _varnode_from(obj, table: dict) -> Varnode:
 
 
 def _ins_from(obj, table: dict) -> Instruction:
-    """A version 1 instruction object; ``table`` as in ``_varnode_hook``."""
+    """A version 1 instruction object; ``table`` as in ``_varnode_from``."""
     try:
         op = _OPCODE[obj["op"]]
     except (KeyError, TypeError):
@@ -469,24 +435,21 @@ def _ins_from(obj, table: dict) -> Instruction:
         raise _Bad(f"unknown opcode {obj.get('op')!r}") from None
     out = None
     if "out" in obj:
-        out = obj["out"]
-        if type(out) is not Varnode:
-            try:
-                out = _varnode_from(out, table)
-            except _Bad as e:
-                e.where.append("out")
-                raise
+        try:
+            out = _varnode_from(obj["out"], table)
+        except _Bad as e:
+            e.where.append("out")
+            raise
     inputs = ()
     if "in" in obj:
         # _each, unrolled: this loop runs once per operand of the binary
         raw = _list(obj["in"], "in")
         for n, v in enumerate(raw):
-            if type(v) is not Varnode:
-                try:
-                    raw[n] = _varnode_from(v, table)
-                except _Bad as e:
-                    e.where.append(f"in[{n}]")
-                    raise
+            try:
+                raw[n] = _varnode_from(v, table)
+            except _Bad as e:
+                e.where.append(f"in[{n}]")
+                raise
         inputs = tuple(raw)
     callee = obj.get("callee")
     if callee is not None and not isinstance(callee, str):
@@ -694,18 +657,11 @@ def load_program(text: str) -> IRProgram:
 
 
 def _load(text: str) -> IRProgram:
-    table: dict = {}  # this load's interned varnodes, for version 1
     try:
-        doc = json.loads(text, object_hook=_varnode_hook(table))
+        doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno} col {e.colno}: {e.msg}") from None
-    try:
-        prog = _program_from(doc, table)
-    except ParseError:
-        # The hook may have made a Varnode of an object where something
-        # else belongs: the plain document words the error as the text has
-        # it. Only the build is retried; validate sees the same program.
-        prog = _program_from(json.loads(text), {})
+    prog = _program_from(doc)
     diags = validate(prog)
     for d in diags:
         form = _LINK_ERRORS.get(d.invariant)
@@ -716,20 +672,19 @@ def _load(text: str) -> IRProgram:
     return prog
 
 
-def _program_from(doc, table: dict) -> IRProgram:
+def _program_from(doc) -> IRProgram:
     """The program the decoded document ``doc`` describes, built without
-    ``validate``; ParseError on a malformed document. ``table`` is the
-    load's as in ``_varnode_hook``; a version 2 document brings its own."""
+    ``validate``; ParseError on a malformed document."""
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     version = doc.get("ir_version")
-    # 2 only as an exact int; ``true`` and ``1.0`` still read as version 1
-    if version not in (1, 2) or (version == 2 and type(version) is not int):
+    if type(version) is not int or version not in (1, 2):
         raise ParseError(f"unsupported ir_version {version!r}")
-    ins_from = _ins_from if version == 1 else _row_from
     try:
-        if version == 2:
-            table = _table_from(doc.get("varnodes", []))
+        if version == 1:
+            ins_from, table = _ins_from, {}
+        else:
+            ins_from, table = _row_from, _table_from(doc.get("varnodes", []))
         data = _each(doc.get("data", []), "data", _segment_from)
         word_size = _typed(doc.get("word_size", 8), int, "word_size")
         if word_size <= 0:

@@ -353,6 +353,28 @@ def test_an_input_that_raises_in_this_process_costs_only_itself(cpus, tmp_path, 
     assert err.endswith("RecursionError: deep\n")
 
 
+@pytest.mark.parametrize("forkable", [0, 1])
+def test_analyze_runs_a_task_here_when_no_process_can_be_forked(forkable, tmp_path, capsys,
+                                                               monkeypatch):
+    _gen(capsys, tmp_path, "fig2")
+    _gen(capsys, tmp_path, "fig5")
+    copy = tmp_path / "copy.ir.json"
+    copy.write_text((tmp_path / "fig2.ir.json").read_text())
+    inputs = [str(tmp_path / "fig2.ir.json"), str(tmp_path / "fig5.ir.json"), str(copy)]
+    serial, _ = _analyze_on(1, tmp_path, capsys, monkeypatch, inputs)
+    fork, tries = os.fork, []
+
+    def failing_fork():  # the first ``forkable`` forks succeed, then none
+        tries.append(None)
+        if len(tries) > forkable:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert _analyze_on(3, tmp_path, capsys, monkeypatch, inputs) == (serial, forkable)
+    assert serial[0] == 0 and len(serial[3]) == 9
+
+
 def test_out_dir_falls_back_to_environment(tmp_path, capsys, monkeypatch):
     env_dir = tmp_path / "envout"
     monkeypatch.setenv("RILMINE_OUT", str(env_dir))

@@ -96,6 +96,15 @@ def test_version_2_is_an_exact_int(version):
     assert str(exc.value) == f"unsupported ir_version {version!r}"
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_version_1_is_an_exact_int(version):
+    doc = _doc(make_minimal())
+    doc["ir_version"] = version
+    with pytest.raises(ir.ParseError) as exc:
+        ir.load_program(json.dumps(doc))
+    assert str(exc.value) == f"unsupported ir_version {version!r}"
+
+
 def test_rejects_duplicate_function_ids():
     doc = _doc(make_minimal())
     doc["functions"].append(doc["functions"][0])
@@ -490,6 +499,30 @@ def test_load_pauses_gc_and_restores_its_state(outcome, enabled, monkeypatch):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("case", ["v1", "v2", "v1-parse-error", "v2-parse-error"])
+def test_a_load_decodes_its_text_once(case, monkeypatch):
+    bad_v2 = ir.program_to_dict(make_minimal())
+    bad_v2["functions"][0]["blocks"][0]["ins"][0][0] = "XOR"
+    text = {"v1": json.dumps(_doc(make_minimal())),
+            "v2": ir.serialize(make_minimal()),
+            "v1-parse-error": _bad_texts()[ir.ParseError],
+            "v2-parse-error": json.dumps(bad_v2)}[case]
+    decoded = []
+    loads = json.loads
+
+    def counting(s, **kwargs):
+        decoded.append(s)
+        return loads(s, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting)
+    if case.endswith("parse-error"):
+        with pytest.raises(ir.ParseError, match="unknown opcode 'XOR'"):
+            ir.load_program(text)
+    else:
+        ir.load_program(text)
+    assert decoded == [text]
 
 
 def test_load_leaves_frozen_objects_frozen():
