@@ -49,7 +49,9 @@ def _binary_name(path: str) -> str:
 
 def locate_ril_library(root: str) -> tuple[str, str, str | None] | None:
     """Scan build.prop per partition (system, vendor, super) for the RIL
-    library path. Returns (partition, libpath, ir_file|None)."""
+    library path. Returns (partition, libpath, ir_file|None). Raises
+    ValueError when the IR path, symbolic links resolved, is outside
+    ``root``."""
     for part in PARTITIONS:
         prop = os.path.join(root, part, "build.prop")
         if not os.path.isfile(prop):
@@ -63,6 +65,9 @@ def locate_ril_library(root: str) -> tuple[str, str, str | None] | None:
                 if sep and key.strip() == RIL_PROP_KEY:
                     libpath = val.strip()
                     ir = os.path.join(root, libpath.lstrip("/") + ".ir.json")
+                    tree = os.path.join(os.path.realpath(root), "")  # ends in one separator
+                    if not os.path.realpath(ir).startswith(tree):
+                        raise ValueError(f"{prop}: {RIL_PROP_KEY}={libpath} points outside {root}")
                     return part, libpath, ir if os.path.isfile(ir) else None
     return None
 
@@ -171,28 +176,21 @@ def _join(r: int, pid: int):
     raise ChildProcessError(f"worker process {how} before it reported")
 
 
-def _abandon(workers) -> None:
-    """Close the pipe of each (pipe, pid) in ``workers`` and wait for its
-    worker to end; for a process that raised while they ran."""
-    for r, pid in workers:
-        os.close(r)
-        os.waitpid(pid, 0)
+def _run_all(fn, tasks: list[tuple], width: int) -> list:
+    """``fn(*task)`` of each task in ``tasks``, in task order.
 
-
-def _analyze_all(tasks: list[tuple[str, str]], config: FilterConfig, out: str) -> list:
-    """``_task`` of each (path, binary) in ``tasks``, in task order.
-
-    Tasks run concurrently, one per forked worker process, with at most as
-    many processes busy as there are usable CPUs or tasks, the parent
-    included: the parent runs the next task itself whenever every worker
-    slot is taken, and waits only when no task is left to start. A worker
-    writes its own artifacts and sends back only its (summary, error)
-    pair, so one that raises or dies costs only its own task. A task no
-    process can be forked for runs here; with room for one busy process,
-    or no ``os.fork``, every task does."""
-    width = min(len(tasks), _usable_cpus()) if hasattr(os, "fork") else 1
+    Tasks run concurrently, one per forked worker process, with at most
+    ``width`` processes busy, this one included, and no more than there
+    are tasks: this process runs the next task itself whenever every
+    worker slot is taken, and waits only when no task is left to start. A
+    task no process can be forked for runs here; with room for one busy
+    process, or no ``os.fork``, every task does. The result of a task
+    whose worker raised or died is the ChildProcessError ``_join`` gave.
+    An exception in a task run here propagates once every worker is
+    reaped."""
+    width = min(len(tasks), width) if hasattr(os, "fork") else 1
     if width <= 1:
-        return [_task(path, binary, config, out) for path, binary in tasks]
+        return [fn(*task) for task in tasks]
     results: list = [None] * len(tasks)
     pending = deque(range(len(tasks)))
     running: dict[int, tuple[int, int]] = {}  # pipe read end -> (pid, task index)
@@ -200,13 +198,13 @@ def _analyze_all(tasks: list[tuple[str, str]], config: FilterConfig, out: str) -
         while pending or running:
             while pending and len(running) < width - 1:
                 try:
-                    r, pid = _fork(_task, *tasks[pending[0]], config, out)
+                    r, pid = _fork(fn, *tasks[pending[0]])
                 except OSError:  # no process to be had: the task runs here
                     break
                 running[r] = (pid, pending.popleft())
             if pending:
                 i = pending.popleft()
-                results[i] = _task(*tasks[i], config, out)
+                results[i] = fn(*tasks[i])
             if not running:
                 continue
             ready, _, _ = select.select(list(running), [], [], 0 if pending else None)
@@ -215,9 +213,11 @@ def _analyze_all(tasks: list[tuple[str, str]], config: FilterConfig, out: str) -
                 try:
                     results[i] = _join(r, pid)
                 except ChildProcessError as e:
-                    results[i] = None, f"{tasks[i][0]}: {e}"
+                    results[i] = e
     finally:
-        _abandon((r, pid) for r, (pid, _) in running.items())  # only when this process raised
+        for r, (pid, _) in running.items():  # only when this process raised
+            os.close(r)
+            os.waitpid(pid, 0)
     return results
 
 
@@ -259,8 +259,12 @@ def _cmd_analyze(args) -> int:
             taken[binary] = path
             tasks.append((k, path, binary))
     summaries: dict[str, str] = {}  # binary name -> summary line
-    results = _analyze_all([(path, binary) for _, path, binary in tasks], config, out)
-    for (k, _, binary), (summary, error) in zip(tasks, results):
+    results = _run_all(_task, [(path, binary, config, out) for _, path, binary in tasks],
+                       _usable_cpus())
+    for (k, path, binary), result in zip(tasks, results):
+        if isinstance(result, ChildProcessError):  # its worker raised or died
+            result = None, f"{path}: {result}"
+        summary, error = result
         if error is None:
             summaries[binary] = summary
         else:
@@ -328,11 +332,11 @@ def _cmd_sim(args) -> int:
     or write them to ``--out``.
 
     The commands, in ``sorted_records`` order, are cut into contiguous
-    shares (``_sim_shares``). Each share but the last runs ``campaign`` in
-    a forked worker, or here if no process can be forked; the last runs
-    here, and ``harness.merge`` joins the results in share order, so the
-    findings are the same for every cut. A worker that raises or dies
-    fails the call before anything is printed or written."""
+    shares (``_sim_shares``), and ``_run_all`` runs ``campaign`` on each
+    with one process per share, this one included. ``harness.merge`` joins
+    the results in share order, so the findings are the same for every
+    cut. A worker that raises or dies fails the call before anything is
+    printed or written."""
     if args.budget < 0:
         print(f"error: --budget must be 0 or more, not {args.budget}", file=sys.stderr)
         return 1
@@ -345,20 +349,11 @@ def _cmd_sim(args) -> int:
     def run(share):
         return campaign(share, config, budget=args.budget, seed=args.seed)
 
-    *forked, last = _sim_shares(db, args.budget)
-    parts: list = [None] * (len(forked) + 1)
-    workers: dict[int, tuple[int, int]] = {}  # share index -> (pipe read end, pid)
-    try:
-        for i, share in enumerate(forked):
-            try:
-                workers[i] = _fork(run, share)
-            except OSError:  # no process to be had: the share runs here
-                parts[i] = run(share)
-        parts[-1] = run(last)
-        for i in list(workers):
-            parts[i] = _join(*workers.pop(i))
-    finally:
-        _abandon(workers.values())  # only when this process raised
+    shares = _sim_shares(db, args.budget)
+    parts = _run_all(run, [(share,) for share in shares], len(shares))
+    for part in parts:
+        if isinstance(part, ChildProcessError):
+            raise part
     findings, stats = merge(parts)
     lines = [
         "# rilmine findings v1",

@@ -422,7 +422,11 @@ def _varnode_from(obj, table: dict) -> Varnode:
         raise _Bad(f"unknown space {space!r}")
     if type(offset) is not int or type(size) is not int or size <= 0:
         raise _Bad("offset must be int, size a positive int")
-    return table.setdefault((space, offset, size), Varnode(_SPACE[space], offset, size))
+    key = space, offset, size
+    v = table.get(key)
+    if v is None:  # a new cell
+        v = table[key] = Varnode(_SPACE[space], offset, size)
+    return v
 
 
 def _ins_from(obj, table: dict) -> Instruction:

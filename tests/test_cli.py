@@ -449,6 +449,28 @@ def test_analyze_directory_without_ir_fails(tmp_path, capsys):
     assert "no IR next to" in err
 
 
+@pytest.mark.parametrize("command", ["locate", "analyze"])
+@pytest.mark.parametrize("escape", ["dotdot", "symlink"])
+def test_a_libpath_that_leaves_the_tree_is_refused(escape, command, tmp_path, capsys):
+    fw, outside = tmp_path / "fw", tmp_path / "outside"
+    outside.mkdir()
+    if escape == "dotdot":
+        libpath = "/../outside/lib.so"
+    else:  # a link inside the tree to a directory outside it
+        (fw / "vendor").mkdir(parents=True)
+        (fw / "vendor" / "lib64").symlink_to(outside, target_is_directory=True)
+        libpath = "/vendor/lib64/lib.so"
+    _firmware_tree(fw, libpath=libpath)
+    assert (outside / "lib.so.ir.json").is_file()
+    out_dir = tmp_path / "out"
+    argv = [command, str(fw)] + (["--out", str(out_dir)] if command == "analyze" else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (f"error: {fw / 'vendor' / 'build.prop'}: "
+                   f"vendor.rild.libpath={libpath} points outside {fw}\n")
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # diff
 

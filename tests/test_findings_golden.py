@@ -8,7 +8,7 @@ table mixes exact, ``..`` and prefix rows, repeats matchers with different
 effects, and puts prefix rows ahead of exact rows they shadow, so a
 first-match lookup that picks any other row moves a digest. ``sim`` cut
 into shares run by worker processes must give the same digests, and
-``harness.merge`` of any two contiguous shares the whole campaign.
+``harness.merge`` of any number of contiguous shares the whole campaign.
 
 A change that moves any digest changes what ``sim`` reports. When that is
 intended, regenerate the file and say why in the change:
@@ -212,16 +212,17 @@ def test_findings_match_golden_digest_in_worker_processes(case, suites, golden, 
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(RUNS)), budget=st.integers(0, 400),
-       seed=st.integers(0, 2**32), cut=st.integers(0, 100))
-@example(name="mined200", budget=300, seed=5, cut=0)  # empty first share
-@example(name="mined200", budget=300, seed=5, cut=100)  # empty last share
-def test_merge_of_two_shares_equals_the_whole_campaign(suites, name, budget, seed, cut):
+       seed=st.integers(0, 2**32), cuts=st.lists(st.integers(0, 100), max_size=8).map(sorted))
+@example(name="mined200", budget=300, seed=5, cuts=[0])  # empty first share
+@example(name="mined200", budget=300, seed=5, cuts=[100])  # empty last share
+def test_merge_of_contiguous_shares_equals_the_whole_campaign(suites, name, budget, seed, cuts):
     db, cfg = suites[name]
     records = db.sorted_records()
     assert len(records) <= 100
-    cut = min(cut, len(records))
-    parts = [campaign(CommandDB(db.binary, records=share), cfg, budget=budget, seed=seed)
-             for share in (records[:cut], records[cut:])]
+    bounds = [0, *(min(cut, len(records)) for cut in cuts), len(records)]
+    parts = [campaign(CommandDB(db.binary, records=records[start:end]), cfg,
+                      budget=budget, seed=seed)
+             for start, end in zip(bounds, bounds[1:])]
     findings, stats = merge(parts)
     whole = campaign(db, cfg, budget=budget, seed=seed)
     assert (findings, stats) == whole

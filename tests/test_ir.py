@@ -396,6 +396,21 @@ def _varnodes(p):
             for v in ins.inputs + ((ins.output,) if ins.output else ())]
 
 
+def test_a_v1_load_builds_one_varnode_per_distinct_cell(monkeypatch):
+    text = json.dumps(_doc(gen_fig5()[0]))
+    built = []
+    varnode = ir.Varnode
+
+    def counting(*args):
+        built.append(args)
+        return varnode(*args)
+
+    monkeypatch.setattr(ir, "Varnode", counting)
+    operands = _varnodes(ir.load_program(text))
+    assert len(operands) > len(set(operands))  # some cell is used twice
+    assert len(built) == len(set(operands))
+
+
 def test_separate_loads_share_no_varnodes():
     text = ir.serialize(gen_fig5()[0])
     a, b = _varnodes(ir.load_program(text)), _varnodes(ir.load_program(text))
