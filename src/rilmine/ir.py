@@ -29,6 +29,11 @@ the program at its peak:
   document is freed as the program is built: each function's JSON is
   dropped once its Function exists. Both versions share every decoder but
   the instruction's.
+* The success path runs no Python function per varnode, instruction or
+  linear-order entry. A decoder tests exact types inline and checks a row
+  first, then makes its cell with ``tuple.__new__``, which skips the named
+  tuple's own constructor and its arity check. ``Function`` builds its
+  linear order with ``zip``.
 * It pauses the cyclic garbage collector while it builds the program,
   and restores the collector's previous state on the way out, whether
   the load succeeds or raises. Each call pauses on its own: where loads
@@ -52,6 +57,7 @@ import json
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import count, repeat
 from typing import NamedTuple
 
 SPACES = ("const", "reg", "stack", "ram", "unique")
@@ -171,7 +177,7 @@ class Function:
         for b in self.blocks:
             self._block_by_id.setdefault(b.id, b)
             self._first_pos.setdefault(b.id, len(self._linear))
-            self._linear.extend((b.id, i, ins) for i, ins in enumerate(b.instructions))
+            self._linear.extend(zip(repeat(b.id), count(), b.instructions))
 
     def block(self, bid: int) -> Block:
         try:
@@ -425,7 +431,7 @@ def _varnode_from(obj, table: dict) -> Varnode:
     key = space, offset, size
     v = table.get(key)
     if v is None:  # a new cell
-        v = table[key] = Varnode(_SPACE[space], offset, size)
+        v = table[key] = tuple.__new__(Varnode, (_SPACE[space], offset, size))
     return v
 
 
@@ -458,7 +464,7 @@ def _ins_from(obj, table: dict) -> Instruction:
     callee = obj.get("callee")
     if callee is not None and not isinstance(callee, str):
         raise _Bad("callee must be a string")
-    return Instruction(op, out, inputs, callee)
+    return tuple.__new__(Instruction, (op, out, inputs, callee))
 
 
 def _table_from(rows) -> list[Varnode]:
@@ -478,7 +484,7 @@ def _table_from(rows) -> list[Varnode]:
                 raise _Bad(f"unknown space {space!r}") from None
             if type(offset) is not int or type(size) is not int or size <= 0:
                 raise _Bad("offset must be int, size a positive int")
-            v = Varnode(space, offset, size)
+            v = tuple.__new__(Varnode, (space, offset, size))
             if first.setdefault(v, n) != n:
                 raise _Bad(f"duplicate of varnodes[{first[v]}]")
         except _Bad as e:
@@ -526,14 +532,14 @@ def _row_from(row, table: list) -> Instruction:
         callee = row[3]
         if type(callee) is not str:
             raise _Bad(f"callee must be a string, not {type(callee).__name__}", "[3]")
-    return Instruction(op, out, tuple(inputs), callee)
+    return tuple.__new__(Instruction, (op, out, tuple(inputs), callee))
 
 
-def _check_type_str(t) -> str:
+def _check_type_str(t, *where: str) -> str:
     if not isinstance(t, str) or (
         t not in _SCALAR_TYPES and not t.startswith("class:")
     ):
-        raise _Bad(f"bad type {t!r}")
+        raise _Bad(f"bad type {t!r}", *where)
     return t
 
 
@@ -543,7 +549,11 @@ def _param_from(obj) -> Param:
     for key in ("name", "type"):
         if key not in obj:
             raise _Bad(f"param missing key {key!r}")
-    return Param(_typed(obj["name"], str, "name"), _check_type_str(obj["type"]))
+    name, t = obj["name"], obj["type"]
+    if type(name) is not str or t not in _SCALAR_TYPES:
+        _typed(name, str, "name")  # the first of these that fails raises
+        _check_type_str(t)
+    return Param(name, t)
 
 
 def _block_from(obj, ins_from, table) -> Block:
@@ -552,7 +562,9 @@ def _block_from(obj, ins_from, table) -> Block:
     if "id" not in obj:
         raise _Bad("missing block id")
     # _each, unrolled: this loop runs once per instruction of the binary
-    raw = _list(obj.get("ins", []), "ins")
+    raw = obj.get("ins", [])
+    if type(raw) is not list:
+        _list(raw, "ins")
     instructions = []
     try:
         for x in raw:
@@ -560,8 +572,14 @@ def _block_from(obj, ins_from, table) -> Block:
     except _Bad as e:
         e.where.append(f"ins[{len(instructions)}]")
         raise
-    return Block(_typed(obj["id"], int, "id"), instructions,
-                 tuple(_all(int, obj.get("succ", []), "succ")))
+    bid, succ = obj["id"], obj.get("succ", [])
+    if type(bid) is not int or type(succ) is not list:
+        _typed(bid, int, "id")  # the first of these that fails raises; one of them does
+        _list(succ, "succ")
+    for s in succ:
+        if type(s) is not int:
+            _all(int, succ, "succ")
+    return Block(bid, instructions, tuple(succ))
 
 
 def _function_from(obj, ins_from, table) -> Function:
@@ -571,23 +589,29 @@ def _function_from(obj, ins_from, table) -> Function:
         if key not in obj:
             raise _Bad(f"missing key {key!r}")
     params = _each(obj.get("params", []), "params", _param_from)
-    blocks = _each(obj["blocks"], "blocks", _block_from, ins_from, table)
+    # _each, unrolled, like the instructions of a block
+    raw = obj["blocks"]
+    if type(raw) is not list:
+        _list(raw, "blocks")
+    blocks = []
     try:
-        return_type = _check_type_str(obj.get("return", "void"))
+        for x in raw:
+            blocks.append(_block_from(x, ins_from, table))
     except _Bad as e:
-        e.where.append("return")
+        e.where.append(f"blocks[{len(blocks)}]")
         raise
-    stack_size = _typed(obj["stack_size"], int, "stack_size")
-    owning_class = obj.get("class")
-    return Function(
-        id=_typed(obj["id"], str, "id"),
-        name=_typed(obj["name"], str, "name"),
-        owning_class=None if owning_class is None else _typed(owning_class, str, "class"),
-        params=params,
-        return_type=return_type,
-        stack_size=stack_size,
-        blocks=blocks,
-    )
+    return_type = obj.get("return", "void")
+    if return_type not in _SCALAR_TYPES:
+        _check_type_str(return_type, "return")
+    stack_size, fid, name, owning_class = obj["stack_size"], obj["id"], obj["name"], obj.get("class")
+    if not (type(stack_size) is int and type(fid) is str and type(name) is str
+            and (owning_class is None or type(owning_class) is str)):
+        # the first of these that fails raises; one of them does
+        _typed(stack_size, int, "stack_size")
+        _typed(fid, str, "id")
+        _typed(name, str, "name")
+        _typed(owning_class, str, "class")
+    return Function(fid, name, owning_class, params, return_type, stack_size, blocks)
 
 
 def _class_from(obj) -> ClassInfo:
@@ -747,6 +771,7 @@ def validate(p: IRProgram) -> list[Diagnostic]:
         if s2 < e1:
             bad("data-overlap", p.name, f"segments [{s1:#x},{e1:#x}) and [{s2:#x},{e2:#x}) overlap")
 
+    fns, classes = p._fn_by_id, p._cls_by_name
     for c in p.classes:
         stack, seen = list(c.parents), set()
         while stack:
@@ -754,31 +779,31 @@ def validate(p: IRProgram) -> list[Diagnostic]:
             if n == c.name:
                 bad("acyclic-parents", c.name, "class participates in a parent cycle")
                 break
-            if n not in seen and p.has_cls(n):
+            if n not in seen and n in classes:
                 seen.add(n)
-                stack.extend(p.cls(n).parents)
+                stack.extend(classes[n].parents)
         for par in c.parents:
-            if not p.has_cls(par):
+            if par not in classes:
                 bad("parent-resolves", c.name, f"unknown parent {par!r}")
         for inv, fids in (("vtable-resolves", c.vtable),
                           ("members-resolve", c.constructors + c.members)):
             for fid in fids:
-                if not p.has_fn(fid):
+                if fid not in fns:
                     bad(inv, c.name, f"dangling function ref {fid!r}")
         for fid in c.constructors + c.members:
-            if p.has_fn(fid) and p.fn(fid).owning_class != c.name:
+            if fid in fns and fns[fid].owning_class != c.name:
                 bad("members-owned", c.name, f"{fid!r} is not a function of {c.name}")
 
-    externals = set(p.externals)
+    known = fns.keys() | set(p.externals)  # what a CALL may name
     for f in p.functions:
         owner = f.owning_class
         if owner is not None:
-            if not p.has_cls(owner):
+            if owner not in classes:
                 bad("owning-class-resolves", f.id, f"unknown owning class {owner!r}")
             if not (f.params and f.params[0].name == "this"
-                    and class_of_type(f.params[0].type) == owner):
+                    and f.params[0].type == "class:" + owner):
                 bad("member-this-param", f.id, f"member of {owner} must take this: class:{owner} first")
-        block_ids = {b.id for b in f.blocks}
+        block_ids = f._block_by_id
         if len(block_ids) != len(f.blocks):
             bad("unique-block-ids", f.id, "duplicate block ids")
         size = f.stack_size
@@ -786,33 +811,32 @@ def validate(p: IRProgram) -> list[Diagnostic]:
             for s in b.successors:
                 if s not in block_ids:
                     bad("successors-local", f"{f.id}@{b.id}", f"successor {s} not in function")
-            for idx, ins in enumerate(b.instructions):
+            for idx, (op, output, inputs, callee) in enumerate(b.instructions):
                 # the site string is built only for an instruction that fails
-                output = ins.output
-                for v in ins.inputs if output is None else ins.inputs + (output,):
+                for v in inputs:
                     if v.space == "stack" and not (0 <= v.offset and v.offset + v.size <= size):
                         bad_at(f, b, idx, "stack-bounds", f"{v} outside stack_size {size}")
-                op = ins.op
-                if op == "CALL":
-                    callee = ins.callee
-                    if not callee:
-                        bad_at(f, b, idx, "call-has-callee", "CALL without resolved callee")
-                    elif not (p.has_fn(callee) or callee in externals):
-                        bad_at(f, b, idx, "callee-resolves", f"dangling callee {callee!r}")
-                if op == "CALLIND":
-                    if ins.callee:
-                        bad_at(f, b, idx, "callind-unresolved", "CALLIND must not carry a callee")
-                    if not ins.inputs:
-                        bad_at(f, b, idx, "callind-target", "CALLIND needs input[0] = computed target")
-                if op in ("INT_EQUAL", "INT_NOTEQUAL"):
-                    if len(ins.inputs) != 2 or output is None or output.size != 1:
-                        bad_at(f, b, idx, "cmp-shape", f"{op} wants 2 inputs and a 1-byte output")
-                shape = _OPERAND_SHAPE.get(op)
-                if shape is not None:
-                    n, wants_out = shape
-                    if len(ins.inputs) != n or (wants_out and output is None):
+                if output is not None and output.space == "stack" and not (
+                        0 <= output.offset and output.offset + output.size <= size):
+                    bad_at(f, b, idx, "stack-bounds", f"{output} outside stack_size {size}")
+                if op in _OPERAND_SHAPE:
+                    n, wants_out = _OPERAND_SHAPE[op]
+                    if len(inputs) != n or (wants_out and output is None):
                         bad_at(f, b, idx, "operand-shape", f"{op} wants {n} input(s)"
                                + (" and an output" if wants_out else ""))
+                elif op == "CALL":
+                    if not callee:
+                        bad_at(f, b, idx, "call-has-callee", "CALL without resolved callee")
+                    elif callee not in known:
+                        bad_at(f, b, idx, "callee-resolves", f"dangling callee {callee!r}")
+                elif op == "CALLIND":
+                    if callee:
+                        bad_at(f, b, idx, "callind-unresolved", "CALLIND must not carry a callee")
+                    if not inputs:
+                        bad_at(f, b, idx, "callind-target", "CALLIND needs input[0] = computed target")
+                elif op in ("INT_EQUAL", "INT_NOTEQUAL"):
+                    if len(inputs) != 2 or output is None or output.size != 1:
+                        bad_at(f, b, idx, "cmp-shape", f"{op} wants 2 inputs and a 1-byte output")
     return out
 
 

@@ -343,7 +343,7 @@ def nv_handle(config: SimConfig, req: NvRequest) -> NvResult:
     if config.symlink_check:
         real_root = os.path.realpath(root)
         real = os.path.realpath(full)
-        if real != real_root and not real.startswith(real_root + os.sep):
+        if real != real_root and not real.startswith(os.path.join(real_root, "")):
             return NvResult("rejected", reason="symlink-escape")
     try:
         if req.op == "read":

@@ -3,6 +3,8 @@
 import json
 import os
 import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -701,3 +703,13 @@ def test_usage_errors_exit_two(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_python_dash_m_rilmine_runs_the_cli(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "rilmine", "fixtures", "fig2", "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "fig2.ir.json").is_file()

@@ -399,13 +399,16 @@ def _varnodes(p):
 def test_a_v1_load_builds_one_varnode_per_distinct_cell(monkeypatch):
     text = json.dumps(_doc(gen_fig5()[0]))
     built = []
-    varnode = ir.Varnode
 
-    def counting(*args):
-        built.append(args)
-        return varnode(*args)
+    class counting:  # stands in for ``tuple`` in ir, which makes cells with tuple.__new__
+        def __new__(cls, *args):
+            if cls is counting:  # tuple(items)
+                return tuple(*args)
+            if cls is ir.Varnode:
+                built.append(args)
+            return tuple.__new__(cls, *args)
 
-    monkeypatch.setattr(ir, "Varnode", counting)
+    monkeypatch.setattr(ir, "tuple", counting, raising=False)
     operands = _varnodes(ir.load_program(text))
     assert len(operands) > len(set(operands))  # some cell is used twice
     assert len(built) == len(set(operands))
@@ -477,6 +480,22 @@ def test_indented_documents_load_and_serialize_compactly(tmp_path, capsys):
         for doc in (v1_doc(p), ir.program_to_dict(p)):
             indented = json.dumps(doc, indent=1)
             assert ir.serialize(ir.load_program(indented)) == ir.serialize(p), label
+
+
+@pytest.mark.parametrize("to_doc", [v1_doc, ir.program_to_dict], ids=["v1", "v2"])
+def test_loaded_cells_are_named_tuples_of_their_arity(to_doc):
+    # the loader makes its cells with tuple.__new__, which skips the named
+    # tuple's own arity check
+    programs = [(kind, make(0)[0]) for kind, make in cli._IR_FIXTURES.items()]
+    programs += [(f"seed {seed}", gen_random(seed=seed)[0]) for seed in range(50)]
+    for label, p in programs:
+        q = ir.load_program(json.dumps(to_doc(p)))
+        for f in q.functions:
+            for _, _, ins in f.linear():
+                assert type(ins) is ir.Instruction and len(ins) == 4, label
+                for v in ins.inputs + ((ins.output,) if ins.output is not None else ()):
+                    assert type(v) is ir.Varnode and len(v) == 3, label
+        assert ir.serialize(q) == ir.serialize(p), label
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +617,21 @@ def test_validate_flags_stack_out_of_bounds():
     f = func("main", stack=16,
              blocks=[block(0, [I("COPY", S(12, 8), (C(0),)), I("RETURN")])])
     assert "stack-bounds" in _invariants(ir.IRProgram(name="p", functions=[f]))
+
+
+def test_validate_reports_stack_operands_inputs_first():
+    f = func("main", stack=16, blocks=[block(0, [
+        I("COPY", S(12, 8), (S(-4, 4),)),  # input and output outside the frame
+        I("COPY", S(16, 1), (S(0, 8),)),  # only the output
+        I("RETURN"),
+    ])])
+    diags = [(d.invariant, d.location, d.message)
+             for d in ir.validate(ir.IRProgram(name="p", functions=[f]))]
+    assert diags == [
+        ("stack-bounds", "main@0:0", "stack:-0x4:4 outside stack_size 16"),
+        ("stack-bounds", "main@0:0", "stack:0xc:8 outside stack_size 16"),
+        ("stack-bounds", "main@0:1", "stack:0x10:1 outside stack_size 16"),
+    ]
 
 
 def test_validate_flags_call_without_callee():

@@ -507,6 +507,21 @@ def test_nv_symlink_check_blocks_escape(sandbox):
     assert nv_handle(cfg, NvRequest("read", "imei/serial")).status == "ok"
 
 
+def test_nv_symlink_check_accepts_paths_under_the_filesystem_root(sandbox, tmp_path):
+    root, _ = sandbox
+    cfg = SimConfig(sandbox_root="/", symlink_check=True)
+    res = nv_handle(cfg, NvRequest("read", os.path.relpath(root / "imei" / "serial", "/")))
+    assert (res.status, res.data) == ("ok", b"0042")
+    # a root is a whole path component: a sibling that shares its prefix is outside
+    (tmp_path / "nvx").mkdir()
+    (tmp_path / "nvx" / "secret").write_bytes(b"keymaterial")
+    os.symlink(tmp_path / "nvx", root / "sib")
+    cfg = _cfg(root, symlink_check=True)
+    for path in ("esc/secret", "sib/secret"):
+        res = nv_handle(cfg, NvRequest("read", path))
+        assert (res.status, res.reason) == ("rejected", "symlink-escape"), path
+
+
 def test_nv_error_paths(sandbox):
     root, _ = sandbox
     assert nv_handle(SimConfig(), NvRequest("read", "x")).reason == "no-sandbox-root"
