@@ -13,6 +13,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .taint import LengthSource, PayloadBytes, canonical_api, parse_payload_hex, payload_hex
 
@@ -254,29 +255,33 @@ def load_db(text: str) -> CommandDB:
     return db if db is not None else CommandDB("", "")
 
 
+def _json_scalar(v) -> str:
+    """``v``, a str, int or None, as ``json.dumps`` writes it."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    return "null" if v is None else int.__repr__(v)
+
+
 def save_db_json(db: CommandDB) -> str:
+    """The database as ``json.dumps(..., indent=1)`` writes it, byte for
+    byte: an object of ``binary``, ``provenance`` and a ``records`` list of
+    flat objects of scalars. That fixed shape is laid out here, since
+    ``indent`` keeps ``json`` on its pure-Python encoder."""
     recs = []
     for r in db.sorted_records():
-        d = {
-            "binary": r.binary,
-            "direction": r.direction,
-            "api": r.api,
-            "site": r.site,
-            "root_function": r.root_function,
-            "module": r.module,
-            "channel": r.channel_path,
-            "kind": r.kind,
-        }
+        fields = [("binary", r.binary), ("direction", r.direction), ("api", r.api),
+                  ("site", r.site), ("root_function", r.root_function),
+                  ("module", r.module), ("channel", r.channel_path), ("kind", r.kind)]
         if r.direction == "solicited":
-            d["payload"] = payload_hex(r.payload)
-            d["length_source"] = str(r.payload.length_source)
+            fields += [("payload", payload_hex(r.payload)),
+                       ("length_source", str(r.payload.length_source))]
         else:
-            d["constant"] = r.constant
-            d["handler"] = r.handler
-        recs.append(d)
-    return json.dumps(
-        {"binary": db.binary, "provenance": db.provenance, "records": recs}, indent=1
-    )
+            fields += [("constant", r.constant), ("handler", r.handler)]
+        recs.append("  {\n" + ",\n".join(f'   "{k}": {_json_scalar(v)}' for k, v in fields)
+                    + "\n  }")
+    body = "[\n" + ",\n".join(recs) + "\n ]" if recs else "[]"
+    return (f'{{\n "binary": {_json_scalar(db.binary)},\n'
+            f' "provenance": {_json_scalar(db.provenance)},\n "records": {body}\n}}')
 
 
 # ---------------------------------------------------------------------------

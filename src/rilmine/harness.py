@@ -12,6 +12,7 @@ import hashlib
 import os
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .commands import CommandDB, CommandRecord
 from .sim import IN_SERVICE, NvRequest, Response, SimConfig, SimWorld, nv_handle
@@ -65,7 +66,8 @@ def _below(bits, n: int) -> int:
     This is CPython 3.11's ``_randbelow_with_getrandbits``, so it consumes
     the same words and gives the same integers as ``randrange(n)`` and as
     the index ``choice`` picks. ``n == 1`` still draws (1-bit words until a
-    0), as the stdlib does."""
+    0), as the stdlib does. ``_mutants`` writes this loop out for each of
+    its draws; this stays as the reference the tests hold to the stdlib."""
     k = n.bit_length()
     r = bits(k)
     while r >= n:
@@ -73,24 +75,53 @@ def _below(bits, n: int) -> int:
     return r
 
 
-def _mutate_at(current: bytes, positions: list, rng: random.Random) -> bytes:
-    """``current`` with one byte at one of ``positions`` rewritten, drawing
-    from ``rng`` as ``mutate`` documents."""
+def _mutants(corpus: list, positions: list, rng: random.Random, pick: bool = True):
+    """One mutant per resume, drawn as ``mutate`` documents, of a parent
+    drawn first from ``corpus`` (``corpus[0]``, with no draw, unless
+    ``pick``). ``corpus`` is read on each resume, so the caller may grow it
+    in between. Each draw is ``_below``'s loop written out, so a step makes
+    no Python call per draw; 3, 4 and 9 are the bit lengths of 5, 8 and
+    256."""
     bits = rng.getrandbits
-    data = bytearray(current)
-    i = positions[_below(bits, len(positions))]
-    op = _below(bits, 5)
-    if op == 0:
-        data[i] ^= 1 << _below(bits, 8)
-    elif op == 1:
-        data[i] = (data[i] + 1) & 0xFF
-    elif op == 2:
-        data[i] = (data[i] - 1) & 0xFF
-    elif op == 3:
-        data[i] = INTERESTING_BYTES[_below(bits, len(INTERESTING_BYTES))]
-    else:
-        data[i] = _below(bits, 256)
-    return bytes(data)
+    n = len(positions)
+    k = n.bit_length()
+    while True:
+        parent = corpus[0]
+        if pick:
+            m = len(corpus)
+            w = m.bit_length()
+            r = bits(w)
+            while r >= m:
+                r = bits(w)
+            parent = corpus[r]
+        data = bytearray(parent)
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        i = positions[r]
+        op = bits(3)
+        while op >= 5:
+            op = bits(3)
+        if op == 0:
+            r = bits(4)
+            while r >= 8:
+                r = bits(4)
+            data[i] ^= 1 << r
+        elif op == 1:
+            data[i] = (data[i] + 1) & 0xFF
+        elif op == 2:
+            data[i] = (data[i] - 1) & 0xFF
+        elif op == 3:
+            r = bits(3)
+            while r >= 5:
+                r = bits(3)
+            data[i] = INTERESTING_BYTES[r]
+        else:
+            r = bits(9)
+            while r >= 256:
+                r = bits(9)
+            data[i] = r
+        yield bytes(data)
 
 
 def _dynamic_positions(payload: PayloadBytes) -> list:
@@ -102,8 +133,8 @@ def mutate(payload: PayloadBytes, rng: random.Random, current: bytes | None = No
     byte, or random byte. Static positions are never rewritten.
 
     Draws from ``rng``, in order: the position, the operator, then the bit,
-    interesting byte or random byte for operators 0, 3 and 4. The campaign
-    makes the same draws, with the positions computed once per command.
+    interesting byte or random byte for operators 0, 3 and 4. This is one
+    item of ``_mutants``; the campaign resumes one per command.
 
     Every draw goes through ``rng.getrandbits``, by rejection sampling on
     ``n.bit_length()``-bit words: the words and integers that ``choice``
@@ -116,7 +147,7 @@ def mutate(payload: PayloadBytes, rng: random.Random, current: bytes | None = No
         current = payload.data
     if len(current) != len(payload.mask):
         raise ValueError(f"current is {len(current)} bytes, the mask {len(payload.mask)}")
-    return _mutate_at(current, positions, rng)
+    return next(_mutants([current], positions, rng, pick=False))
 
 
 @dataclass(frozen=True)
@@ -176,12 +207,14 @@ def campaign(db: CommandDB, config: SimConfig, budget: int = 1000,
     Deterministic for a given (db, config, budget, seed).
 
     Built once per campaign: one world, which indexes the behavior table
-    when it is built. Computed once per command: its dynamic positions and
-    its RNG, sub-seeded from ``seed`` and the record. Each step draws the
+    when it is built. Built once per command: its dynamic positions, its
+    RNG, sub-seeded from ``seed`` and the record, and one ``_mutants``
+    generator over its corpus, resumed once per step. Each step draws the
     parent from the corpus, then the mutation in the order ``mutate``
     documents, all through ``rng.getrandbits`` as ``_below`` does; the
     draws are part of the findings, so changing them means regenerating
-    ``tests/golden/findings.json``.
+    ``tests/golden/findings.json``. The world is reflashed before each
+    command, which drops its memo of the previous command's payloads.
 
     Nothing carries over from one command to the next, so ``merge`` of
     this over contiguous shares of the commands equals one call over all
@@ -197,7 +230,6 @@ def campaign(db: CommandDB, config: SimConfig, budget: int = 1000,
             continue
         world.reflash()
         rng = _record_rng(seed, rec)
-        bits = rng.getrandbits
         execs = 1
         report = probe_command(world, rec.payload.data)
         stats.probes += 1
@@ -210,13 +242,11 @@ def campaign(db: CommandDB, config: SimConfig, budget: int = 1000,
         if not positions or budget <= 0:
             continue
         corpus = [rec.payload.data]
-        history = {(report.response.code, report.states[0])}
-        for _ in range(budget):
-            parent = corpus[_below(bits, len(corpus))]
-            mutant = _mutate_at(parent, positions, rng)
+        # a kept mutant's reply is IN_SERVICE, as the probe's was, so its
+        # code alone tells a novel reply
+        codes = {report.response.code}
+        for execs, mutant in enumerate(islice(_mutants(corpus, positions, rng), budget), 2):
             rsp = world.inject(mutant)
-            execs += 1
-            stats.mutation_execs += 1
             if rsp.state != IN_SERVICE:
                 states = [rsp.state]
                 crash = _classify_after_oos(world, states)
@@ -225,11 +255,11 @@ def campaign(db: CommandDB, config: SimConfig, budget: int = 1000,
                                         "mutation", execs))
                 stats.first_crash_execs.setdefault(rec.root_function, execs)
                 break
-            sig = (rsp.code, rsp.state)
-            if sig not in history:
-                history.add(sig)
+            if rsp.code not in codes:
+                codes.add(rsp.code)
                 corpus.append(mutant)
                 stats.corpus_adds += 1
+        stats.mutation_execs += execs - 1
     return merge([(findings, stats)])
 
 

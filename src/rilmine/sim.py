@@ -12,8 +12,9 @@ optional trailing ``*`` for prefix matches. ``BehaviorRow.matches`` defines
 a match and stays the reference the tests compare against; a world indexes
 its table when it is built (exact rows in a dict keyed by their bytes,
 wildcard and prefix rows as integer masks in per-length lists) and picks
-the same row a scan in table order would. The harness builds one world per
-campaign. The world reads ``config.rows`` only when built.
+the same row a scan in table order would, and remembers the row of each
+payload it has injected until it is reflashed. The harness builds one
+world per campaign. The world reads ``config.rows`` only when built.
 """
 
 from __future__ import annotations
@@ -196,7 +197,9 @@ class SimWorld:
     this world. Build a new world for a changed table. Built once per
     world: the exact-row dict, each wildcard or prefix row's integer mask
     and value, and the reply of each ``ok`` row. Built on first use, once
-    per payload length: the list of loose rows that can match it.
+    per payload length: the list of loose rows that can match it. Kept
+    until ``reflash``: the row of each payload ``inject`` looked up, so a
+    repeated payload costs one dict probe.
 
     The temporary latch is one expiry tick, active while ahead of the clock:
     a crash sets it only while no latch is active, so it is the latest. No
@@ -233,6 +236,8 @@ class SimWorld:
         # can match length n, with a prefix row's mask and value shifted to
         # the payload's leading bytes
         self._loose_by_len: dict[int, list[tuple[int, int, int]]] = {}
+        # payload -> row_for(payload), since the last reflash
+        self._row_memo: dict[bytes, int | None] = {}
 
     # -- state ----------------------------------------------------------
 
@@ -264,6 +269,7 @@ class SimWorld:
         self._down_until = 0
         self._recoverable = False
         self._permanent = False
+        self._row_memo.clear()
 
     # -- injection ------------------------------------------------------
 
@@ -292,8 +298,13 @@ class SimWorld:
         if self._permanent or self._recoverable or self._down_until > self.tick:
             return _DOWN_REPLY
         # No latch is active, and neither an unmatched payload nor an ok row
-        # sets one: those replies are IN_SERVICE, built once.
-        i = self.row_for(payload)
+        # sets one: those replies are IN_SERVICE, built once. The memo is
+        # keyed by bytes (a bytearray is unhashable), and the type test is
+        # cheaper than a bytes() call; -1 is no entry.
+        key = payload if type(payload) is bytes else bytes(payload)
+        i = self._row_memo.get(key, -1)
+        if i == -1:
+            i = self._row_memo[key] = self.row_for(key)
         if i is None:
             return _UNKNOWN_REPLY
         reply = self._ok_replies[i]

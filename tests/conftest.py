@@ -4,9 +4,13 @@ Acceptance tests are named ``test_criterion_<nn>_<label>``; the hook below
 collects their outcomes and prints one ``[criterion N] PASS|FAIL`` line per
 criterion at the end of the run, FAILing any criterion that never reached
 its call phase.
+
+Every test also runs under one time limit, ``TEST_TIME_LIMIT_S``, so that a
+loop that never ends fails its test instead of hanging the run.
 """
 
 import re
+import signal
 
 import pytest
 
@@ -17,6 +21,47 @@ from rilmine.fixtures import gen_random
 from rilmine.ir import load_program
 
 EXPECTED_CRITERIA = tuple(range(1, 11))
+
+# Far above the slowest test (about 7 s). A SIGALRM timer: a forked worker
+# does not inherit it.
+TEST_TIME_LIMIT_S = 120
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised in a test that outlives ``TEST_TIME_LIMIT_S``. Not an
+    ``Exception``, so neither the test nor hypothesis (which would replay
+    the example, with no timer left) catches it."""
+
+
+def _time_limit_exceeded(signum, frame):
+    raise TimeLimitExceeded(f"test ran longer than {TEST_TIME_LIMIT_S} s")
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    previous = signal.signal(signal.SIGALRM, _time_limit_exceeded)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    if call.excinfo is not None and call.excinfo.errisinstance(TimeLimitExceeded):
+        # The alarm can land on an instruction with no line number, whose
+        # traceback entry CPython 3.11 gives tb_lineno None, and pytest
+        # fails on such an entry while it prints the report: unlink them.
+        tb = call.excinfo.tb
+        while tb.tb_next is not None:
+            if tb.tb_next.tb_lineno is None:
+                tb.tb_next = tb.tb_next.tb_next
+            else:
+                tb = tb.tb_next
+    yield
+
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)_(\w+)")
 _results: dict[int, tuple[str, bool]] = {}

@@ -26,7 +26,7 @@ from rilmine.commands import (
     tokenize,
 )
 from rilmine.fixtures import CRASH_SUITE, gen_crash_suite, gen_diff_pair, gen_mutation_target
-from rilmine.taint import LengthSource, PayloadBytes
+from rilmine.taint import LengthSource, PayloadBytes, payload_hex
 
 
 def _solicited(root, data, binary="b", module=None, mask=None, channel="/dev/x"):
@@ -142,6 +142,35 @@ def test_json_form_carries_length_source():
     assert {r["length_source"] for r in sol} == {"constant-arg(7)", "constant-arg(8)"}
     uns = [r for r in doc["records"] if r["direction"] == "unsolicited"]
     assert {r["constant"] for r in uns} == {0x11, 0x12}
+
+
+def _json_dumps_db(db):
+    """The .cmdb.json text as json.dumps(..., indent=1) writes it."""
+    recs = []
+    for r in db.sorted_records():
+        d = {"binary": r.binary, "direction": r.direction, "api": r.api, "site": r.site,
+             "root_function": r.root_function, "module": r.module,
+             "channel": r.channel_path, "kind": r.kind}
+        if r.direction == "solicited":
+            d["payload"] = payload_hex(r.payload)
+            d["length_source"] = str(r.payload.length_source)
+        else:
+            d["constant"] = r.constant
+            d["handler"] = r.handler
+        recs.append(d)
+    return json.dumps({"binary": db.binary, "provenance": db.provenance, "records": recs},
+                      indent=1)
+
+
+def test_json_form_is_what_json_dumps_writes(ir_corpus, run_pipeline):
+    odd = _mixed_db()
+    odd.binary = 'lib"ril\u00e9\\x\u2603.so\n'
+    odd.add(_unsolicited("Nv::Caf\u00e9", 0x13, 'h"\u00e9', binary=odd.binary))
+    dbs = [odd, CommandDB("empty"), CommandDB('n\u00e9"', provenance="\t"),
+           gen_crash_suite()[0], gen_mutation_target()[0], *gen_diff_pair()[:2]]
+    dbs += [run_pipeline(p)[1] for _label, p in ir_corpus]
+    for db in dbs:
+        assert save_db_json(db) == _json_dumps_db(db), db.binary
 
 
 def test_load_rejects_malformed_rows():

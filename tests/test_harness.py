@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rilmine.fixtures import gen_crash_suite, gen_mutation_target
@@ -28,6 +28,7 @@ from rilmine.sim import (
 )
 from rilmine.taint import LengthSource, PayloadBytes
 from rilmine.commands import CommandDB, CommandRecord
+from test_sim import _QueryStateWorld
 
 
 def _world(rows, **kw):
@@ -165,8 +166,8 @@ def test_below_draws_like_the_stdlib(seed, n):
 
 def _stdlib_step(corpus, positions, rng):
     """One campaign step drawn through the stdlib wrappers: the parent pick
-    and the body of _mutate_at as they read before the draws went through
-    getrandbits directly."""
+    and the mutation as they read before the draws went through getrandbits
+    directly."""
     data = bytearray(rng.choice(corpus))
     i = rng.choice(positions)
     op = rng.randrange(5)
@@ -187,16 +188,16 @@ def _stdlib_step(corpus, positions, rng):
        st.lists(st.sampled_from("sd"), min_size=1, max_size=16).filter(lambda m: "d" in m),
        st.integers(1, 40))
 def test_campaign_step_draws_like_mutate(seed, mask_list, steps):
-    # the campaign's loop: pick a parent from the corpus, mutate it at the
-    # positions computed once, sometimes keep the mutant
-    from rilmine.harness import _below, _dynamic_positions, _mutate_at
+    # the campaign's loop: resume one generator over a corpus that grows
+    # between steps, drawing exactly the stdlib step's words each time
+    from rilmine.harness import _dynamic_positions, _mutants
     pb = _pb("".join(mask_list))
     positions = _dynamic_positions(pb)
     fast, ref = random.Random(seed), random.Random(seed)
     corpus = [pb.data]
+    gen = _mutants(corpus, positions, fast)
     for k in range(steps):
-        parent = corpus[_below(fast.getrandbits, len(corpus))]
-        mutant = _mutate_at(parent, positions, fast)
+        mutant = next(gen)
         assert mutant == _stdlib_step(corpus, positions, ref)
         assert fast.getstate() == ref.getstate()
         if k % 3 == 0:
@@ -306,6 +307,107 @@ def test_campaign_crash_does_not_leak_into_the_next_command():
     assert [(f.root_function, f.crash_type, f.source) for f in findings] == [
         ("IpcTxSimSetStatus", "permanent", "mutation")]
     assert stats.probes == 2
+
+
+def _reference_classify(world):
+    for _ in range(2 * world.config.default_recover_after):
+        world.advance(1)
+        if world.query_state() == IN_SERVICE:
+            return "temporary"
+    world.reboot()
+    return "recoverable" if world.query_state() == IN_SERVICE else "permanent"
+
+
+def _reference_campaign(db, config, budget, seed):
+    """campaign as a plain loop: stdlib draws (_stdlib_step), a reference
+    world that scans BehaviorRow.matches in table order, and a fresh world
+    for each command."""
+    from rilmine.harness import _record_rng
+    findings, stats = [], CampaignStats()
+    for rec in db.sorted_records():
+        if rec.direction != "solicited":
+            continue
+        rng, world = _record_rng(seed, rec), _QueryStateWorld(config)
+        rsp = world.inject(rec.payload.data)
+        stats.probes += 1
+        if rsp.state != IN_SERVICE:
+            findings.append(Finding(_reference_classify(world), rec.root_function,
+                                    rec.payload.data, "probe", 1))
+            stats.first_crash_execs.setdefault(rec.root_function, 1)
+            continue
+        world.reflash()
+        positions = [i for i, m in enumerate(rec.payload.mask) if m == "d"]
+        corpus, seen = [rec.payload.data], {(rsp.code, rsp.state)}
+        for execs in range(2, budget + 2 if positions else 2):
+            mutant = _stdlib_step(corpus, positions, rng)
+            rsp = world.inject(mutant)
+            stats.mutation_execs += 1
+            if rsp.state != IN_SERVICE:
+                findings.append(Finding(_reference_classify(world), rec.root_function,
+                                        mutant, "mutation", execs))
+                stats.first_crash_execs.setdefault(rec.root_function, execs)
+                break
+            if (rsp.code, rsp.state) not in seen:
+                seen.add((rsp.code, rsp.state))
+                corpus.append(mutant)
+                stats.corpus_adds += 1
+    findings.sort(key=lambda f: (-SEVERITY[f.crash_type], f.root_function))
+    return findings, stats
+
+
+# bytes that the interesting-byte, inc/dec and bit-flip operators reach from
+# one another, so that rows one mutation away from a payload get hit
+_NEAR = (0x00, 0x01, 0x02, 0x7F, 0x80, 0xFF)
+
+
+@st.composite
+def _fuzz_cases(draw):
+    """A database of 1-3 commands, 1-3 bytes each, and rows made from their
+    payloads with one byte changed: ok rows with distinct reply codes (so
+    the corpus grows) and crash rows that only a mutation reaches."""
+    db, payloads = CommandDB("ref"), []
+    for c in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, 3))
+        mask = "".join(draw(st.lists(st.sampled_from("sd"), min_size=size, max_size=size)))
+        data = bytes(0 if m == "d" else draw(st.sampled_from(_NEAR)) for m in mask)
+        db.add(CommandRecord(
+            binary="ref", direction="solicited", api="write", site=f"IpcTxC{c}@0:0",
+            root_function=f"IpcTxC{c}", module="C",
+            payload=PayloadBytes(data, mask, LengthSource("constant-arg", size)),
+            channel_path="/dev/umts_ipc0"))
+        payloads.append(data)
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        matcher = list(draw(st.sampled_from(payloads)))
+        i = draw(st.integers(0, len(matcher) - 1))
+        matcher[i] = draw(st.sampled_from(_NEAR))
+        if draw(st.integers(0, 3)) == 0:
+            matcher[draw(st.integers(0, len(matcher) - 1))] = None
+        prefix = draw(st.booleans())
+        if prefix:
+            matcher = matcher[:draw(st.integers(1, len(matcher)))]
+        effect = draw(st.sampled_from(["ok", "ok", "temporary_crash",
+                                       "recoverable_crash", "permanent_crash"]))
+        args = ()
+        if effect == "ok":
+            args = (draw(st.integers(0x40, 0x45)),)
+        elif effect == "temporary_crash":
+            args = (draw(st.integers(1, 12)),)
+        rows.append(BehaviorRow(tuple(matcher), prefix, effect, args))
+    config = SimConfig(rows=rows, default_recover_after=draw(st.integers(1, 3)),
+                       reboot_ticks=draw(st.integers(0, 6)))
+    return db, config, draw(st.integers(0, 40)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzz_cases())
+def test_campaign_agrees_with_a_stdlib_reference_loop(case):
+    db, config, budget, seed = case
+    findings, stats = campaign(db, config, budget=budget, seed=seed)
+    ref_findings, ref_stats = _reference_campaign(db, config, budget, seed)
+    assert findings == ref_findings
+    assert stats == ref_stats
+    assert list(stats.first_crash_execs) == list(ref_stats.first_crash_execs)
 
 
 def test_record_rng_is_sub_seeded_per_command():

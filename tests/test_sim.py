@@ -142,6 +142,16 @@ def test_row_index_duplicate_exact_matchers_keep_the_first():
     assert w.row_for(bytes([1, 5])) == 3
 
 
+@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+def test_row_for_and_inject_take_any_bytes_like_payload(wrap):
+    w = world(row([1, None], "ok", args=(0x21,)), row([2, 2], "ok", args=(0x22,)))
+    for _ in range(2):  # the second pass answers the injections from the memo
+        assert w.row_for(wrap(b"\x01\x05")) == 0
+        assert w.inject(wrap(b"\x02\x02")) == Response(0x22, IN_SERVICE)
+        assert w.inject(wrap(b"\x01\x05")) == Response(0x21, IN_SERVICE)
+        assert w.inject(wrap(b"\x03\x03")) == Response(RSP_UNKNOWN, IN_SERVICE)
+
+
 def test_world_reads_rows_when_built():
     cfg = SimConfig(rows=[row([1], "ok")])
     w = SimWorld(cfg)
@@ -234,9 +244,11 @@ def test_reflash_clears_everything():
     w.inject(bytes([1]))
     w.reflash()
     assert w.query_state() == IN_SERVICE
+    assert not w._row_memo  # no payload of the previous command
     w.inject(bytes([2]))
     w.reflash()
     assert w.query_state() == IN_SERVICE
+    assert not w._row_memo
 
 
 def test_advance_rejects_a_negative_step():
@@ -331,6 +343,10 @@ _LATCH_OPS = st.lists(
          [("inject", 1), ("inject", 2), ("inject", 4), ("advance", 5), ("inject", 4),
           ("reboot", 0), ("inject", 3), ("inject", 1), ("reboot", 0), ("inject", 4),
           ("reflash", 0), ("inject", 1), ("advance", 0), ("inject", 4)], 3, 2)
+# one ok payload before, during and after a temporary latch: its row's reply,
+# the down reply, then its row's reply again
+@example([row([1], "ok", args=(0x21,)), row([2], "temporary_crash", args=(2,))],
+         [("inject", 1), ("inject", 2), ("inject", 1), ("inject", 1), ("inject", 1)], 3, 2)
 def test_inline_latch_check_agrees_with_query_state(rows, ops, recover_after, reboot_ticks):
     cfg = SimConfig(rows=rows, default_recover_after=recover_after, reboot_ticks=reboot_ticks)
     fast, ref = SimWorld(cfg), _QueryStateWorld(cfg)
