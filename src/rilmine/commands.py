@@ -5,6 +5,11 @@ constant, root function). Root function symbols carry the semantics: camel
 case tokens minus a configurable prefix/verb list give the module label,
 and byte positions that are constant within a module but distinct across
 modules expose the on-wire command group byte.
+
+A solicited record's payload text, the ``payload_hex`` form that its key,
+its ``.cmdb.tsv`` column and its ``.cmdb.json`` field hold, is made once
+when the record is: ``make_record`` renders it, and ``load_db`` takes it
+from the column it reads.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
-from .taint import LengthSource, PayloadBytes, canonical_api, parse_payload_hex, payload_hex
+from .taint import PayloadBytes, canonical_api, payload_hex, read_payload_hex
 
 # Prefix/verb tokens that never name a functional module. Shipped as the
 # default; callers may pass their own list.
@@ -69,9 +74,10 @@ def classify_module(symbol: str, filter_tokens=DEFAULT_FILTER_TOKENS) -> str:
 
 @dataclass
 class CommandRecord:
-    """One recovered command. A solicited record carries its ``payload``, an
-    unsolicited one the compared ``constant`` and its ``handler``; ``kind``
-    is derived from the payload."""
+    """One recovered command. A solicited record carries its ``payload`` and
+    that payload's ``payload_hex`` text, ``payload_text``, rendered here
+    when not given; an unsolicited one carries the compared ``constant``
+    and its ``handler``. ``kind`` is derived from the payload."""
 
     binary: str
     direction: str  # "solicited" | "unsolicited"
@@ -83,6 +89,11 @@ class CommandRecord:
     constant: int | None = None  # unsolicited
     handler: str | None = None  # unsolicited
     channel_path: str | None = None
+    payload_text: str | None = field(default=None, repr=False, compare=False)  # solicited
+
+    def __post_init__(self):
+        if self.payload_text is None and self.payload is not None:
+            self.payload_text = payload_hex(self.payload)
 
     @property
     def kind(self) -> str:
@@ -92,14 +103,14 @@ class CommandRecord:
     @property
     def key(self) -> tuple[str, str, str]:
         if self.direction == "solicited":
-            body = payload_hex(self.payload)
+            body = self.payload_text
         else:
             body = f"const:{self.constant:#x}"
         return (self.direction, body, self.root_function)
 
     def payload_column(self) -> str:
         if self.direction == "solicited":
-            return payload_hex(self.payload)
+            return self.payload_text
         return f"const=0x{self.constant:02x};handler={self.handler or '-'}"
 
 
@@ -166,7 +177,7 @@ def save_db(db: CommandDB) -> str:
     """The ``.cmdb.tsv`` text of ``db``: three comment lines (a version
     line, the ``# binary=<name> provenance=<hash>`` header, the column
     names), then one tab-separated row per record, in ``sorted_records``
-    order. A solicited payload is written as ``payload_hex`` writes it.
+    order. A solicited payload is written as its ``payload_text``.
 
     Fields are written unescaped, so a field that holds a tab or a line
     break would make a row ``load_db`` rejects or misreads: ValueError
@@ -209,8 +220,8 @@ def load_db(text: str) -> CommandDB:
     ``# binary=`` header, which names the database's binary and
     provenance. The header may come once, before every row; a database
     without one loads with an empty name. A solicited payload is read by
-    ``parse_payload_hex``, and each row's ``kind`` must be the one its
-    payload makes."""
+    ``read_payload_hex``, which also gives the record's payload text, and
+    each row's ``kind`` must be the one its payload makes."""
     db = None
     for lineno, line in enumerate(text.splitlines(), 1):
         if line[:1] == "#":
@@ -231,10 +242,10 @@ def load_db(text: str) -> CommandDB:
         if len(cols) != len(_COLUMNS):
             raise ValueError(f"line {lineno}: bad db row ({len(cols)} columns): {line!r}")
         (bin_, direction, api, site, root, module, payload_col, channel, kind) = cols
-        payload = constant = handler = None
+        payload = constant = handler = payload_text = None
         if direction == "solicited":
             try:
-                payload = parse_payload_hex(payload_col)
+                payload, payload_text = read_payload_hex(payload_col)
             except ValueError as e:
                 raise ValueError(f"line {lineno}: {e}") from None
             made = "hybrid" if "d" in payload.mask else "static"
@@ -251,7 +262,7 @@ def load_db(text: str) -> CommandDB:
             raise ValueError(f"line {lineno}: kind {kind!r} disagrees with the payload, "
                              f"which makes it {made!r}")
         db.add(CommandRecord(bin_, direction, api, site, root, module, payload, constant,
-                             handler, None if channel == "-" else channel))
+                             handler, None if channel == "-" else channel, payload_text))
     return db if db is not None else CommandDB("", "")
 
 
@@ -273,7 +284,7 @@ def save_db_json(db: CommandDB) -> str:
                   ("site", r.site), ("root_function", r.root_function),
                   ("module", r.module), ("channel", r.channel_path), ("kind", r.kind)]
         if r.direction == "solicited":
-            fields += [("payload", payload_hex(r.payload)),
+            fields += [("payload", r.payload_text),
                        ("length_source", str(r.payload.length_source))]
         else:
             fields += [("constant", r.constant), ("handler", r.handler)]

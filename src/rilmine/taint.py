@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .callgraph import CallGraph, caller_args
 from .ir import NONCONST_SPACES, Function, IRProgram, Varnode, def_step, format_site
@@ -76,8 +77,7 @@ class Sink:
     handler: str | None
 
 
-@dataclass(frozen=True)
-class LengthSource:
+class LengthSource(NamedTuple):
     kind: str  # "constant-arg" | "strlen-bounded" | "unknown"
     value: int | None = None
 
@@ -85,21 +85,34 @@ class LengthSource:
         return self.kind if self.value is None else f"{self.kind}({self.value})"
 
 
-@dataclass(frozen=True)
-class PayloadBytes:
-    """Concrete payload image. mask[i] is 's' when byte i is statically
-    known, 'd' when it is attacker/caller-controlled (byte value 0x00)."""
-
+class _PayloadFields(NamedTuple):
     data: bytes
     mask: str
     length_source: LengthSource
     notes: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if len(self.data) != len(self.mask):
-            raise ValueError(f"payload has {len(self.data)} bytes but its mask {len(self.mask)}")
-        if "d" in self.mask and any(self.data[i] for i, m in enumerate(self.mask) if m == "d"):
-            raise ValueError(f"dynamic payload bytes must be 00: {self.data.hex()} {self.mask}")
+
+class PayloadBytes(_PayloadFields):
+    """Concrete payload image. mask[i] is 's' when byte i is statically
+    known, 'd' when it is attacker/caller-controlled (byte value 0x00).
+
+    A tuple value type like ``ir.Varnode``: the constructor, and ``_make``,
+    which ``_replace`` calls, check the mask against the bytes; a reader
+    that makes a payload valid by construction calls ``tuple.__new__``."""
+
+    __slots__ = ()
+
+    def __new__(cls, data: bytes, mask: str, length_source: LengthSource,
+                notes: tuple[str, ...] = ()):
+        if len(data) != len(mask):
+            raise ValueError(f"payload has {len(data)} bytes but its mask {len(mask)}")
+        if "d" in mask and any(data[i] for i, m in enumerate(mask) if m == "d"):
+            raise ValueError(f"dynamic payload bytes must be 00: {data.hex()} {mask}")
+        return tuple.__new__(cls, (data, mask, length_source, notes))
+
+    @classmethod
+    def _make(cls, iterable) -> PayloadBytes:
+        return cls(*iterable)
 
     @property
     def is_static(self) -> bool:
@@ -142,9 +155,19 @@ def parse_payload_hex(text: str) -> PayloadBytes:
     and the text may start or end with some. The written form, with single
     spaces only, is converted by ``bytes.fromhex``; any other text is read
     token by token, and the first bad token is named."""
+    return read_payload_hex(text)[0]
+
+
+def read_payload_hex(text: str) -> tuple[PayloadBytes, str]:
+    """``parse_payload_hex(text)`` and the payload's ``payload_hex`` text:
+    ``text`` lower-cased when it is in the written form, else the payload
+    rendered again."""
     if _WRITTEN_FORM.fullmatch(text):
-        return PayloadBytes(bytes.fromhex(text.replace("..", "00")),
-                            text[::3].translate(_MASK_OF_TOKEN_START), _UNKNOWN_LENGTH)
+        # every ".." reads as 00, so the payload passes PayloadBytes' checks
+        pb = tuple.__new__(PayloadBytes, (bytes.fromhex(text.replace("..", "00")),
+                                          text[::3].translate(_MASK_OF_TOKEN_START),
+                                          _UNKNOWN_LENGTH, ()))
+        return pb, text.lower()
     data = bytearray()
     mask = []
     for tok in text.split():
@@ -156,7 +179,8 @@ def parse_payload_hex(text: str) -> PayloadBytes:
             mask.append("s")
         else:
             raise ValueError(f"bad payload byte {tok!r}")
-    return PayloadBytes(bytes(data), "".join(mask), _UNKNOWN_LENGTH)
+    pb = PayloadBytes(bytes(data), "".join(mask), _UNKNOWN_LENGTH)
+    return pb, payload_hex(pb)
 
 
 @dataclass(frozen=True)

@@ -247,8 +247,27 @@ _RECORDS = st.lists(st.tuples(
 ), max_size=12)
 
 
-@given(_RECORDS, _NAMES, st.text("0123456789abcdef", max_size=12))
-def test_tsv_round_trips_random_databases(rows, binary, provenance):
+# payload columns in the other forms load_db accepts, each rewritten from the written form
+_OTHER_PAYLOAD_FORMS = {
+    "upper-case digits": str.upper,
+    "doubled spaces": lambda col: col.replace(" ", "  "),
+    "leading and trailing space": lambda col: f" {col} ",
+}
+
+
+def _rewrite_payload_columns(text, rewrite):
+    lines = []
+    for line in text.splitlines():
+        cols = line.split("\t")
+        if not line.startswith("#") and cols[1] == "solicited":
+            cols[6] = rewrite(cols[6])
+        lines.append("\t".join(cols))
+    return "\n".join(lines) + "\n"
+
+
+@given(_RECORDS, _NAMES, st.text("0123456789abcdef", max_size=12),
+       st.sampled_from(sorted(_OTHER_PAYLOAD_FORMS)))
+def test_tsv_round_trips_random_databases(rows, binary, provenance, form):
     db = CommandDB(binary, provenance)
     for solicited, root, site, cells, constant, handler, channel in rows:
         if solicited:
@@ -261,16 +280,19 @@ def test_tsv_round_trips_random_databases(rows, binary, provenance):
             db.add(make_record(binary, "unsolicited", "read", site, root, constant=constant,
                                handler=handler, channel_path=channel))
     text = save_db(db)
-    again = load_db(text)
-    assert save_db(again) == text
-    assert (again.binary, again.provenance, again.keys()) == (binary, provenance, db.keys())
 
     def fields(r):
         payload = None if r.payload is None else (r.payload.data, r.payload.mask)
         return (r.binary, r.direction, r.api, r.site, r.root_function, r.module, payload,
-                r.constant, r.handler, r.channel_path, r.kind)
+                r.payload_text, r.constant, r.handler, r.channel_path, r.kind)
 
-    assert list(map(fields, again.sorted_records())) == list(map(fields, db.sorted_records()))
+    # the written form, and the same payloads in another accepted form, load
+    # as one database: same keys, same records, same bytes written back
+    other_form = _rewrite_payload_columns(text, _OTHER_PAYLOAD_FORMS[form])
+    for again in (load_db(text), load_db(other_form)):
+        assert save_db(again) == text
+        assert (again.binary, again.provenance, again.keys()) == (binary, provenance, db.keys())
+        assert list(map(fields, again.sorted_records())) == list(map(fields, db.sorted_records()))
 
 
 def test_config_hash_is_stable_and_order_free():

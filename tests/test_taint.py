@@ -392,6 +392,24 @@ def test_dynamic_bytes_must_be_zeroed():
         PayloadBytes(b"\x41\x00", "s", LengthSource("unknown"))
 
 
+def test_payload_bytes_is_a_checked_value_type():
+    pb = PayloadBytes(b"\x07\x00", "sd", LengthSource("constant-arg", 2), ("n",))
+    # _replace makes its copy through _make, which checks like the constructor
+    with pytest.raises(ValueError, match="dynamic payload bytes must be 00: 0700 dd"):
+        pb._replace(mask="dd")
+    with pytest.raises(ValueError, match="payload has 2 bytes but its mask 3"):
+        pb._replace(mask="sds")
+    assert pb._replace(mask="ss").mask == "ss"
+    with pytest.raises(AttributeError):
+        pb.mask = "ss"
+    with pytest.raises(AttributeError):
+        pb.length_source.value = 3
+    same = PayloadBytes(bytes([7, 0]), "sd", LengthSource("constant-arg", 2), ("n",))
+    assert same == pb and hash(same) == hash(pb)
+    assert str(LengthSource("constant-arg", 7)) == "constant-arg(7)"
+    assert str(LengthSource("unknown")) == "unknown"
+
+
 # ---------------------------------------------------------------------------
 # Incomplete backward traces: one tiny program per walk edge branch
 
