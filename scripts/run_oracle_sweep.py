@@ -4,8 +4,7 @@ analyzer and the generator manifest.
 
 Every seed builds a fresh program and round-trips it through
 ``serialize`` -> ``load_program``, which must give back the same text byte
-for byte; its ``ir_version: 1`` form (``tests/ir_v1.py``) must load to the
-same program. It mines the reloaded program with the production pipeline
+for byte. It mines the reloaded program with the production pipeline
 (callgraph -> virtual call recovery -> channel filter -> taint), runs the
 independent reference implementation, and requires three-way agreement on
 command signatures, virtual edges, unresolved sites, and discards.
@@ -14,7 +13,6 @@ command signatures, virtual edges, unresolved sites, and discards.
 """
 
 import argparse
-import os
 import sys
 import time
 
@@ -24,23 +22,17 @@ from rilmine.channel import filter_commands
 from rilmine.fixtures import db_signatures, gen_random
 from rilmine.ir import ParseError, ValidationError, load_program, serialize
 
-# the version 1 writer is kept with the tests of the version 1 reader
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
-from ir_v1 import v1_text  # noqa: E402
-
 
 def run_seed(seed: int, max_functions: int) -> list[str]:
     p, m = gen_random(seed=seed, max_functions=max_functions)
     problems = []
     text = serialize(p)
     try:
-        p, p1 = load_program(text), load_program(v1_text(p))
+        p = load_program(text)
     except (ParseError, ValidationError) as e:
         return [f"load_program rejects the serialized program: {e}"]
     if serialize(p) != text:
         problems.append("serialize -> load_program -> serialize is not byte-identical")
-    if serialize(p1) != text:
-        problems.append("the ir_version 1 form loads to another program")
     cg = build_direct_cg(p)
     recover_vcalls(p, cg)
     db, report = filter_commands(p, cg)

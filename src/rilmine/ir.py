@@ -1,14 +1,13 @@
 """Register-transfer IR for lifted vendor RIL binaries.
 
-Programs arrive as JSON text (see docs/ir_format.md). ``serialize`` writes
-``ir_version: 2``, where one top-level table lists each distinct varnode
-once and instructions are positional rows that refer to it by index;
-``load_program`` reads that and the older ``ir_version: 1``, which spells
-every operand out as an object. The model is a small P-Code-style
-language: varnodes addressed by (space, offset, size) and twelve opcodes.
-Class metadata (hierarchy, vtables, constructor/member lists) rides
-alongside the code because the downstream analyses need it to resolve
-virtual calls.
+Programs arrive as JSON text (see docs/ir_format.md), as ``ir_version: 2``:
+one top-level table lists each distinct varnode once, and instructions are
+positional rows that refer to it by index. ``load_program`` reads that
+version only, and ``serialize`` writes it. The model is a small
+P-Code-style language: varnodes addressed by (space, offset, size) and
+twelve opcodes. Class metadata (hierarchy, vtables, constructor/member
+lists) rides alongside the code because the downstream analyses need it
+to resolve virtual calls.
 
 Varnodes and instructions, the cells of the code, are named tuples: small,
 immutable, and hashed and compared in C. The program, its classes,
@@ -21,14 +20,11 @@ writes to a program. To change one, build new objects
 the program at its peak:
 
 * Each cell is one shared Varnode per load, whichever instructions use it.
-  Two loads share nothing. In version 2 the table gives each cell one row,
-  checked once, and a duplicate row is an error. In version 1 each
-  varnode object is checked as its instruction is built, and replaced by
-  the load's Varnode for that cell.
+  Two loads share nothing. The table gives each cell one row, checked
+  once, and a duplicate row is an error.
 * The text is decoded once, by a plain ``json.loads``, and the decoded
   document is freed as the program is built: each function's JSON is
-  dropped once its Function exists. Both versions share every decoder but
-  the instruction's.
+  dropped once its Function exists.
 * The success path runs no Python function per varnode, instruction or
   linear-order entry. A decoder tests exact types inline and checks a row
   first, then makes its cell with ``tuple.__new__``, which skips the named
@@ -351,8 +347,8 @@ def class_of_type(t: str) -> str | None:
 # so the success path does no work for error reporting: a failed check raises
 # _Bad with a message, and each enclosing decoder appends its own field to
 # ``where`` on the way out. load_program joins the parts into the field path
-# of the ParseError, e.g. ``functions[2].blocks[0].ins[5].in[1]: ...``, or
-# ``functions[2].blocks[0].ins[5][2][1]: ...`` in a version 2 row.
+# of the ParseError, e.g. ``functions[2].blocks[0].ins[5][2][1]: ...`` for
+# the second input of an instruction row.
 
 class _Bad(Exception):
     def __init__(self, msg: str, *where: str):
@@ -415,62 +411,10 @@ _SPACE = {s: s for s in SPACES}
 _OPCODE = {op: op for op in OPCODES}
 
 
-def _varnode_from(obj, table: dict) -> Varnode:
-    """The load's Varnode for the version 1 varnode object ``obj``, once it
-    is checked; ``table`` maps each cell (space, offset, size) to it."""
-    if not isinstance(obj, dict):
-        raise _Bad("varnode must be an object")
-    try:
-        space, offset, size = obj["space"], obj["offset"], obj["size"]
-    except KeyError as e:
-        raise _Bad(f"varnode missing key {e}") from None
-    if space not in SPACES:
-        raise _Bad(f"unknown space {space!r}")
-    if type(offset) is not int or type(size) is not int or size <= 0:
-        raise _Bad("offset must be int, size a positive int")
-    key = space, offset, size
-    v = table.get(key)
-    if v is None:  # a new cell
-        v = table[key] = tuple.__new__(Varnode, (_SPACE[space], offset, size))
-    return v
-
-
-def _ins_from(obj, table: dict) -> Instruction:
-    """A version 1 instruction object; ``table`` as in ``_varnode_from``."""
-    try:
-        op = _OPCODE[obj["op"]]
-    except (KeyError, TypeError):
-        if not isinstance(obj, dict):
-            raise _Bad("instruction must be an object") from None
-        raise _Bad(f"unknown opcode {obj.get('op')!r}") from None
-    out = None
-    if "out" in obj:
-        try:
-            out = _varnode_from(obj["out"], table)
-        except _Bad as e:
-            e.where.append("out")
-            raise
-    inputs = ()
-    if "in" in obj:
-        # _each, unrolled: this loop runs once per operand of the binary
-        raw = _list(obj["in"], "in")
-        for n, v in enumerate(raw):
-            try:
-                raw[n] = _varnode_from(v, table)
-            except _Bad as e:
-                e.where.append(f"in[{n}]")
-                raise
-        inputs = tuple(raw)
-    callee = obj.get("callee")
-    if callee is not None and not isinstance(callee, str):
-        raise _Bad("callee must be a string")
-    return tuple.__new__(Instruction, (op, out, inputs, callee))
-
-
 def _table_from(rows) -> list[Varnode]:
-    """The Varnodes of a version 2 ``varnodes`` table, each row checked
-    once. Two equal rows would make two objects of one cell, so a
-    duplicate is an error. The rows are cleared once they are built."""
+    """The Varnodes of the ``varnodes`` table, each row checked once. Two
+    equal rows would make two objects of one cell, so a duplicate is an
+    error. The rows are cleared once they are built."""
     rows = _list(rows, "varnodes")
     first: dict = {}  # Varnode -> its row; only exact ints get in, so 1.0 never equals 1
     for n, row in enumerate(rows):
@@ -502,9 +446,9 @@ def _bad_index(i, where: str) -> _Bad:
 
 
 def _row_from(row, table: list) -> Instruction:
-    """A version 2 instruction row, ``[op, out, [in, ...]]`` with an
-    optional callee. ``out`` and each input are indexes into ``table``,
-    the load's Varnodes, and ``out`` is None when there is no output."""
+    """An instruction row, ``[op, out, [in, ...]]`` with an optional
+    callee. ``out`` and each input are indexes into ``table``, the load's
+    Varnodes, and ``out`` is None when there is no output."""
     if type(row) is not list:
         raise _Bad(f"instruction row must be a list, not {type(row).__name__}")
     if not 3 <= len(row) <= 4:
@@ -556,7 +500,7 @@ def _param_from(obj) -> Param:
     return Param(name, t)
 
 
-def _block_from(obj, ins_from, table) -> Block:
+def _block_from(obj, table) -> Block:
     if not isinstance(obj, dict):
         raise _Bad("block must be an object")
     if "id" not in obj:
@@ -568,7 +512,7 @@ def _block_from(obj, ins_from, table) -> Block:
     instructions = []
     try:
         for x in raw:
-            instructions.append(ins_from(x, table))
+            instructions.append(_row_from(x, table))
     except _Bad as e:
         e.where.append(f"ins[{len(instructions)}]")
         raise
@@ -582,7 +526,7 @@ def _block_from(obj, ins_from, table) -> Block:
     return Block(bid, instructions, tuple(succ))
 
 
-def _function_from(obj, ins_from, table) -> Function:
+def _function_from(obj, table) -> Function:
     if not isinstance(obj, dict):
         raise _Bad("function must be an object")
     for key in ("id", "name", "stack_size", "blocks"):
@@ -596,7 +540,7 @@ def _function_from(obj, ins_from, table) -> Function:
     blocks = []
     try:
         for x in raw:
-            blocks.append(_block_from(x, ins_from, table))
+            blocks.append(_block_from(x, table))
     except _Bad as e:
         e.where.append(f"blocks[{len(blocks)}]")
         raise
@@ -706,13 +650,10 @@ def _program_from(doc) -> IRProgram:
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     version = doc.get("ir_version")
-    if type(version) is not int or version not in (1, 2):
+    if type(version) is not int or version != 2:
         raise ParseError(f"unsupported ir_version {version!r}")
     try:
-        if version == 1:
-            ins_from, table = _ins_from, {}
-        else:
-            ins_from, table = _row_from, _table_from(doc.get("varnodes", []))
+        table = _table_from(doc.get("varnodes", []))
         data = _each(doc.get("data", []), "data", _segment_from)
         word_size = _typed(doc.get("word_size", 8), int, "word_size")
         if word_size <= 0:
@@ -721,8 +662,7 @@ def _program_from(doc) -> IRProgram:
             name=_typed(doc.get("name", "unnamed"), str, "name"),
             word_size=word_size,
             classes=_each(doc.get("classes", []), "classes", _class_from),
-            functions=_each(doc.get("functions", []), "functions", _function_from,
-                            ins_from, table),
+            functions=_each(doc.get("functions", []), "functions", _function_from, table),
             data=data,
             externals=_all(str, doc.get("externals", []), "externals"),
         )

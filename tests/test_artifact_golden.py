@@ -24,8 +24,6 @@ from rilmine.commands import save_db, save_db_json
 from rilmine.fixtures import gen_random
 from rilmine.ir import load_program, serialize
 
-from ir_v1 import v1_text
-
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "artifacts.json")
 RANDOM_SEEDS = range(30)
 IR_KINDS = [k for k in cli.FIXTURE_KINDS if k not in ("crashsuite", "mutsuite", "diffpair")]
@@ -90,22 +88,6 @@ def test_golden_covers_every_case(golden):
 @pytest.mark.parametrize("case", _cases())
 def test_artifacts_match_golden_digest(case, golden):
     assert case_digests(case) == golden[case]
-
-
-def _both_forms():
-    """(label, program) of every IR fixture kind and ``gen_random`` seeds
-    0-199."""
-    for kind, make in cli._IR_FIXTURES.items():
-        yield kind, make(0)[0]
-    for seed in range(200):
-        yield f"seed {seed}", gen_random(seed=seed)[0]
-
-
-def test_v1_and_v2_forms_load_and_analyze_alike():
-    for label, p in _both_forms():
-        v1, v2 = load_program(v1_text(p)), load_program(serialize(p))
-        assert serialize(v1) == serialize(v2), label
-        assert program_digests(v1, p.name) == program_digests(v2, p.name), label
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -13,8 +13,6 @@ from rilmine.cli import FIXTURE_KINDS, locate_ril_library, main
 from rilmine.fixtures import C, I, S, block, func, gen_crash_suite, gen_fig2
 from rilmine.ir import IRProgram, serialize
 
-from ir_v1 import v1_text
-
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -271,21 +269,6 @@ def test_batch_gives_the_same_results_in_worker_processes(tmp_path, capsys, monk
     assert len(artifacts) == 6
     _, forks = _analyze_on(3, tmp_path, capsys, monkeypatch, inputs[:1])
     assert forks == 0  # one input: nothing to share
-
-
-def test_a_batch_analyzes_the_v1_and_v2_form_of_a_program_alike(tmp_path, capsys):
-    p, _ = cli._IR_FIXTURES["rand"](0)  # solicited and unsolicited records, and discards
-    (tmp_path / "irv1.ir.json").write_text(v1_text(p))
-    (tmp_path / "irv2.ir.json").write_text(serialize(p))
-    out_dir = tmp_path / "out"
-    code, out, err = run(capsys, "analyze", str(tmp_path / "irv1.ir.json"),
-                         str(tmp_path / "irv2.ir.json"), "--out", str(out_dir))
-    assert code == 0 and err == ""
-    v1_line, v2_line = out.splitlines()
-    assert v1_line.replace("irv1", "irv2") == v2_line and "records=0" not in v1_line
-    for ext in (".cmdb.tsv", ".cmdb.json", ".report.txt"):
-        v1 = (out_dir / f"irv1{ext}").read_text()
-        assert v1.replace("irv1", "irv2") == (out_dir / f"irv2{ext}").read_text(), ext
 
 
 def test_worker_reports_a_validation_error_as_a_serial_run_does(tmp_path, capsys, monkeypatch):

@@ -31,11 +31,7 @@ from rilmine.fixtures import (
     ret_stub,
 )
 
-from ir_v1 import v1_doc
-
-# The tests that edit a document in place edit its version 1 form, whose
-# reader keeps every outcome it had; the version 2 reader has its own.
-_doc = v1_doc
+_doc = ir.program_to_dict
 
 
 def make_minimal():
@@ -87,17 +83,8 @@ def test_rejects_unknown_ir_version():
         ir.load_program(json.dumps(doc))
 
 
-@pytest.mark.parametrize("version", [3, 2.0, "2", None])
+@pytest.mark.parametrize("version", [3, 2.0, "2", None, 1, True, 1.0])
 def test_version_2_is_an_exact_int(version):
-    doc = ir.program_to_dict(make_minimal())
-    doc["ir_version"] = version
-    with pytest.raises(ir.ParseError) as exc:
-        ir.load_program(json.dumps(doc))
-    assert str(exc.value) == f"unsupported ir_version {version!r}"
-
-
-@pytest.mark.parametrize("version", [True, 1.0])
-def test_version_1_is_an_exact_int(version):
     doc = _doc(make_minimal())
     doc["ir_version"] = version
     with pytest.raises(ir.ParseError) as exc:
@@ -114,11 +101,12 @@ def test_rejects_duplicate_function_ids():
 
 def test_rejects_unknown_opcode_and_space():
     doc = _doc(make_minimal())
-    doc["functions"][0]["blocks"][0]["ins"][0]["op"] = "XOR"
+    doc["functions"][0]["blocks"][0]["ins"][0][0] = "XOR"
     with pytest.raises(ir.ParseError, match="opcode"):
         ir.load_program(json.dumps(doc))
     doc = _doc(make_minimal())
-    doc["functions"][0]["blocks"][0]["ins"][0]["out"]["space"] = "flash"
+    out = doc["functions"][0]["blocks"][0]["ins"][0][1]
+    doc["varnodes"][out][0] = "flash"
     with pytest.raises(ir.ParseError, match="space"):
         ir.load_program(json.dumps(doc))
 
@@ -145,7 +133,12 @@ def test_rejects_dangling_class_refs():
 
 
 def _fig5_doc():
-    return _doc(gen_fig5()[0])
+    """fig5's document: 15 varnode rows; functions[1].blocks[0] starts
+    ["INT_ADD", 0, [6, 7]] and functions[0].blocks[0] starts
+    ["CALL", 0, [1, 2], "open"]."""
+    doc = _doc(gen_fig5()[0])
+    assert len(doc["varnodes"]) == 15
+    return doc
 
 
 def _set(doc, path, value):
@@ -159,9 +152,7 @@ def _set(doc, path, value):
 # AttributeError or TypeError; each must be a ParseError naming the field.
 @pytest.mark.parametrize("path,value,message", [
     (("functions", 1, "blocks", 0, "ins", 0), 5,
-     "functions[1].blocks[0].ins[0]: instruction must be an object"),
-    (("functions", 1, "blocks", 0, "ins", 0, "in"), 5,
-     "functions[1].blocks[0].ins[0].in: must be a list, not int"),
+     "functions[1].blocks[0].ins[0]: instruction row must be a list, not int"),
     (("functions", 1, "blocks", 0, "succ"), 3,
      "functions[1].blocks[0].succ: must be a list, not int"),
     (("functions", 1, "stack_size"), "x",
@@ -174,7 +165,7 @@ def _set(doc, path, value):
     (("data", 0), {"hex": "00"}, "data[0]: segment missing key 'addr'"),
     (("data", 0), {"addr": 0x1000}, "data[0]: segment missing key 'hex'"),
     (("functions", 1, "blocks"), 5, "functions[1].blocks: must be a list, not int"),
-], ids=["ins-item", "in-list", "succ-list", "stack-size", "stack-size-bool", "params-item",
+], ids=["ins-item", "succ-list", "stack-size", "stack-size-bool", "params-item",
         "data-item", "data-no-addr", "data-no-hex", "blocks-list"])
 def test_malformed_structure_is_a_parse_error_with_field_path(path, value, message):
     doc = _fig5_doc()
@@ -244,20 +235,19 @@ def test_word_size_must_be_a_positive_int(value, message):
 
 def test_parse_error_path_names_the_operand():
     doc = _fig5_doc()
-    doc["functions"][1]["blocks"][2]["ins"][0]["in"][1] = {"space": "reg", "offset": 0}
+    doc["functions"][1]["blocks"][2]["ins"][0][2][1] = "x"
     with pytest.raises(ir.ParseError) as exc:
         ir.load_program(json.dumps(doc))
-    assert str(exc.value) == "functions[1].blocks[2].ins[0].in[1]: varnode missing key 'size'"
+    assert str(exc.value) == "functions[1].blocks[2].ins[0][2][1]: varnode index must be an int, not str"
 
 
 @pytest.mark.parametrize("text", ["2F6465762F756D74735F6970633000",
                                   "2f 6465762f756d74735f6970633000",
                                   "2f6465762f756d74735f697063 3000\n"],
                          ids=["upper-case", "space", "space-and-newline"])
-@pytest.mark.parametrize("to_doc", [v1_doc, ir.program_to_dict], ids=["v1", "v2"])
-def test_segment_hex_must_be_what_serialize_writes(text, to_doc):
+def test_segment_hex_must_be_what_serialize_writes(text):
     # bytes.fromhex takes all of these, but serialize would write other text
-    doc = to_doc(gen_fig5()[0])
+    doc = _doc(gen_fig5()[0])
     assert bytes.fromhex(text).hex() == doc["data"][0]["hex"]
     doc["data"][0]["hex"] = text
     with pytest.raises(ir.ParseError) as exc:
@@ -266,16 +256,7 @@ def test_segment_hex_must_be_what_serialize_writes(text, to_doc):
 
 
 # ---------------------------------------------------------------------------
-# Version 2: the varnode table and instruction rows
-
-def _v2_fig5():
-    """fig5's version 2 document: 15 varnode rows; functions[1].blocks[0]
-    starts ["INT_ADD", 0, [6, 7]] and functions[0].blocks[0] starts
-    ["CALL", 0, [1, 2], "open"]."""
-    doc = ir.program_to_dict(gen_fig5()[0])
-    assert len(doc["varnodes"]) == 15
-    return doc
-
+# The varnode table and instruction rows
 
 @pytest.mark.parametrize("path,value,message", [
     (("varnodes",), {}, "varnodes: must be a list, not dict"),
@@ -319,7 +300,7 @@ def _v2_fig5():
         "out-negative", "out-table-length", "out-float", "in-not-list", "in-range",
         "in-bool", "in-null", "callee-int", "callee-null"])
 def test_v2_rows_are_checked_with_field_paths(path, value, message):
-    doc = _v2_fig5()
+    doc = _fig5_doc()
     _set(doc, path, value)
     with pytest.raises(ir.ParseError) as exc:
         ir.load_program(json.dumps(doc, separators=(",", ":")))
@@ -327,7 +308,7 @@ def test_v2_rows_are_checked_with_field_paths(path, value, message):
 
 
 def test_v2_null_out_is_no_output_and_the_callee_is_optional():
-    doc = _v2_fig5()
+    doc = _fig5_doc()
     doc["functions"][0]["blocks"][0]["ins"][0] = ["COPY", 3, [1]]
     doc["functions"][0]["blocks"][0]["ins"].insert(0, ["STORE", None, [4, 2]])
     ins = ir.load_program(json.dumps(doc)).fn("IpcRxPoll").blocks[0].instructions
@@ -353,22 +334,36 @@ def test_a_v2_document_without_varnodes_has_an_empty_table():
 # ---------------------------------------------------------------------------
 # Varnode interning
 
-def _two_copies_doc(second):
-    """A program whose main copies (reg, 1, 8) and then ``second``."""
+def _two_copies():
+    """A program whose main copies (reg, 1, 8) twice."""
     f = func("main", blocks=[block(0, [I("COPY", R(0), (R(1),)),
                                        I("COPY", R(2), (R(1),)),
                                        I("RETURN")])])
-    doc = _doc(build_program("p", functions=[f]))
-    doc["functions"][0]["blocks"][0]["ins"][1]["in"][0] = second
+    return build_program("p", functions=[f])
+
+
+def _two_copies_doc(second):
+    """``_two_copies``' document with the row ``second`` added to the table,
+    after (reg, 0, 8), (reg, 1, 8) and (reg, 2, 8), as the second copy's
+    input."""
+    doc = _doc(_two_copies())
+    assert doc["varnodes"] == [["reg", 0, 8], ["reg", 1, 8], ["reg", 2, 8]]
+    doc["functions"][0]["blocks"][0]["ins"][1][2][0] = len(doc["varnodes"])
+    doc["varnodes"].append(second)
     return doc
+
+
+_ROW_FIELD = {"offset": 1, "size": 2}
 
 
 @pytest.mark.parametrize("field,value", [("offset", 1.0), ("size", 8.0)])
 def test_float_equal_to_an_interned_int_varnode_is_still_rejected(field, value):
-    second = {"space": "reg", "offset": 1, "size": 8}
-    second[field] = value
-    with pytest.raises(ir.ParseError, match=r"ins\[1\]\.in\[0\]: offset must be int"):
+    # 1.0 == 1 and hashes alike, so an accepted float would be a duplicate row
+    second = ["reg", 1, 8]
+    second[_ROW_FIELD[field]] = value
+    with pytest.raises(ir.ParseError) as exc:
         ir.load_program(json.dumps(_two_copies_doc(second)))
+    assert str(exc.value) == "varnodes[3]: offset must be int, size a positive int"
 
 
 @pytest.mark.parametrize("field,value,offset", [
@@ -378,15 +373,15 @@ def test_float_equal_to_an_interned_int_varnode_is_still_rejected(field, value):
 ])
 def test_bool_varnode_offset_or_size_is_rejected(field, value, offset):
     # True == 1, so an accepted bool would make (reg, True, 8) equal reg 1.
-    second = {"space": "reg", "offset": offset, "size": 8}
-    second[field] = value
-    with pytest.raises(ir.ParseError, match=r"ins\[1\]\.in\[0\]: offset must be int"):
+    second = ["reg", offset, 8]
+    second[_ROW_FIELD[field]] = value
+    with pytest.raises(ir.ParseError) as exc:
         ir.load_program(json.dumps(_two_copies_doc(second)))
+    assert str(exc.value) == "varnodes[3]: offset must be int, size a positive int"
 
 
 def test_equal_varnodes_in_one_load_are_one_object():
-    doc = _two_copies_doc({"space": "reg", "offset": 1, "size": 8})
-    ins = ir.load_program(json.dumps(doc)).fn("main").blocks[0].instructions
+    ins = ir.load_program(ir.serialize(_two_copies())).fn("main").blocks[0].instructions
     assert ins[0].inputs[0] is ins[1].inputs[0]
     assert ins[0].output is not ins[1].output
 
@@ -396,8 +391,8 @@ def _varnodes(p):
             for v in ins.inputs + ((ins.output,) if ins.output else ())]
 
 
-def test_a_v1_load_builds_one_varnode_per_distinct_cell(monkeypatch):
-    text = json.dumps(_doc(gen_fig5()[0]))
+def test_a_load_builds_one_varnode_per_table_row(monkeypatch):
+    text = ir.serialize(gen_fig5()[0])
     built = []
 
     class counting:  # stands in for ``tuple`` in ir, which makes cells with tuple.__new__
@@ -411,7 +406,7 @@ def test_a_v1_load_builds_one_varnode_per_distinct_cell(monkeypatch):
     monkeypatch.setattr(ir, "tuple", counting, raising=False)
     operands = _varnodes(ir.load_program(text))
     assert len(operands) > len(set(operands))  # some cell is used twice
-    assert len(built) == len(set(operands))
+    assert len(built) == len(set(operands)) == len(json.loads(text)["varnodes"])
 
 
 def test_separate_loads_share_no_varnodes():
@@ -477,19 +472,17 @@ def test_serialize_writes_compact_json(tmp_path, capsys):
 def test_indented_documents_load_and_serialize_compactly(tmp_path, capsys):
     # the old writers' output, as existing IR files on disk hold it
     for label, p in _written_programs(tmp_path):
-        for doc in (v1_doc(p), ir.program_to_dict(p)):
-            indented = json.dumps(doc, indent=1)
-            assert ir.serialize(ir.load_program(indented)) == ir.serialize(p), label
+        indented = json.dumps(ir.program_to_dict(p), indent=1)
+        assert ir.serialize(ir.load_program(indented)) == ir.serialize(p), label
 
 
-@pytest.mark.parametrize("to_doc", [v1_doc, ir.program_to_dict], ids=["v1", "v2"])
-def test_loaded_cells_are_named_tuples_of_their_arity(to_doc):
+def test_loaded_cells_are_named_tuples_of_their_arity():
     # the loader makes its cells with tuple.__new__, which skips the named
     # tuple's own arity check
     programs = [(kind, make(0)[0]) for kind, make in cli._IR_FIXTURES.items()]
     programs += [(f"seed {seed}", gen_random(seed=seed)[0]) for seed in range(50)]
     for label, p in programs:
-        q = ir.load_program(json.dumps(to_doc(p)))
+        q = ir.load_program(ir.serialize(p))
         for f in q.functions:
             for _, _, ins in f.linear():
                 assert type(ins) is ir.Instruction and len(ins) == 4, label
@@ -503,7 +496,7 @@ def test_loaded_cells_are_named_tuples_of_their_arity(to_doc):
 
 def _bad_texts():
     doc = _doc(make_minimal())
-    doc["functions"][0]["blocks"][0]["ins"][0]["op"] = "XOR"
+    doc["functions"][0]["blocks"][0]["ins"][0][0] = "XOR"
     f = func("main", stack=8, blocks=[block(0, [I("COPY", S(4, 8), (C(0),)), I("RETURN")])])
     return {ir.ParseError: json.dumps(doc),
             ir.ValidationError: ir.serialize(ir.IRProgram(name="p", functions=[f]))}
@@ -535,14 +528,9 @@ def test_load_pauses_gc_and_restores_its_state(outcome, enabled, monkeypatch):
         (gc.enable if was else gc.disable)()
 
 
-@pytest.mark.parametrize("case", ["v1", "v2", "v1-parse-error", "v2-parse-error"])
-def test_a_load_decodes_its_text_once(case, monkeypatch):
-    bad_v2 = ir.program_to_dict(make_minimal())
-    bad_v2["functions"][0]["blocks"][0]["ins"][0][0] = "XOR"
-    text = {"v1": json.dumps(_doc(make_minimal())),
-            "v2": ir.serialize(make_minimal()),
-            "v1-parse-error": _bad_texts()[ir.ParseError],
-            "v2-parse-error": json.dumps(bad_v2)}[case]
+@pytest.mark.parametrize("outcome", [None, ir.ParseError])
+def test_a_load_decodes_its_text_once(outcome, monkeypatch):
+    text = ir.serialize(make_minimal()) if outcome is None else _bad_texts()[outcome]
     decoded = []
     loads = json.loads
 
@@ -551,7 +539,7 @@ def test_a_load_decodes_its_text_once(case, monkeypatch):
         return loads(s, **kwargs)
 
     monkeypatch.setattr(json, "loads", counting)
-    if case.endswith("parse-error"):
+    if outcome is not None:
         with pytest.raises(ir.ParseError, match="unknown opcode 'XOR'"):
             ir.load_program(text)
     else:

@@ -1,25 +1,20 @@
 """What ``load_program`` makes of one-field changes stays the same.
 
-Every position of the fig5 IR document (the whole document, each object
-member and each list item, at any depth) is set in turn to each value in
-``VALUES``: varnode-shaped objects and their near misses, and the plain
-JSON scalars and empty containers. The outcome of loading each case (the
-ParseError or ValidationError text, or the sha256 of ``serialize`` of the
-program loaded) is checked against a golden file. Any other exception
-fails the test. It is done for both document versions:
-
-* ``ir_version: 1`` (``ir_v1.v1_doc``), against
-  ``tests/golden/load_errors.json``;
-* ``ir_version: 2`` (``program_to_dict``), against
-  ``tests/golden/load_errors_v2.json``, with ``V2_VALUES`` added: values
-  that reach each check of a table row and an instruction row (a negative
-  index, an index equal to the table's length, rows of 2 and 5 items, and
-  ``1.0``, ``true`` and an int where an index or a callee belongs).
+Every position of fig5's IR document (``program_to_dict``: the whole
+document, each object member and each list item, at any depth) is set in
+turn to each value in ``V2_VALUES``: varnode-shaped objects and their near
+misses, the plain JSON scalars and empty containers, and values that reach
+each check of a table row and an instruction row (a negative index, an
+index equal to the table's length, rows of 2 and 5 items, and ``1.0``,
+``true`` and an int where an index or a callee belongs). The outcome of
+loading each case (the ParseError or ValidationError text, or the sha256
+of ``serialize`` of the program loaded) is checked against
+``tests/golden/load_errors_v2.json``. Any other exception fails the test.
 
 The cases pin the wording and field path of every error the loader can
-give for a misplaced value, and that a value accepted in one place is the
-same program whichever way the decoder built it. When an outcome is meant
-to change, regenerate both files and say why in the change:
+give for a misplaced value, and the program a value accepted in one place
+loads to. When an outcome is meant to change, regenerate the file and say
+why in the change:
 
     PYTHONPATH=src python3 tests/test_load_golden.py
 """
@@ -35,13 +30,11 @@ import pytest
 from rilmine.fixtures import gen_fig5
 from rilmine.ir import ParseError, ValidationError, load_program, program_to_dict, serialize
 
-from ir_v1 import v1_doc
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "load_errors_v2.json")
 
-GOLDENS = {
-    1: os.path.join(os.path.dirname(__file__), "golden", "load_errors.json"),
-    2: os.path.join(os.path.dirname(__file__), "golden", "load_errors_v2.json"),
-}
-VALUES = {
+# fig5's document; the cases below set values into copies of it
+_FIG5_V2 = program_to_dict(gen_fig5()[0])
+V2_VALUES = {
     "varnode": {"space": "reg", "offset": 1, "size": 8},
     "varnode-list": [{"space": "reg", "offset": 1, "size": 8}],
     "varnode-float-offset": {"space": "reg", "offset": 1.0, "size": 8},
@@ -53,12 +46,6 @@ VALUES = {
     "null": None,
     "empty-list": [],
     "empty-object": {},
-}
-
-# fig5's version 2 document; the cases below set values into copies of it
-_FIG5_V2 = program_to_dict(gen_fig5()[0])
-V2_VALUES = {
-    **VALUES,
     "int": 1,
     "negative": -1,
     "table-length": len(_FIG5_V2["varnodes"]),
@@ -87,29 +74,23 @@ def _outcome(text: str) -> str:
     return "ok " + hashlib.sha256(serialize(p).encode("utf-8")).hexdigest()
 
 
-def outcomes(version: int) -> dict[str, dict[str, str]]:
+def outcomes() -> dict[str, dict[str, str]]:
     """value name -> position label -> outcome of loading fig5's document
-    of ``version`` with the value at that position."""
-    base = v1_doc(gen_fig5()[0]) if version == 1 else _FIG5_V2
+    with the value at that position."""
     out = {}
-    for name, value in (VALUES if version == 1 else V2_VALUES).items():
+    for name, value in V2_VALUES.items():
         cases = out[name] = {}
-        for path in _positions(base):
+        for path in _positions(_FIG5_V2):
             if not path:
                 doc = value
             else:
-                doc = copy.deepcopy(base)
+                doc = copy.deepcopy(_FIG5_V2)
                 box = doc
                 for k in path[:-1]:
                     box = box[k]
                 box[path[-1]] = value
             cases[_label(path)] = _outcome(json.dumps(doc))
     return out
-
-
-def _golden(version: int) -> dict:
-    with open(GOLDENS[version], "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _moved(current: dict, golden: dict) -> dict:
@@ -120,43 +101,27 @@ def _moved(current: dict, golden: dict) -> dict:
 
 @pytest.fixture(scope="module")
 def current():
-    return outcomes(1)
+    return outcomes()
 
 
 @pytest.fixture(scope="module")
 def golden():
-    return _golden(1)
-
-
-@pytest.mark.parametrize("name", VALUES)
-def test_load_outcomes_match_golden(name, current, golden):
-    assert _moved(current[name], golden[name]) == {}
-
-
-@pytest.fixture(scope="module")
-def current_v2():
-    return outcomes(2)
-
-
-@pytest.fixture(scope="module")
-def golden_v2():
-    return _golden(2)
+    with open(GOLDEN, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 @pytest.mark.parametrize("name", V2_VALUES)
-def test_v2_load_outcomes_match_golden(name, current_v2, golden_v2):
-    assert _moved(current_v2[name], golden_v2[name]) == {}
+def test_v2_load_outcomes_match_golden(name, current, golden):
+    assert _moved(current[name], golden[name]) == {}
 
 
-def test_goldens_cover_every_value(golden, golden_v2):
-    assert sorted(golden) == sorted(VALUES)
-    assert sorted(golden_v2) == sorted(V2_VALUES)
+def test_goldens_cover_every_value(golden):
+    assert sorted(golden) == sorted(V2_VALUES)
 
 
 if __name__ == "__main__":
-    for version, path in GOLDENS.items():
-        cases = outcomes(version)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(cases, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {sum(map(len, cases.values()))} cases to {path}", file=sys.stderr)
+    cases = outcomes()
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(cases, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {sum(map(len, cases.values()))} cases to {GOLDEN}", file=sys.stderr)

@@ -1,8 +1,8 @@
 """Artifacts of mutated programs stay byte-identical.
 
-A seeded mutator edits the ``ir_version: 1`` document (``ir_v1.v1_doc``)
-of each IR fixture kind and of ``gen_random`` seeds 0-11 a few times over,
-and keeps the programs that still load. The edits reach the walkers' odd
+A seeded mutator edits the IR document (``program_to_dict``) of each IR
+fixture kind and of ``gen_random`` seeds 0-11 a few times over, and keeps
+the programs that still load. The edits reach the walkers' odd
 branches (undefined values, loads through non-object bases, constant and
 uninitialized descriptors, unmodeled defs) that the well-formed fixtures
 never take. For each base program, the sha256 of
@@ -36,9 +36,8 @@ from rilmine.ir import (
     ParseError,
     ValidationError,
     load_program,
+    program_to_dict,
 )
-
-from ir_v1 import v1_doc
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "mutants.json")
 IR_KINDS = [k for k in cli.FIXTURE_KINDS if k not in ("crashsuite", "mutsuite", "diffpair", "rand")]
@@ -62,36 +61,47 @@ def _base_doc(base: str) -> dict:
         p, _ = gen_random(seed=int(arg))
     else:
         p, _ = cli._IR_FIXTURES[arg](0)
-    return v1_doc(p)
+    return program_to_dict(p)
 
 
-def _slots(ins: dict) -> list[tuple[dict, object]]:
-    """(container, key) of each varnode operand of ``ins``."""
-    out = [(ins, "out")] if "out" in ins else []
-    return out + [(ins["in"], j) for j in range(len(ins.get("in", ())))]
+def _slots(row: list) -> list[tuple[list, int]]:
+    """(list, index) of each varnode operand of the instruction ``row``."""
+    out = [(row, 1)] if row[1] is not None else []
+    return out + [(row[2], j) for j in range(len(row[2]))]
+
+
+def _cell(doc: dict, space: str, offset: int, size: int) -> int:
+    """The index of the table row of (space, offset, size), appended if the
+    table has none: the loader rejects a duplicate row."""
+    rows, cell = doc["varnodes"], [space, offset, size]
+    if cell not in rows:
+        rows.append(cell)
+    return rows.index(cell)
 
 
 def _edit(doc: dict, rng: random.Random) -> None:
-    """One edit to one instruction, in place. Half the picks are calls,
-    where every walk starts."""
+    """One edit to one instruction, in place; an operand moved to a cell
+    the table lacks gets a new row. Half the picks are calls, where every
+    walk starts."""
     sites = [(f, b["ins"], i) for f in doc["functions"] for b in f["blocks"]
              for i in range(len(b["ins"]))]
-    calls = [s for s in sites if s[1][s[2]]["op"] in ("CALL", "CALLIND")]
+    calls = [s for s in sites if s[1][s[2]][0] in ("CALL", "CALLIND")]
     fn, insns, i = rng.choice(calls if calls and rng.random() < 0.5 else sites)
     ins = insns[i]
     slots = _slots(ins)
     kind = rng.choice(("swap", "space", "offset", "flip", "dup"))
-    if kind == "flip" and ins["op"] in _FLIP:
-        ins["op"] = _FLIP[ins["op"]]
+    if kind == "flip" and ins[0] in _FLIP:
+        ins[0] = _FLIP[ins[0]]
     elif kind in ("swap", "space", "offset") and slots:
         box, key = rng.choice(slots)
+        space, offset, size = doc["varnodes"][box[key]]
         if kind == "swap":
             pool = [x[k] for b in fn["blocks"] for y in b["ins"] for x, k in _slots(y)]
-            box[key] = copy.deepcopy(rng.choice(pool))
+            box[key] = rng.choice(pool)
         elif kind == "space":
-            box[key] = dict(box[key], space=rng.choice(SPACES))
+            box[key] = _cell(doc, rng.choice(SPACES), offset, size)
         else:
-            box[key] = dict(box[key], offset=box[key]["offset"] + rng.choice((-8, -1, 1, 8)))
+            box[key] = _cell(doc, space, offset + rng.choice((-8, -1, 1, 8)), size)
     else:
         insns.insert(i, copy.deepcopy(ins))
 

@@ -2,8 +2,7 @@
 
 ``scripts/run_oracle_sweep.py`` round-trips each ``gen_random`` program
 through ``serialize`` -> ``load_program`` -> ``serialize`` byte for byte,
-requires its ``ir_version: 1`` form to load to the same program, and
-requires pipeline, ``oracle.py`` and manifest to agree. The script runs
+and requires pipeline, ``oracle.py`` and manifest to agree. The script runs
 more seeds; this keeps the first hundred in the test suite.
 """
 
