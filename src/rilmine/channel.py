@@ -46,9 +46,6 @@ class FilterConfig:
             return _DEVICE_RE
         return re.compile(self.device_pattern)
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=1)
-
     @classmethod
     def from_json(cls, text: str) -> "FilterConfig":
         """The config in ``text``, a JSON object with any of the fields as

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
-from .taint import PayloadBytes, canonical_api, payload_hex, read_payload_hex
+from .taint import PayloadBytes, payload_hex, read_payload_hex
 
 # Prefix/verb tokens that never name a functional module. Shipped as the
 # default; callers may pass their own list.
@@ -46,30 +46,17 @@ DEFAULT_FILTER_TOKENS = (
 _TOKEN_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z]*|[a-z]+|\d+")
 
 
-def tokenize(symbol: str) -> list[str]:
-    """Split a function symbol into name tokens. ``Class::Method`` keeps
-    the method part; boundaries are camel case humps, letter/digit
-    transitions and underscores."""
-    return _TOKEN_RE.findall(symbol.split("::")[-1])
-
-
 def classify_module(symbol: str, filter_tokens=DEFAULT_FILTER_TOKENS) -> str:
-    """First token that survives the filter list names the module.
+    """First token that survives the filter list names the module. Tokens
+    are camel case humps, letter/digit runs and underscore-separated parts,
+    taken in symbol order.
 
     Class-qualifier tokens are considered before method tokens: vendor
     symbols put the module noun in the class suffix at least as often as
     in the method name.
     """
-    if "::" in symbol:
-        cls, method = symbol.rsplit("::", 1)
-        tokens = _TOKEN_RE.findall(cls) + _TOKEN_RE.findall(method)
-    else:
-        tokens = _TOKEN_RE.findall(symbol)
     drop = set(filter_tokens)
-    for t in tokens:
-        if t not in drop:
-            return t
-    return "Unknown"
+    return next((t for t in _TOKEN_RE.findall(symbol) if t not in drop), "Unknown")
 
 
 @dataclass
@@ -248,21 +235,20 @@ def load_db(text: str) -> CommandDB:
                 payload, payload_text = read_payload_hex(payload_col)
             except ValueError as e:
                 raise ValueError(f"line {lineno}: {e}") from None
-            made = "hybrid" if "d" in payload.mask else "static"
         elif direction == "unsolicited":
             m = _UNSOLICITED_COLUMN.match(payload_col)
             if not m:
                 raise ValueError(f"line {lineno}: bad unsolicited payload column: {payload_col!r}")
             constant = int(m.group(1), 16)
             handler = None if m.group(2) == "-" else m.group(2)
-            made = "static"
         else:
             raise ValueError(f"line {lineno}: unknown direction {direction!r}")
-        if kind != made:
+        rec = CommandRecord(bin_, direction, api, site, root, module, payload, constant,
+                            handler, None if channel == "-" else channel, payload_text)
+        if kind != rec.kind:
             raise ValueError(f"line {lineno}: kind {kind!r} disagrees with the payload, "
-                             f"which makes it {made!r}")
-        db.add(CommandRecord(bin_, direction, api, site, root, module, payload, constant,
-                             handler, None if channel == "-" else channel, payload_text))
+                             f"which makes it {rec.kind!r}")
+        db.add(rec)
     return db if db is not None else CommandDB("", "")
 
 
@@ -297,24 +283,6 @@ def save_db_json(db: CommandDB) -> str:
 
 # ---------------------------------------------------------------------------
 # Reports
-
-def module_distribution(db: CommandDB) -> dict[str, list[tuple[str, int, float]]]:
-    """Per direction: (module, count, percent) rows, count-descending with
-    module-name ties, percentages rounded to 2 decimals."""
-    out: dict[str, list[tuple[str, int, float]]] = {}
-    for direction in ("solicited", "unsolicited"):
-        recs = [r for r in db.records if r.direction == direction]
-        counts: dict[str, int] = {}
-        for r in recs:
-            counts[r.module] = counts.get(r.module, 0) + 1
-        total = len(recs)
-        rows = [
-            (m, c, round(100.0 * c / total, 2)) for m, c in counts.items()
-        ]
-        rows.sort(key=lambda row: (-row[1], row[0]))
-        out[direction] = rows
-    return out
-
 
 @dataclass
 class GroupByteReport:
@@ -385,34 +353,4 @@ def render_diff(base: CommandDB, cur: CommandDB, d: DiffResult) -> str:
     for label, keys in (("base-only", d.base_unique), ("cur-only", d.cur_unique)):
         for k in sorted(keys):
             lines.append(f"{label}\t{k[0]}\t{k[1]}\t{k[2]}")
-    return "\n".join(lines) + "\n"
-
-
-def evolution_report(dbs: list[CommandDB]) -> list[dict]:
-    """Per-binary counts by direction and canonical API (fortified write
-    and read variants aggregate into write/read)."""
-    rows = []
-    for db in dbs:
-        apis: dict[str, int] = {}
-        for r in db.records:
-            a = canonical_api(r.api)
-            apis[a] = apis.get(a, 0) + 1
-        rows.append(
-            {
-                "binary": db.binary,
-                "solicited": len(db.solicited()),
-                "unsolicited": len(db.unsolicited()),
-                "apis": dict(sorted(apis.items())),
-            }
-        )
-    return rows
-
-
-def render_evolution(rows: list[dict]) -> str:
-    api_names = sorted({a for row in rows for a in row["apis"]})
-    lines = ["binary\tsolicited\tunsolicited\t" + "\t".join(api_names)]
-    for row in rows:
-        cells = [row["binary"], str(row["solicited"]), str(row["unsolicited"])]
-        cells += [str(row["apis"].get(a, 0)) for a in api_names]
-        lines.append("\t".join(cells))
     return "\n".join(lines) + "\n"

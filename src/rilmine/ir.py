@@ -303,7 +303,7 @@ class IRProgram:
         seg = self._segment_at(addr)
         if seg is not None:
             base, blob = seg
-            if addr + n <= base + len(blob):
+            if 0 <= n and addr + n <= base + len(blob):
                 return blob[addr - base : addr - base + n]
         return None
 

@@ -39,14 +39,7 @@ IO_APIS: dict[str, tuple[str, int | None, int | None, int | None]] = {
     "socket": ("socket", None, None, None),
 }
 
-# Fortified variants fold into their plain siblings in reports.
-API_ALIASES = {"__write_chk": "write", "__read_chk": "read"}
-
 MAX_FRAMES = 32  # inter-procedural depth bound per trace
-
-
-def canonical_api(name: str) -> str:
-    return API_ALIASES.get(name, name)
 
 
 @dataclass(frozen=True)

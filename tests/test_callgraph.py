@@ -1,6 +1,9 @@
 """Call graph construction and vtable dispatch recovery."""
 
+import pytest
+
 from rilmine import callgraph as cgmod
+from rilmine import oracle
 from rilmine.callgraph import (
     CallEdge,
     TargetExpr,
@@ -9,6 +12,7 @@ from rilmine.callgraph import (
     dump,
     recover_vcalls,
 )
+from rilmine.channel import filter_commands
 from rilmine.fixtures import (
     C,
     I,
@@ -17,6 +21,7 @@ from rilmine.fixtures import (
     U,
     block,
     build_program,
+    db_signatures,
     func,
     gen_fig2,
     gen_fig4,
@@ -267,6 +272,51 @@ def test_inference_types_value_through_constructor_param():
     classes = cgmod.class_inference(
         p, TargetExpr("this", 0x10), p.fn("Holder::Holder"))
     assert classes == ["Obj"]
+
+
+@pytest.mark.parametrize("ret", ["class:IoChannel", "int"])
+def test_inference_types_member_through_factory_return_type(ret):
+    # Proto::Proto stores MakeChannel()'s result at this+0x10; IpcTxHello
+    # sends its frame through slot 0 of that member. Only a factory typed
+    # class:IoChannel tells which table that slot is in.
+    make = func("MakeChannel", ret=ret, blocks=[block(0, [I("RETURN")])])
+    proto_ctor = func("Proto::Proto", cls="Proto", blocks=[block(0, [
+        I("CALL", U(0), (), callee="MakeChannel"),
+        I("INT_ADD", U(1), (R(0), C(0x10))), I("STORE", None, (U(1), U(0))), I("RETURN"),
+    ])])
+    frame = [I("COPY", S(16 + i, 1), (C(b, 1),)) for i, b in enumerate([5, 0, 0, 0, 9, 1])]
+    hello = func("Proto::IpcTxHello", cls="Proto", blocks=[block(0, [
+        *frame,
+        I("INT_ADD", U(0), (R(0), C(0x10))), I("LOAD", U(1), (U(0),)),
+        I("INT_ADD", U(2), (U(1), C(0))), I("LOAD", U(3), (U(2),)),
+        I("CALLIND", None, (U(3), U(1), S(16, 6), C(6))), I("RETURN"),
+    ])])
+    chan_ctor = func("IoChannel::IoChannel", cls="IoChannel", blocks=[block(0, [
+        I("CALL", U(0), (C(0x2000), C(2)), callee="open"),
+        I("INT_ADD", U(1), (R(0), C(0x08))), I("STORE", None, (U(1), U(0))), I("RETURN"),
+    ])])
+    write = func("IoChannel::Write", cls="IoChannel",
+                 params=(("buf", "bytes"), ("len", "int")), blocks=[block(0, [
+                     I("INT_ADD", U(0), (R(0), C(0x08))), I("LOAD", U(1), (U(0),)),
+                     I("CALL", None, (U(1), R(1), R(2)), callee="write"), I("RETURN"),
+                 ])])
+    classes = [
+        ClassInfo("Proto", constructors=["Proto::Proto"], members=["Proto::IpcTxHello"]),
+        ClassInfo("IoChannel", vtable_addr=0x3100, vtable=["IoChannel::Write"],
+                  constructors=["IoChannel::IoChannel"], members=["IoChannel::Write"]),
+    ]
+    p = build_program("factory", classes=classes,
+                      functions=[make, proto_ctor, hello, chan_ctor, write],
+                      data=[(0x2000, b"/dev/umts_ipc0\x00")], externals=["open", "write"])
+    cg = _recovered(p)
+    db, _ = filter_commands(p, cg)
+    if ret == "int":
+        assert not _vedges(cg) and [s.reason for s in cg.unresolved] == ["no-class-inferred"]
+        assert db_signatures(db) == oracle.analyze(p).commands == set()
+        return
+    assert _vedges(cg) == {("Proto::IpcTxHello", "IoChannel::Write")}
+    want = {("solicited", "write", "Proto::IpcTxHello", "05 00 00 00 09 01", "/dev/umts_ipc0")}
+    assert db_signatures(db) == oracle.analyze(p).commands == want
 
 
 def test_dump_renders_stable_edge_listing():

@@ -1,8 +1,9 @@
 """Channel filtering: device-path matching and fd-origin tracing."""
 
+import json
 import re
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import product
 
 import pytest
@@ -277,6 +278,27 @@ def test_fd_trace_depth_is_bounded():
     assert res.reason == "depth-bound"
 
 
+def test_fd_returned_by_an_internal_helper_is_traced_to_its_open():
+    # The fd walk continues at the helper's RETURN instead of stopping at
+    # the call that made the fd.
+    open_modem = func("OpenModem", ret="int", blocks=[block(0, [
+        I("CALL", U(0), (C(0x2000), C(2)), callee="open"),
+        I("RETURN", None, (U(0),)),
+    ])])
+    frame = [I("COPY", S(16 + i, 1), (C(b, 1),)) for i, b in enumerate([7, 0, 0, 0, 1, 2, 3])]
+    ping = func("IpcTxPing", blocks=[block(0, [
+        I("CALL", U(0), (), callee="OpenModem"),
+        *frame,
+        I("CALL", None, (U(0), S(16, 7), C(7)), callee="write"),
+        I("RETURN"),
+    ])])
+    p = build_program("helper-fd", functions=[open_modem, ping],
+                      data=[(0x2000, b"/dev/umts_ipc0\x00")], externals=["open", "write"])
+    _, db, _ = _run(p)
+    want = {("solicited", "write", "IpcTxPing", "07 00 00 00 01 02 03", "/dev/umts_ipc0")}
+    assert db_signatures(db) == oracle.analyze(p).commands == want
+
+
 # ---------------------------------------------------------------------------
 # Config plumbing
 
@@ -290,7 +312,7 @@ def test_custom_device_pattern_changes_the_verdict():
 
 def test_filter_config_round_trips_and_hashes():
     cfg = FilterConfig(keep_socket=True, fd_depth=4)
-    again = FilterConfig.from_json(cfg.to_json())
+    again = FilterConfig.from_json(json.dumps(asdict(cfg)))
     assert again == cfg
     assert cfg.hash() == again.hash()
     assert cfg.hash() != FilterConfig().hash()

@@ -14,16 +14,12 @@ from rilmine.commands import (
     classify_module,
     config_hash,
     diff,
-    evolution_report,
     infer_group_byte,
     load_db,
     make_record,
-    module_distribution,
     render_diff,
-    render_evolution,
     save_db,
     save_db_json,
-    tokenize,
 )
 from rilmine.fixtures import CRASH_SUITE, gen_crash_suite, gen_diff_pair, gen_mutation_target
 from rilmine.taint import LengthSource, PayloadBytes, payload_hex
@@ -50,12 +46,6 @@ def _unsolicited(root, constant, handler, binary="b"):
 # ---------------------------------------------------------------------------
 # Symbol naming
 
-def test_tokenize_splits_humps_digits_and_underscores():
-    assert tokenize("IpcTxCallGetCallList") == ["Ipc", "Tx", "Call", "Get", "Call", "List"]
-    assert tokenize("A::B::IpcTxImeiPreconfigUpdate") == ["Ipc", "Tx", "Imei", "Preconfig", "Update"]
-    assert tokenize("do_sim_io41X") == ["do", "sim", "io", "41", "X"]
-
-
 def test_classify_prefers_class_qualifier_tokens():
     # The method alone would classify as "Reset"; the class suffix wins.
     assert classify_module("IpcProtocol41Power::IpcTxResetOemModem") == "Power"
@@ -71,6 +61,9 @@ def test_classify_falls_through_filter_tokens_to_first_noun():
 def test_classify_honors_custom_filter_tokens():
     custom = DEFAULT_FILTER_TOKENS + ("Call",)
     assert classify_module("IpcProtocol41::IpcTxCallGetCallList", custom) == "List"
+    # tokens split at humps, letter/digit runs, underscores and every "::"
+    assert classify_module("A::B::IpcTxImeiPreconfigUpdate", ("A", "B", "Ipc", "Tx")) == "Imei"
+    assert classify_module("do_sim_io41X", ("do", "sim", "io", "41")) == "X"
 
 
 def test_crash_suite_roots_classify_to_expected_modules():
@@ -305,17 +298,6 @@ def test_config_hash_is_stable_and_order_free():
 # ---------------------------------------------------------------------------
 # Reports
 
-def test_module_distribution_counts_and_percentages():
-    db = CommandDB("b")
-    db.add(_solicited("IpcTxCallA", [1]))
-    db.add(_solicited("IpcTxCallB", [2]))
-    db.add(_solicited("IpcTxSmsA", [3]))
-    db.add(_unsolicited("Nv::ProcessOpenFile", 9, "h"))
-    dist = module_distribution(db)
-    assert dist["solicited"] == [("Call", 2, 66.67), ("Sms", 1, 33.33)]
-    assert dist["unsolicited"] == [("Nv", 1, 100.0)]
-
-
 def test_group_byte_inferred_from_crash_suite():
     db, _, _ = gen_crash_suite()
     rep = infer_group_byte(db)
@@ -387,22 +369,3 @@ def test_render_diff_layout():
     assert sum(1 for ln in lines if ln.startswith("base-only\t")) == 2
     assert sum(1 for ln in lines if ln.startswith("cur-only\t")) == 1
 
-
-# ---------------------------------------------------------------------------
-# Evolution across binaries
-
-def test_evolution_aggregates_fortified_variants():
-    old = CommandDB("ril-v1")
-    old.add(_solicited("IpcTxA", [1], binary="ril-v1"))
-    new = CommandDB("ril-v2")
-    rec = _solicited("IpcTxA", [1], binary="ril-v2")
-    rec.api = "__write_chk"
-    new.add(rec)
-    new.add(_unsolicited("Nv::ProcessRfsPacket", 3, "h", binary="ril-v2"))
-    rows = evolution_report([old, new])
-    assert rows[0]["apis"] == {"write": 1}
-    assert rows[1]["apis"] == {"read": 1, "write": 1}
-    assert (rows[1]["solicited"], rows[1]["unsolicited"]) == (1, 1)
-    text = render_evolution(rows)
-    assert text.splitlines()[0] == "binary\tsolicited\tunsolicited\tread\twrite"
-    assert "ril-v2\t1\t1\t1\t1" in text

@@ -22,11 +22,11 @@ from rilmine.fixtures import (
     gen_hybrid,
     ret_stub,
 )
+from rilmine.ir import ClassInfo
 from rilmine.taint import (
     LengthSource,
     PayloadBytes,
     backward_taint,
-    canonical_api,
     concretize_payload,
     find_sources,
     forward_taint,
@@ -58,12 +58,6 @@ def test_modeled_apis_are_frozen():
         "pipe": ("pipe", None, None, None),
         "socket": ("socket", None, None, None),
     }
-
-
-def test_fortified_variants_canonicalize():
-    assert canonical_api("__write_chk") == "write"
-    assert canonical_api("__read_chk") == "read"
-    assert canonical_api("ioctl") == "ioctl"
 
 
 def test_find_sources_lists_io_calls_sorted():
@@ -167,6 +161,46 @@ def test_data_segment_payload_reads_program_bytes():
     assert pb.data == b"hello"
     assert pb.mask == "sssss"
     assert pb.length_source == LengthSource("constant-arg", 5)
+
+
+def _device_writer(*body, data=()):
+    """A program whose function ``tx`` opens the device into ``U(0)`` and
+    then runs ``body``."""
+    tx = func("tx", blocks=[block(0, [
+        I("CALL", U(0), (C(0x2000), C(0)), callee="open"), *body, I("RETURN"),
+    ])])
+    return build_program("tx", functions=[tx], externals=["open", "write"],
+                         data=[(0x2000, b"/dev/umts_ipc0\x00"), *data])
+
+
+def test_negative_constant_length_reads_the_string_not_a_wrapped_slice():
+    # 2 - 9 is -7: read as a size_t, that runs past the segment's end, so
+    # the payload is the string at the buffer, as for any overlong length.
+    p = _device_writer(
+        I("INT_SUB", U(1), (C(2), C(9))),
+        I("CALL", None, (U(0), C(0x3000), U(1)), callee="write"),
+        data=[(0x3000, bytes(range(1, 17)))],
+    )
+    cg = _cg(p)
+    pb = concretize_payload(p, backward_taint(p, cg, find_sources(p)[0])[0])
+    assert pb.data == bytes(range(1, 17))
+    assert pb.length_source == LengthSource("constant-arg", -7)
+    assert pb.notes == ("length exceeds data segment; truncated to string",)
+    db, _ = filter_commands(p, cg)
+    want = {("solicited", "write", "tx", payload_hex(pb), "/dev/umts_ipc0")}
+    assert db_signatures(db) == oracle.analyze(p).commands == want
+
+
+def test_constant_buffer_and_length_are_folded():
+    p = _device_writer(
+        I("INT_ADD", U(1), (C(0x3000), C(0))),
+        I("INT_ADD", U(2), (C(4), C(3))),
+        I("CALL", None, (U(0), U(1), U(2)), callee="write"),
+        data=[(0x3000, bytes(range(9, 0, -1)))],
+    )
+    db, _ = filter_commands(p, _cg(p))
+    want = {("solicited", "write", "tx", "09 08 07 06 05 04 03", "/dev/umts_ipc0")}
+    assert db_signatures(db) == oracle.analyze(p).commands == want
 
 
 def test_stack_payload_longer_than_the_frame_is_truncated_to_it():
@@ -314,6 +348,74 @@ def test_dispatch_walk_follows_any_number_of_branch_blocks():
         block(11, [I("RETURN")]),
     )
     assert got == ref == {("unsolicited", "read", "poll", 0x42, "h", "/dev/umts_ipc0")}
+
+
+def _guard_42(fid, cls=None, before=()):
+    """``fid(pkt)`` runs ``before``, then calls ``Nv::Handle42(pkt)`` when
+    byte 1 of ``pkt`` is 0x42."""
+    pkt = R(0 if cls is None else 1)
+    return func(fid, cls=cls, params=(("pkt", "bytes"),), blocks=[
+        block(0, [*before, I("INT_ADD", U(0), (pkt, C(1))), I("LOAD", U(1, 1), (U(0),)),
+                  I("INT_EQUAL", U(2, 1), (U(1, 1), C(0x42, 1))),
+                  I("CBRANCH", None, (U(2, 1),))], succ=(1, 2)),
+        block(1, [I("CALL", None, (pkt,), callee="Nv::Handle42"), I("RETURN")]),
+        block(2, [I("RETURN")]),
+    ])
+
+
+def _read_frame(fid, cls=None, then=()):
+    """``fid`` opens the device, reads 32 bytes into its frame at
+    ``S(16, 32)`` and runs ``then``."""
+    return func(fid, cls=cls, blocks=[block(0, [
+        I("CALL", U(0), (C(0x2000), C(0)), callee="open"),
+        I("CALL", U(1), (U(0), S(16, 32), C(32)), callee="read"),
+        *then, I("RETURN"),
+    ])])
+
+
+def _unsolicited_42(fns, classes=()):
+    """The pipeline's and the reference analyzer's signatures for ``fns``
+    plus a ``Nv::Handle42`` stub, and the pipeline's call graph."""
+    p = build_program("fwd", classes=classes,
+                      functions=[*fns, ret_stub("Nv::Handle42", params=(("pkt", "bytes"),))],
+                      data=[(0x2000, b"/dev/umts_ipc0\x00")], externals=["open", "read"])
+    cg = _cg(p)
+    db, _ = filter_commands(p, cg)
+    return db_signatures(db), oracle.analyze(p).commands, cg
+
+
+def test_forward_taint_follows_a_recovered_virtual_call():
+    # Rx::Poll passes its buffer through slot 0 of the Handler at this+0x10.
+    ctor = func("Rx::Rx", cls="Rx", params=(("h", "class:Handler"),), blocks=[block(0, [
+        I("INT_ADD", U(0), (R(0), C(0x10))), I("STORE", None, (U(0), R(1))), I("RETURN"),
+    ])])
+    poll = _read_frame("Rx::Poll", cls="Rx", then=[
+        I("INT_ADD", U(2), (R(0), C(0x10))), I("LOAD", U(3), (U(2),)),
+        I("INT_ADD", U(4), (U(3), C(0))), I("LOAD", U(5), (U(4),)),
+        I("CALLIND", None, (U(5), U(3), S(16, 32))),
+    ])
+    classes = [
+        ClassInfo("Rx", constructors=["Rx::Rx"], members=["Rx::Poll"]),
+        ClassInfo("Handler", vtable_addr=0x3200, vtable=["Handler::OnPacket"],
+                  members=["Handler::OnPacket"]),
+    ]
+    got, ref, cg = _unsolicited_42([ctor, poll, _guard_42("Handler::OnPacket", cls="Handler")],
+                                   classes)
+    assert {(e.caller, e.callee) for e in cg.virtual_edges()} == {("Rx::Poll", "Handler::OnPacket")}
+    want = {("unsolicited", "read", "Handler::OnPacket", 0x42, "Nv::Handle42", "/dev/umts_ipc0")}
+    assert got == ref == want
+
+
+def test_forward_taint_ends_on_a_recursive_dispatcher():
+    # Nv::Dispatch calls itself twice before its guard: each function is
+    # entered once per trace, so the walk ends instead of branching 2**depth.
+    recurse = [I("CALL", None, (R(0),), callee="Nv::Dispatch")] * 2
+    got, ref, _ = _unsolicited_42([
+        _read_frame("IpcRxPoll", then=[I("CALL", None, (S(16, 32),), callee="Nv::Dispatch")]),
+        _guard_42("Nv::Dispatch", before=recurse),
+    ])
+    assert got == ref == {("unsolicited", "read", "Nv::Dispatch", 0x42, "Nv::Handle42",
+                           "/dev/umts_ipc0")}
 
 
 # ---------------------------------------------------------------------------
