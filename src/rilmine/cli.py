@@ -22,7 +22,7 @@ from .channel import FilterConfig, filter_commands
 from .commands import diff as db_diff
 from .commands import CommandDB, load_db, render_diff, save_db, save_db_json
 from .harness import campaign, merge, planned_injections
-from .ir import load_program, serialize
+from .ir import _gc_paused, load_program, serialize
 from .sim import load_sim_config
 from . import fixtures as fx
 
@@ -86,17 +86,23 @@ def _cmd_locate(args) -> int:
 # analyze
 
 def _analyze_one(path: str, binary: str, config: FilterConfig, out: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        p = load_program(fh.read())
-    cg = build_direct_cg(p)
-    recover_vcalls(p, cg)
-    db, report = filter_commands(p, cg, binary=binary, config=config)
-    # every text first: a database save_db refuses leaves no artifact
-    texts = {".cmdb.tsv": save_db(db), ".cmdb.json": save_db_json(db),
-             ".report.txt": report.to_text()}
-    for ext, text in texts.items():
-        with open(os.path.join(out, binary + ext), "w", encoding="utf-8") as fh:
-            fh.write(text)
+    """Load, analyze and write one binary, with the cyclic collector paused
+    throughout, as ``load_program`` pauses it (whose own pause then nests
+    as a no-op). No stage leaves cyclic garbage, and the first collection
+    after the load would traverse the whole program, in whichever stage
+    ran then."""
+    with _gc_paused():
+        with open(path, "r", encoding="utf-8") as fh:
+            p = load_program(fh.read())
+        cg = build_direct_cg(p)
+        recover_vcalls(p, cg)
+        db, report = filter_commands(p, cg, binary=binary, config=config)
+        # every text first: a database save_db refuses leaves no artifact
+        texts = {".cmdb.tsv": save_db(db), ".cmdb.json": save_db_json(db),
+                 ".report.txt": report.to_text()}
+        for ext, text in texts.items():
+            with open(os.path.join(out, binary + ext), "w", encoding="utf-8") as fh:
+                fh.write(text)
     return db, report
 
 

@@ -16,15 +16,19 @@ build their lookup indexes when they are constructed, and no analysis
 writes to a program. To change one, build new objects
 (``dataclasses.replace``): a list edited in place leaves the indexes stale.
 
-``load_program`` is built for large binaries, and holds about one copy of
-the program at its peak:
+``load_program`` is built for large binaries. At its peak it holds the
+text, the varnode table, the program and the JSON of one function:
 
 * Each cell is one shared Varnode per load, whichever instructions use it.
   Two loads share nothing. The table gives each cell one row, checked
   once, and a duplicate row is an error.
-* The text is decoded once, by a plain ``json.loads``, and the decoded
-  document is freed as the program is built: each function's JSON is
-  dropped once its Function exists.
+* The text is decoded once, one top-level member at a time, by the
+  stdlib's own scanner, so a syntax error has ``json.loads``'s message and
+  position. A ``functions`` array that comes after ``ir_version`` and
+  ``varnodes``, where ``serialize`` writes it, is decoded one function at
+  a time, and each function's JSON is dropped once its Function exists:
+  the whole document never exists. docs/ir_format.md says which fault is
+  raised when a document has several.
 * The success path runs no Python function per varnode, instruction or
   linear-order entry. A decoder tests exact types inline and checks a row
   first, then makes its cell with ``tuple.__new__``, which skips the named
@@ -595,14 +599,16 @@ def _segment_from(obj) -> tuple[int, bytes]:
 def _gc_paused():
     """Switch cyclic GC off for the duration.
 
-    The loader and the writer build acyclic trees, so the collections
-    their allocations would trigger only traverse the growing heap, again
-    and again. Left alone, the first allocation after the pause would
-    still traverse all of it as young objects, in whatever step the caller
-    runs next. So on resume everything is moved to the oldest generation
-    untraversed: ``gc.unfreeze`` puts the permanent generation back into
-    the oldest one. If the process keeps frozen objects of its own, a
-    collection of the young generations does the move instead."""
+    The loader and the writer build acyclic trees, and so does an
+    analysis (``cli._analyze_one`` runs one under a single pause), so the
+    collections their allocations would trigger only traverse the growing
+    heap, again and again. Left alone, the first allocation after the
+    pause would still traverse all of it as young objects, in whatever
+    step the caller runs next. So on resume everything is moved to the
+    oldest generation untraversed: ``gc.unfreeze`` puts the permanent
+    generation back into the oldest one. If the process keeps frozen
+    objects of its own, a collection of the young generations does the
+    move instead."""
     resume = gc.isenabled()
     gc.disable()
     try:
@@ -630,10 +636,11 @@ def load_program(text: str) -> IRProgram:
 
 def _load(text: str) -> IRProgram:
     try:
-        doc = json.loads(text)
+        prog = _program_from(_read(text))
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno} col {e.colno}: {e.msg}") from None
-    prog = _program_from(doc)
+    except _Bad as e:
+        raise e.parse_error() from None
     diags = validate(prog)
     for d in diags:
         form = _LINK_ERRORS.get(d.invariant)
@@ -644,30 +651,143 @@ def _load(text: str) -> IRProgram:
     return prog
 
 
-def _program_from(doc) -> IRProgram:
-    """The program the decoded document ``doc`` describes, built without
-    ``validate``; ParseError on a malformed document."""
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be an object")
-    version = doc.get("ir_version")
+# The text is read by the stdlib's own scanner, value by value, so every
+# syntax error has json.loads's message and position.
+_scan_once = json.JSONDecoder().scan_once
+_scanstring = json.decoder.scanstring
+_ws = json.decoder.WHITESPACE.match
+
+
+def _skip(text: str, i: int) -> int:
+    """``i``, moved past any whitespace. ``serialize`` writes none, so the
+    character is looked at before the regex is called."""
+    return _ws(text, i).end() if text[i:i + 1] in " \t\n\r" else i
+
+
+def _value(text: str, i: int):
+    """The JSON value that starts at ``i``, and the index after it."""
+    try:
+        return _scan_once(text, i)
+    except StopIteration as e:
+        raise json.JSONDecodeError("Expecting value", text, e.value) from None
+
+
+def _read(text: str):
+    """The document of ``text``, decoded as ``json.loads`` would, with the
+    same syntax errors, and with the last of a repeated member winning,
+    except for a ``functions`` array that comes after ``ir_version`` and
+    ``varnodes``: that one is built as it is read (``_functions_at``), and
+    ``functions`` and ``varnodes`` then hold the built Functions and the
+    table's Varnodes, each as a _Built."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    i = _ws(text, 0).end()
+    if text[i:i + 1] != "{":  # decoded whole, for _program_from to refuse
+        doc, i = _value(text, i)
+    else:
+        doc, start = {}, 0
+        i = _skip(text, i + 1)
+        c = text[i:i + 1]
+        while c != "}":  # c is the character after "{", then each delimiter
+            if text[i:i + 1] != '"':
+                raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, i)
+            key, i = _scanstring(text, i + 1)
+            i = _skip(text, i)
+            if text[i:i + 1] != ":":
+                raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
+            i = _skip(text, i + 1)
+            if key == "functions" and text[i:i + 1] == "[" and "ir_version" in doc and "varnodes" in doc:
+                start = i
+                doc[key], i = _functions_at(text, i + 1, doc)
+            else:
+                if key == "varnodes" and type(doc.get("functions")) is _Built:
+                    # built with an earlier table: decoded again, to be built with this one
+                    doc["functions"] = _value(text, start)[0]
+                doc[key], i = _value(text, i)
+            i = _skip(text, i)
+            c = text[i:i + 1]
+            if c != "," and c != "}":
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
+            if c == ",":
+                i = _skip(text, i + 1)
+        i += 1
+    i = _ws(text, i).end()
+    if i != len(text):
+        raise json.JSONDecodeError("Extra data", text, i)
+    return doc
+
+
+class _Built(tuple):
+    """What ``_read`` built as it read a member, in place of its JSON."""
+
+
+def _functions_at(text: str, i: int, doc: dict) -> tuple[_Built, int]:
+    """The Functions of the array whose items start at ``i``, and the index
+    after it. Each item is built once it and the delimiter after it are
+    read, so a syntax error just after an item outranks the item's faults,
+    and its JSON is dropped before the next item is decoded. First checks
+    ``doc``'s ``ir_version`` and makes its table, if no earlier array did."""
+    _check_version(doc["ir_version"])
+    table = doc["varnodes"]
+    if type(table) is not _Built:
+        doc["varnodes"] = table = _Built(_table_from(table))
+    out = []
+    scan = _scan_once
+    i = _skip(text, i)
+    c = text[i:i + 1]
+    while c != "]":  # _value and _skip, inlined: this loop runs once per function
+        try:
+            obj, i = scan(text, i)
+        except StopIteration as e:
+            raise json.JSONDecodeError("Expecting value", text, e.value) from None
+        c = text[i:i + 1]
+        if c != "," and c != "]":
+            i = _skip(text, i)
+            c = text[i:i + 1]
+            if c != "," and c != "]":
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
+        try:
+            out.append(_function_from(obj, table))
+        except _Bad as e:
+            e.where.append(f"functions[{len(out)}]")
+            raise
+        del obj
+        if c == ",":
+            i += 1
+            if text[i:i + 1] in " \t\n\r":
+                i = _ws(text, i).end()
+    return _Built(out), i + 1
+
+
+def _check_version(version) -> None:
     if type(version) is not int or version != 2:
         raise ParseError(f"unsupported ir_version {version!r}")
-    try:
-        table = _table_from(doc.get("varnodes", []))
-        data = _each(doc.get("data", []), "data", _segment_from)
-        word_size = _typed(doc.get("word_size", 8), int, "word_size")
-        if word_size <= 0:
-            raise _Bad(f"must be positive, not {word_size}", "word_size")
-        return IRProgram(
-            name=_typed(doc.get("name", "unnamed"), str, "name"),
-            word_size=word_size,
-            classes=_each(doc.get("classes", []), "classes", _class_from),
-            functions=_each(doc.get("functions", []), "functions", _function_from, table),
-            data=data,
-            externals=_all(str, doc.get("externals", []), "externals"),
-        )
-    except _Bad as e:
-        raise e.parse_error() from None
+
+
+def _program_from(doc) -> IRProgram:
+    """The program the document ``doc`` (from ``_read``) describes, built
+    without ``validate``. Raises ParseError, or _Bad, on a malformed
+    document."""
+    if not isinstance(doc, dict):
+        raise ParseError("top level must be an object")
+    _check_version(doc.get("ir_version"))
+    table = doc.get("varnodes", [])
+    if type(table) is not _Built:
+        table = _table_from(table)
+    data = _each(doc.get("data", []), "data", _segment_from)
+    word_size = _typed(doc.get("word_size", 8), int, "word_size")
+    if word_size <= 0:
+        raise _Bad(f"must be positive, not {word_size}", "word_size")
+    functions = doc.get("functions", [])
+    return IRProgram(
+        name=_typed(doc.get("name", "unnamed"), str, "name"),
+        word_size=word_size,
+        classes=_each(doc.get("classes", []), "classes", _class_from),
+        functions=(list(functions) if type(functions) is _Built
+                   else _each(functions, "functions", _function_from, table)),
+        data=data,
+        externals=_all(str, doc.get("externals", []), "externals"),
+    )
 
 
 # The rules on names and cross-references, with the text of the ParseError

@@ -274,6 +274,54 @@ def test_inference_types_value_through_constructor_param():
     assert classes == ["Obj"]
 
 
+@pytest.mark.parametrize("via", ["load", "add"])
+def test_inference_follows_an_object_through_stack_cells(via):
+    # IpcTxHello dispatches through the pointer in cell 16, copied there
+    # from cell 8, which holds MakeChannel()'s result as loaded back from
+    # cell 24 after a store. Through an INT_ADD instead of that load, the
+    # object has no class.
+    make = func("MakeChannel", ret="class:IoChannel", blocks=[block(0, [I("RETURN")])])
+    frame = [I("COPY", S(40 + i, 1), (C(b, 1),)) for i, b in enumerate([5, 0, 0, 0, 9, 1])]
+    reload = (I("LOAD", U(1), (S(24, 8),)) if via == "load"
+              else I("INT_ADD", U(1), (U(0), C(0))))
+    hello = func("Proto::IpcTxHello", cls="Proto", blocks=[block(0, [
+        *frame,
+        I("CALL", U(0), (), callee="MakeChannel"),
+        I("STORE", None, (S(24, 8), U(0))), reload,
+        I("COPY", S(8, 8), (U(1),)), I("COPY", S(16, 8), (S(8, 8),)),
+        I("COPY", U(2), (S(16, 8),)), I("LOAD", U(3), (U(2),)),
+        I("INT_ADD", U(4), (U(3), C(0))), I("LOAD", U(5), (U(4),)),
+        I("CALLIND", None, (U(5), U(2), S(40, 6), C(6))), I("RETURN"),
+    ])])
+    chan_ctor = func("IoChannel::IoChannel", cls="IoChannel", blocks=[block(0, [
+        I("CALL", U(0), (C(0x2000), C(2)), callee="open"),
+        I("INT_ADD", U(1), (R(0), C(0x08))), I("STORE", None, (U(1), U(0))), I("RETURN"),
+    ])])
+    write = func("IoChannel::Write", cls="IoChannel",
+                 params=(("buf", "bytes"), ("len", "int")), blocks=[block(0, [
+                     I("INT_ADD", U(0), (R(0), C(0x08))), I("LOAD", U(1), (U(0),)),
+                     I("CALL", None, (U(1), R(1), R(2)), callee="write"), I("RETURN"),
+                 ])])
+    classes = [
+        ClassInfo("Proto", constructors=["Proto::Proto"], members=["Proto::IpcTxHello"]),
+        ClassInfo("IoChannel", vtable_addr=0x3100, vtable=["IoChannel::Write"],
+                  constructors=["IoChannel::IoChannel"], members=["IoChannel::Write"]),
+    ]
+    p = build_program("cells", classes=classes,
+                      functions=[make, ret_stub("Proto::Proto", cls="Proto"), hello,
+                                 chan_ctor, write],
+                      data=[(0x2000, b"/dev/umts_ipc0\x00")], externals=["open", "write"])
+    cg = _recovered(p)
+    db, _ = filter_commands(p, cg)
+    if via == "add":
+        assert not _vedges(cg) and [s.reason for s in cg.unresolved] == ["no-class-inferred"]
+        assert db_signatures(db) == oracle.analyze(p).commands == set()
+        return
+    assert _vedges(cg) == {("Proto::IpcTxHello", "IoChannel::Write")}
+    want = {("solicited", "write", "Proto::IpcTxHello", "05 00 00 00 09 01", "/dev/umts_ipc0")}
+    assert db_signatures(db) == oracle.analyze(p).commands == want
+
+
 @pytest.mark.parametrize("ret", ["class:IoChannel", "int"])
 def test_inference_types_member_through_factory_return_type(ret):
     # Proto::Proto stores MakeChannel()'s result at this+0x10; IpcTxHello

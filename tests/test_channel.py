@@ -299,6 +299,24 @@ def test_fd_returned_by_an_internal_helper_is_traced_to_its_open():
     assert db_signatures(db) == oracle.analyze(p).commands == want
 
 
+def test_fd_kept_in_a_stack_cell_by_a_store_is_traced_to_its_open():
+    # The STORE names the cell it writes as its output, so the cell's
+    # reaching def is the STORE, and the walk goes on with the stored value.
+    frame = [I("COPY", S(16 + i, 1), (C(b, 1),)) for i, b in enumerate([7, 0, 0, 1])]
+    ping = func("IpcTxPing", blocks=[block(0, [
+        I("CALL", U(0), (C(0x2000), C(2)), callee="open"),
+        I("STORE", S(24, 8), (S(24, 8), U(0))),
+        *frame,
+        I("CALL", None, (S(24, 8), S(16, 4), C(4)), callee="write"),
+        I("RETURN"),
+    ])])
+    p = build_program("stored-fd", functions=[ping],
+                      data=[(0x2000, b"/dev/umts_ipc0\x00")], externals=["open", "write"])
+    _, db, _ = _run(p)
+    want = {("solicited", "write", "IpcTxPing", "07 00 00 01", "/dev/umts_ipc0")}
+    assert db_signatures(db) == oracle.analyze(p).commands == want
+
+
 # ---------------------------------------------------------------------------
 # Config plumbing
 

@@ -1,5 +1,6 @@
 """Command line front end: subcommands, exit codes, artifact layout."""
 
+import gc
 import json
 import os
 import signal
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 from rilmine import cli
+from rilmine.channel import FilterConfig
 from rilmine.cli import FIXTURE_KINDS, locate_ril_library, main
 from rilmine.fixtures import C, I, S, block, func, gen_crash_suite, gen_fig2
 from rilmine.ir import IRProgram, serialize
@@ -269,6 +271,51 @@ def test_batch_gives_the_same_results_in_worker_processes(tmp_path, capsys, monk
     assert len(artifacts) == 6
     _, forks = _analyze_on(3, tmp_path, capsys, monkeypatch, inputs[:1])
     assert forks == 0  # one input: nothing to share
+
+
+_STAGES = ("load_program", "build_direct_cg", "recover_vcalls", "filter_commands",
+           "save_db", "save_db_json")
+
+
+@pytest.mark.parametrize("raises", [False, True])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_an_analysis_runs_its_stages_with_the_collector_paused(raises, enabled, tmp_path,
+                                                               capsys, monkeypatch):
+    _gen(capsys, tmp_path, "fig2")
+    during = []
+
+    def spy(name, stage):
+        def run_stage(*args, **kwargs):
+            during.append(gc.isenabled())
+            if raises and name == _STAGES[-1]:
+                raise RuntimeError("spy")
+            return stage(*args, **kwargs)
+        return run_stage
+
+    for name in _STAGES:
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if raises:
+            with pytest.raises(RuntimeError):
+                cli._analyze_one(str(tmp_path / "fig2.ir.json"), "fig2", FilterConfig(), str(tmp_path))
+        else:
+            cli._analyze_one(str(tmp_path / "fig2.ir.json"), "fig2", FilterConfig(), str(tmp_path))
+        assert during == [False] * len(_STAGES)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("kind", ["fig2", "fig5", "hybrid-derived", "rand"])
+def test_an_analysis_leaves_no_cyclic_garbage(kind, tmp_path, capsys):
+    # so pausing the collector for a whole analysis leaks nothing
+    _gen(capsys, tmp_path, kind, *(["--seed", "3"] if kind == "rand" else []))
+    (path,) = tmp_path.glob("*.ir.json")
+    gc.collect()
+    cli._analyze_one(str(path), kind, FilterConfig(), str(tmp_path))
+    assert gc.collect() == 0
 
 
 def test_worker_reports_a_validation_error_as_a_serial_run_does(tmp_path, capsys, monkeypatch):

@@ -433,6 +433,131 @@ def test_load_peaks_below_twice_the_program_it_returns():
     assert peak <= 2 * size, (peak, size)
 
 
+def test_load_peaks_near_the_program_it_returns():
+    # No decoded document: beside the program, a load holds the varnode
+    # rows until the table is built, and one function's JSON at a time.
+    # Distinct constants make the table as large as the code.
+    fns = [func(f"F{k:04d}", blocks=[block(0, [I("INT_ADD", U(i), (U(i - 1) if i else C(k),
+                                                                    C(7 * k + i)))
+                                               for i in range(7)] + [I("RETURN")])])
+           for k in range(1000)]
+    text = ir.serialize(build_program("big", functions=fns))
+    tracemalloc.start()
+    try:
+        p = ir.load_program(text)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(p.functions) == 1000
+    assert peak <= 1.2 * size, (peak, size)
+
+
+# ---------------------------------------------------------------------------
+# The text is read member by member, and functions one at a time
+
+def _json_error(text: str) -> str | None:
+    """The ParseError text of ``json.loads``'s error on ``text``, or None."""
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as e:
+        return f"line {e.lineno} col {e.colno}: {e.msg}"
+    return None
+
+
+def _text(members) -> str:
+    """A compact document of the (key, value) pairs ``members``, in order."""
+    return "{" + ",".join(json.dumps(k) + ":" + json.dumps(v, separators=(",", ":"))
+                          for k, v in members) + "}"
+
+
+def test_a_broken_text_gives_the_error_json_loads_gives():
+    text = ir.serialize(gen_fig5()[0])
+    broken = [text[:k] for k in range(len(text))]  # every prefix
+    broken += [text[:k] + text[k + 1:] for k in range(len(text))]  # every deletion
+    checked = 0
+    for b in broken:
+        want = _json_error(b)
+        if want is None:
+            continue
+        with pytest.raises(ir.ParseError) as exc:
+            ir.load_program(b)
+        assert str(exc.value) == want, b
+        checked += 1
+    assert checked > 2000
+
+
+@pytest.mark.parametrize("text", ["", "  \n", "\ufeff{}", "{} x", "{}{}", "{", "{,}",
+                                  '{"a" 1}', '{"a":}', '{"a":1,}', '{"a":1 "b":2}',
+                                  '{"ir_version":2,"varnodes":[],"functions":[',
+                                  '{"ir_version":2,"varnodes":[],"functions":[]',
+                                  '{"ir_version":2,"varnodes":[],"functions":[] ,}',
+                                  '{"ir_version":2,"varnodes":[],"functions":[1 2]}',
+                                  '{"ir_version":2,"varnodes":[],"functions":[,]}'])
+def test_syntax_errors_between_members_and_functions_are_json_loads_errors(text):
+    with pytest.raises(ir.ParseError) as exc:
+        ir.load_program(text)
+    assert str(exc.value) == _json_error(text)
+
+
+def test_rewritten_documents_load_the_same_program(tmp_path, capsys):
+    # the indented form is test_indented_documents_load_and_serialize_compactly
+    for label, p in _written_programs(tmp_path):
+        text = ir.serialize(p)
+        doc = ir.program_to_dict(p)
+        members = list(doc.items())
+        rewritten = {
+            "functions first": _text([("functions", doc["functions"])]
+                                     + [m for m in members if m[0] != "functions"]),
+            # every member twice, the first time null; then the table a
+            # third time, after the functions built with it
+            "repeated": _text([(k, None) for k, _ in members] + members
+                              + [("varnodes", doc["varnodes"])]),
+        }
+        for how, t in rewritten.items():
+            assert ir.serialize(ir.load_program(t)) == text, (label, how)
+
+
+def test_a_later_table_rebuilds_the_functions_read_before_it():
+    doc = _fig5_doc()
+    other = doc["varnodes"][1:] + doc["varnodes"][:1]  # the same cells, rotated
+    members = [(k, v) for k, v in doc.items() if k not in ("varnodes", "functions")]
+    t = _text(members + [("varnodes", other), ("functions", doc["functions"]),
+                         ("varnodes", doc["varnodes"])])
+    assert ir.serialize(ir.load_program(t)) == ir.serialize(gen_fig5()[0])
+
+
+def _broken_fn(doc, n=1):
+    doc["functions"][n]["blocks"][0]["ins"][0][0] = "XOR"
+    return f"functions[{n}].blocks[0].ins[0][0]: unknown opcode 'XOR'"
+
+
+@pytest.mark.parametrize("case", ["syntax after", "syntax in a later function",
+                                  "bad name before", "functions first", "bad table"])
+def test_several_faults_raise_the_first_one_met(case):
+    doc = _fig5_doc()
+    fn_fault = _broken_fn(doc)
+    if case == "syntax after":  # the function's fault comes first in the text
+        text, want = _text(doc.items())[:-1] + ",]", fn_fault
+    elif case == "syntax in a later function":
+        text = _text(doc.items())
+        at = text.index('{"id":"Nv::', text.index('"Nv::ProcessRfsPacket","name"'))
+        text, want = text[:at] + text[at + 1:], fn_fault
+    elif case == "bad name before":  # the name is checked after the text is read
+        doc["name"] = 5
+        text, want = _text(doc.items()), fn_fault
+    elif case == "functions first":  # built at the end, after name
+        doc["name"] = 5
+        text = _text([("functions", doc["functions"])]
+                     + [(k, v) for k, v in doc.items() if k != "functions"])
+        want = "name: must be a string, not int"
+    else:  # the table is built when the functions start
+        doc["varnodes"][3] = "x"
+        text, want = _text(doc.items()), "varnodes[3]: varnode row must be a list [space, offset, size]"
+    with pytest.raises(ir.ParseError) as exc:
+        ir.load_program(text)
+    assert str(exc.value) == want
+
+
 def _ir_fixture_kinds():
     return [k for k in cli.FIXTURE_KINDS if k not in ("crashsuite", "mutsuite", "diffpair")]
 
@@ -531,20 +656,32 @@ def test_load_pauses_gc_and_restores_its_state(outcome, enabled, monkeypatch):
 @pytest.mark.parametrize("outcome", [None, ir.ParseError])
 def test_a_load_decodes_its_text_once(outcome, monkeypatch):
     text = ir.serialize(make_minimal()) if outcome is None else _bad_texts()[outcome]
-    decoded = []
-    loads = json.loads
+    passes = [0] * len(text)  # decoder passes over each character of the text
 
-    def counting(s, **kwargs):
-        decoded.append(s)
+    def counting(scan):
+        def spy(s, i, *args, **kwargs):
+            value, end = scan(s, i, *args, **kwargs)
+            if s is text:
+                for k in range(i, end):
+                    passes[k] += 1
+            return value, end
+        return spy
+
+    def counting_loads(s, **kwargs):
+        if s is text:
+            passes[:] = [n + 1 for n in passes]
         return loads(s, **kwargs)
 
-    monkeypatch.setattr(json, "loads", counting)
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", counting_loads)
+    monkeypatch.setattr(ir, "_scan_once", counting(ir._scan_once))
+    monkeypatch.setattr(ir, "_scanstring", counting(ir._scanstring))
     if outcome is not None:
         with pytest.raises(ir.ParseError, match="unknown opcode 'XOR'"):
             ir.load_program(text)
     else:
         ir.load_program(text)
-    assert decoded == [text]
+    assert max(passes) == 1, passes
 
 
 def test_load_leaves_frozen_objects_frozen():

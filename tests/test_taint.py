@@ -116,6 +116,25 @@ def test_backward_fans_in_across_every_caller():
     assert all(t.complete for t in traces)
 
 
+def test_backward_walk_cuts_a_recursive_caller():
+    # Send calls itself with its own buffer: that caller is already on the
+    # path, so only IpcTxPing's frame is a root.
+    send = func("Send", params=(("buf", "bytes"),), blocks=[block(0, [
+        I("CALL", U(0), (C(0x2000), C(2)), callee="open"),
+        I("CALL", None, (U(0), R(0), C(4)), callee="write"),
+        I("CALL", None, (R(0),), callee="Send"), I("RETURN"),
+    ])])
+    ping = func("IpcTxPing", blocks=[block(0, [
+        *[I("COPY", S(16 + i, 1), (C(b, 1),)) for i, b in enumerate([7, 0, 0, 1])],
+        I("CALL", None, (S(16, 4),), callee="Send"), I("RETURN"),
+    ])])
+    p = build_program("recursive", functions=[send, ping],
+                      data=[(0x2000, b"/dev/umts_ipc0\x00")], externals=["open", "write"])
+    db, _ = filter_commands(p, _cg(p))
+    want = {("solicited", "write", "IpcTxPing", "07 00 00 01", "/dev/umts_ipc0")}
+    assert db_signatures(db) == oracle.analyze(p).commands == want
+
+
 # ---------------------------------------------------------------------------
 # Concretization
 
@@ -416,6 +435,67 @@ def test_forward_taint_ends_on_a_recursive_dispatcher():
     ])
     assert got == ref == {("unsolicited", "read", "Nv::Dispatch", 0x42, "Nv::Handle42",
                            "/dev/umts_ipc0")}
+
+
+def _dispatcher_sinks(blocks, handlers, externals=()):
+    """The pipeline's and the reference analyzer's signatures for a poller
+    that reads a packet and passes it to ``Nv::Dispatch`` (``blocks``),
+    with ``handlers`` as stubs."""
+    stubs = [ret_stub(h, params=(("pkt", "bytes"),)) for h in handlers]
+    p = build_program("dispatch", functions=[
+        _read_frame("IpcRxPoll", then=[I("CALL", None, (S(16, 32),), callee="Nv::Dispatch")]),
+        func("Nv::Dispatch", params=(("pkt", "bytes"),), blocks=blocks), *stubs],
+        data=[(0x2000, b"/dev/umts_ipc0\x00")], externals=["open", "read", *externals])
+    db, _ = filter_commands(p, _cg(p))
+    return db_signatures(db), oracle.analyze(p).commands
+
+
+def test_forward_taint_through_a_stack_cell_and_an_external_call():
+    # Byte 1 goes through stack cell 8 before 0x42 == byte, with the
+    # constant on the left; ntohs(byte) == 0x43 taints the external's result.
+    got, ref = _dispatcher_sinks([
+        block(0, [I("INT_ADD", U(0), (R(0), C(1))), I("LOAD", U(1, 1), (U(0),)),
+                  I("COPY", S(8, 1), (U(1, 1),)), I("COPY", U(2, 1), (S(8, 1),)),
+                  I("INT_EQUAL", U(3, 1), (C(0x42, 1), U(2, 1))),
+                  I("CBRANCH", None, (U(3, 1),))], succ=(1, 2)),
+        block(1, [I("CALL", None, (R(0),), callee="Nv::H42"), I("RETURN")]),
+        block(2, [I("CALL", U(4, 2), (U(2, 1),), callee="ntohs"),
+                  I("INT_EQUAL", U(5, 1), (U(4, 2), C(0x43, 2))),
+                  I("CBRANCH", None, (U(5, 1),))], succ=(3, 4)),
+        block(3, [I("CALL", None, (R(0),), callee="Nv::H43"), I("RETURN")]),
+        block(4, [I("RETURN")]),
+    ], ["Nv::H42", "Nv::H43"], externals=["ntohs"])
+    assert got == ref == {
+        ("unsolicited", "read", "Nv::Dispatch", 0x42, "Nv::H42", "/dev/umts_ipc0"),
+        ("unsolicited", "read", "Nv::Dispatch", 0x43, "Nv::H43", "/dev/umts_ipc0"),
+    }
+
+
+def test_a_guard_names_the_first_call_on_its_straight_path_or_none():
+    # 0x44's path falls through a block without a call into one with a
+    # call; 0x45's loops on itself, 0x46's forks without a branch and
+    # 0x47's returns first: no handler.
+    def guard(bid, const, taken, fallthrough, load=()):
+        return block(bid, [*load, I("INT_EQUAL", U(10 + bid, 1), (U(1, 1), C(const, 1))),
+                           I("CBRANCH", None, (U(10 + bid, 1),))], succ=(taken, fallthrough))
+
+    got, ref = _dispatcher_sinks([
+        guard(0, 0x44, 1, 3, load=[I("INT_ADD", U(0), (R(0), C(1))),
+                                   I("LOAD", U(1, 1), (U(0),))]),
+        block(1, [I("COPY", U(20), (C(0),))], succ=(2,)),
+        block(2, [I("CALL", None, (R(0),), callee="Nv::H44"), I("RETURN")]),
+        guard(3, 0x45, 4, 5),
+        block(4, [I("COPY", U(21), (C(0),))], succ=(4,)),
+        guard(5, 0x46, 6, 7),
+        block(6, [I("COPY", U(22), (C(0),))], succ=(2, 8)),
+        guard(7, 0x47, 8, 8),
+        block(8, [I("RETURN")]),
+    ], ["Nv::H44"])
+    assert got == ref == {
+        ("unsolicited", "read", "Nv::Dispatch", 0x44, "Nv::H44", "/dev/umts_ipc0"),
+        *{("unsolicited", "read", "Nv::Dispatch", c, None, "/dev/umts_ipc0")
+          for c in (0x45, 0x46, 0x47)},
+    }
 
 
 # ---------------------------------------------------------------------------
