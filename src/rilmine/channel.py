@@ -123,7 +123,7 @@ def _trace_path(p: IRProgram, cg: CallGraph, f: Function, v: Varnode, pos: int, 
 
 
 def _trace_fd(p: IRProgram, cg: CallGraph, f: Function, v: Varnode, pos: int,
-              depth: int, visited: set) -> list[tuple]:
+              depth: int, memo: dict) -> set[tuple]:
     """Backward walk of an fd value to its producing call.
 
     Returns origin tuples: ("pipe",), ("socket",), ("open", api, path|None)
@@ -131,79 +131,83 @@ def _trace_fd(p: IRProgram, cg: CallGraph, f: Function, v: Varnode, pos: int,
     owning class's constructor/member list; params fan out to all callers.
     """
     if depth <= 0:
-        return [("unknown", "depth-bound")]
+        return {("unknown", "depth-bound")}
     key = (f.id, v, pos)
-    if key in visited:
-        return []
-    visited.add(key)
+    if key not in memo:
+        memo[key] = set()  # open: a cycle back to this question adds no origin
+        memo[key] = _fd_walk(p, cg, f, v, pos, depth, memo)
+    return memo[key]
+
+
+def _fd_walk(p, cg, f: Function, v: Varnode, pos: int, depth: int, memo: dict) -> set[tuple]:
     while True:
         v, pos, d = def_step(f, v, pos, NONCONST_SPACES)
         if v.is_const:
-            return [("unknown", "constant-fd")]
+            return {("unknown", "constant-fd")}
         if v.space == "stack":
             if d is None:
-                return [("unknown", "uninit-slot")]
+                return {("unknown", "uninit-slot")}
             if d[1].op == "STORE":
                 v, pos = d[1].inputs[1], d[0]
                 continue
-            return [("unknown", f"slot-{d[1].op.lower()}")]
+            return {("unknown", f"slot-{d[1].op.lower()}")}
         if d is None:
             k = f.param_index(v)
             if k is None:
-                return [("unknown", "no-def")]
-            out: list[tuple] = []
+                return {("unknown", "no-def")}
+            out: set[tuple] = set()
             for _, cf, a, apos in caller_args(p, cg, f, k):
                 if a is not None:
-                    out.extend(_trace_fd(p, cg, cf, a, apos, depth - 1, visited))
-            return out or [("unknown", "no-callers")]
+                    out |= _trace_fd(p, cg, cf, a, apos, depth - 1, memo)
+            return out or {("unknown", "no-callers")}
         pos2, ins = d
         if ins.op in ("INT_ADD", "INT_SUB"):
             nc = [x for x in ins.inputs if not x.is_const]
             if len(nc) == 1:
                 v, pos = nc[0], pos2
                 continue
-            return [("unknown", "arith")]
+            return {("unknown", "arith")}
         if ins.op == "CALL":
             callee = ins.callee
             role, path_arg, _buf, _length = IO_APIS.get(callee, (None,) * 4)
             if role in ("pipe", "socket"):
-                return [(role,)]
+                return {(role,)}
             if role == "open":
                 paths = set()
                 if path_arg < len(ins.inputs):
                     paths = _trace_path(p, cg, f, ins.inputs[path_arg], pos2, depth, {})
                 if len(paths) == 1:
-                    return [("open", callee, paths.pop())]
-                return [("open", callee, None)]
+                    return {("open", callee, paths.pop())}
+                return {("open", callee, None)}
             if callee and p.has_fn(callee):
                 # fd produced by an internal helper: continue at its returns
-                out: list[tuple] = []
+                out: set[tuple] = set()
                 callee_fn = p.fn(callee)
                 for rpos, (_, _, rins) in enumerate(callee_fn.linear()):
                     if rins.op == "RETURN" and rins.inputs:
-                        out.extend(_trace_fd(p, cg, callee_fn, rins.inputs[0], rpos,
-                                             depth - 1, visited))
-                return out or [("unknown", "opaque-return")]
-            return [("unknown", f"ext:{callee}")]
+                        out |= _trace_fd(p, cg, callee_fn, rins.inputs[0], rpos,
+                                        depth - 1, memo)
+                return out or {("unknown", "opaque-return")}
+            return {("unknown", f"ext:{callee}")}
         if ins.op == "LOAD":
             canon = cgmod._canon_store_addr(f, ins.inputs[0], pos2)
             if canon is None:
-                return [("unknown", "load")]
+                return {("unknown", "load")}
             if canon.base == "this" and f.owning_class is not None:
                 # the first store to this+off along the class's search list
                 for fid in cgmod._search_list(p, f.owning_class):
                     g = p.fn(fid)
                     found = cgmod.defining_store(g, canon)
                     if found is not None:
-                        return _trace_fd(p, cg, g, found[1], found[0], depth - 1, visited)
-                return [("unknown", "member-undefined")]
+                        return _trace_fd(p, cg, g, found[1], found[0], depth - 1, memo)
+                return {("unknown", "member-undefined")}
             if canon.base.startswith("stack:"):
                 off = int(canon.base.split(":")[1])
                 # the slot's value as the LOAD read it, not at the later use
                 v, pos = Varnode("stack", off, v.size), pos2
                 continue
-            return [("unknown", "load-base")]
-        return [("unknown", ins.op.lower())]
+            return {("unknown", "load-base")}
+        return {("unknown", ins.op.lower())}
 
 
 def resolve_channel(p: IRProgram, cg: CallGraph, site: tuple[str, int, int],
@@ -214,8 +218,8 @@ def resolve_channel(p: IRProgram, cg: CallGraph, site: tuple[str, int, int],
     fd, pos = f.arg_at(site[1], site[2], fd_arg_index)
     if fd is None:
         return ChannelResolution("fd-arg-missing")
-    origins = _trace_fd(p, cg, f, fd, pos, config.fd_depth, set())
-    distinct = sorted(set(origins))
+    origins = _trace_fd(p, cg, f, fd, pos, config.fd_depth, {})
+    distinct = sorted(origins)
     if not distinct:
         return ChannelResolution("fd-unresolved")
     if len(distinct) > 1:

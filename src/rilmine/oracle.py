@@ -306,13 +306,15 @@ class _Oracle:
                     return g, pos, ins.inputs[1]
         return None
 
-    def _fd_origins(self, f: Function, v: Varnode, pos: int, depth: int, visited):
+    def _fd_origins(self, f: Function, v: Varnode, pos: int, depth: int, path):
+        """Every origin of ``v``, walked again on each call path. ``path``
+        holds the questions open on this path; meeting one again adds none."""
         if depth <= 0:
             return {("unknown", "depth-bound")}
         key = (f.id, v, pos)
-        if key in visited:
+        if key in path:
             return set()
-        visited.add(key)
+        path = path | {key}
         while True:
             if v.is_const:
                 return {("unknown", "constant-fd")}
@@ -335,7 +337,7 @@ class _Oracle:
                     if k < len(cargs):
                         cf = self.p.fn(cfid)
                         out |= self._fd_origins(
-                            cf, cargs[k], self._pos(cf, *csite), depth - 1, visited
+                            cf, cargs[k], self._pos(cf, *csite), depth - 1, path
                         )
                 return out or {("unknown", "no-callers")}
             pos2, ins = d
@@ -369,7 +371,7 @@ class _Oracle:
                         if rins.op == "RETURN" and rins.inputs:
                             out |= self._fd_origins(
                                 g, rins.inputs[0], self._pos(g, bid, idx),
-                                depth - 1, visited,
+                                depth - 1, path,
                             )
                     return out or {("unknown", "opaque-return")}
                 return {("unknown", f"ext:{callee}")}
@@ -382,7 +384,7 @@ class _Oracle:
                     if found is None:
                         return {("unknown", "member-undefined")}
                     g, gpos, gv = found
-                    return self._fd_origins(g, gv, gpos, depth - 1, visited)
+                    return self._fd_origins(g, gv, gpos, depth - 1, path)
                 if canon[0][0] == "stack":
                     # the slot as it was when the LOAD executed
                     v, pos = Varnode("stack", canon[0][1], v.size), pos2
@@ -396,7 +398,7 @@ class _Oracle:
         if fd_idx >= len(args):
             return ("discard", "fd-arg-missing", None)
         origins = self._fd_origins(
-            f, args[fd_idx], self._pos(f, site[1], site[2]), 16, set()
+            f, args[fd_idx], self._pos(f, site[1], site[2]), 16, frozenset()
         )
         distinct = sorted(origins)
         if not distinct:
@@ -466,8 +468,9 @@ class _Oracle:
 
     # -- root frame interpretation ------------------------------------------
 
-    def _interp_root(self, f: Function):
-        """(stack byte map, varnode values, cell writes, strlen bounds)."""
+    def _interp_root(self, f: Function, call):
+        """(stack byte map, varnode values, strlen bounds) just before the
+        frame's ``call`` (bid, idx) that sends the payload."""
         bytes_map: dict[int, tuple[int, bool]] = {}
         vals: dict[Varnode, tuple] = {}
         writes: dict[tuple[int, int], list] = {}
@@ -517,6 +520,8 @@ class _Oracle:
                 vals[out] = val
 
         for bid, idx, ins in self._lin(f):
+            if (bid, idx) == call:
+                break
             op = ins.op
             if op == "COPY":
                 assign(ins.output, value(ins.inputs[0]))
@@ -622,7 +627,7 @@ class _Oracle:
             return _hex_masked(bytes(blob), "s" * len(blob))
         _, root_id, off, size = term
         root = self.p.fn(root_id)
-        bytes_map, value, bounds = self._interp_root(root)
+        bytes_map, value, bounds = self._interp_root(root, frames[-1][1])
         n = size
         if length[0] == "const":
             n = length[1]
@@ -645,12 +650,13 @@ class _Oracle:
 
     # -- forward -------------------------------------------------------------
 
-    def _forward_sinks(self, f: Function, seeds, regions, visited, sinks):
-        if f.id in visited:
-            return
-        visited.add(f.id)
+    def _forward_sinks(self, f: Function, seeds, regions, stack, sinks) -> bool:
+        """Adds the sinks taint reaches in ``f`` and says whether ``f``
+        returns tainted data. Every call is walked again, except one whose
+        (callee, tainted parameters) is on ``stack``: that reads untainted."""
         tainted = set(seeds)
         regions = set(regions)
+        ret = False
 
         def is_t(v: Varnode) -> bool:
             if v in tainted:
@@ -703,20 +709,25 @@ class _Oracle:
                             for (cfid, csite, _) in lst
                             if cfid == f.id and csite == (bid, idx)
                         ]
-                    ext = False
+                    out_t = False
                     for nm in names:
                         if self.p.has_fn(nm):
                             g = self.p.fn(nm)
-                            seeds2 = {
-                                Varnode("reg", k, self.p.word_size)
-                                for k in t_idx if k < len(g.params)
-                            }
-                            self._forward_sinks(g, seeds2, set(), visited, sinks)
+                            ks = frozenset(k for k in t_idx if k < len(g.params))
+                            if (nm, ks) in stack:
+                                continue
+                            seeds2 = {Varnode("reg", k, self.p.word_size) for k in ks}
+                            if self._forward_sinks(g, seeds2, set(), stack | {(nm, ks)}, sinks):
+                                out_t = True
                         else:
-                            ext = True
-                    if ext and ins.output is not None and ins.output not in tainted:
+                            out_t = True  # an external call passes taint to its result
+                    if out_t and ins.output is not None and ins.output not in tainted:
                         tainted.add(ins.output)
                         changed = True
+                elif ins.op == "RETURN":
+                    if ins.inputs and is_t(ins.inputs[0]):
+                        ret = True
+        return ret
 
     def _handler_of(self, f: Function, bid, idx, cmp_ins):
         blk = f.block(bid)
@@ -797,7 +808,7 @@ class _Oracle:
                 if ins.output is not None:
                     seeds.add(ins.output)
                 sinks: set = set()
-                self._forward_sinks(f, seeds, regions, set(), sinks)
+                self._forward_sinks(f, seeds, regions, frozenset(), sinks)
                 for sfn, const, handler in sinks:
                     key = ("unsolicited", f"const:{const:#x}", sfn)
                     if key in seen_keys:

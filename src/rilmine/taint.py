@@ -39,7 +39,7 @@ IO_APIS: dict[str, tuple[str, int | None, int | None, int | None]] = {
     "socket": ("socket", None, None, None),
 }
 
-MAX_FRAMES = 32  # inter-procedural depth bound per trace
+MAX_FRAMES = 32  # call depth bound of backward traces and of forward taint
 
 
 @dataclass(frozen=True)
@@ -282,7 +282,7 @@ def _walk_back(p, cg, q, f: Function, v: Varnode, pos: int, frames, results):
 def forward_taint(p: IRProgram, cg: CallGraph, q: TaintQuery) -> list[Sink]:
     """The comparison sinks that taint from a read-family site reaches,
     sorted by function and location. Calls are followed (direct and
-    recovered virtual), each function analyzed at most once, depth bounded."""
+    recovered virtual), with one summary per callee and tainted parameters."""
     f = p.fn(q.site[0])
     ins = f.block(q.site[1]).instructions[q.site[2]]
     args = ins.args
@@ -301,7 +301,7 @@ def forward_taint(p: IRProgram, cg: CallGraph, q: TaintQuery) -> list[Sink]:
     if ins.output is not None:
         seeds.add(ins.output)  # bytes-read count carries CP data length
 
-    _flow_forward(p, cg, f, seeds, regions, set(), sinks, depth=0)
+    _flow_forward(p, cg, f, seeds, regions, {}, sinks, depth=0)
     sinks.sort(key=lambda s: (s.fn, s.loc))
     return sinks
 
@@ -310,10 +310,11 @@ def _overlaps(v: Varnode, regions) -> bool:
     return any(v.offset < off + size and off < v.offset + v.size for off, size in regions)
 
 
-def _flow_forward(p, cg, f: Function, seeds, regions, visited, sinks, depth) -> bool:
-    if f.id in visited or depth > MAX_FRAMES:
+def _flow_forward(p, cg, f: Function, seeds, regions, summaries, sinks, depth) -> bool:
+    """Adds the sinks that ``seeds`` and ``regions`` reach in ``f`` and says
+    whether ``f`` returns tainted data, the answer that ``summaries`` keeps."""
+    if depth > MAX_FRAMES:
         return False
-    visited.add(f.id)
     tainted: set[Varnode] = set(seeds)
     regions = set(regions)
     ret_tainted = False
@@ -330,7 +331,7 @@ def _flow_forward(p, cg, f: Function, seeds, regions, visited, sinks, depth) -> 
         changed = False
         for bid, idx, ins in f.linear():
             if ins.op in ("COPY", "LOAD", "INT_ADD", "INT_SUB"):
-                if ins.output is not None and any(is_t(v) for v in ins.inputs):
+                if any(is_t(v) for v in ins.inputs):
                     if ins.output.space == "stack":
                         r = (ins.output.offset, ins.output.size)
                         if r not in regions:
@@ -362,7 +363,6 @@ def _flow_forward(p, cg, f: Function, seeds, regions, visited, sinks, depth) -> 
                 t_idx = [k for k, v in enumerate(ins.args) if is_t(v)]
                 if not t_idx:
                     continue
-                targets = []
                 if ins.op == "CALL" and ins.callee:
                     targets = [ins.callee]
                 else:
@@ -371,19 +371,15 @@ def _flow_forward(p, cg, f: Function, seeds, regions, visited, sinks, depth) -> 
                 for t in targets:
                     if p.has_fn(t):
                         child_fn = p.fn(t)
-                        # Param varnodes are word sized regardless of the
-                        # width of the value passed at the call.
-                        child_seeds = {
-                            Varnode("reg", k, p.word_size)
-                            for k in t_idx
-                            if k < len(child_fn.params)
-                        }
-                        child_regions = set()
-                        if _flow_forward(
-                            p, cg, child_fn, child_seeds, child_regions,
-                            visited, sinks, depth + 1,
-                        ):
-                            out_t = True
+                        t_params = frozenset(k for k in t_idx if k < len(child_fn.params))
+                        key = (t, t_params)
+                        if key not in summaries:
+                            summaries[key] = False  # open: a recursive call reads untainted
+                            # param varnodes are word sized, whatever width the call passes
+                            child_seeds = {Varnode("reg", k, p.word_size) for k in t_params}
+                            summaries[key] = _flow_forward(p, cg, child_fn, child_seeds, set(),
+                                                           summaries, sinks, depth + 1)
+                        out_t |= summaries[key]
                     else:
                         out_t = True  # external consuming tainted data
                 if out_t and ins.output is not None and ins.output not in tainted:
@@ -467,7 +463,7 @@ def concretize_payload(p: IRProgram, trace: TaintTrace) -> PayloadBytes:
     _, root_id, off, size = term
     root = p.fn(root_id)
     emu = _FrameEmu(p, root)
-    emu.run()
+    emu.run(trace.frames[-1][1])
 
     notes: list[str] = []
     length_source = LengthSource("unknown")
@@ -542,7 +538,7 @@ def _fold_within(f: Function, v: Varnode, pos: int) -> tuple[Varnode, int, tuple
 
 
 class _FrameEmu:
-    """Block-order abstract interpretation of one frame.
+    """Block-order abstract interpretation of one frame, up to its sending call.
 
     Tracks a byte map for the stack (value + static flag per byte), an
     abstract value per temporary, every write to each stack cell (the
@@ -558,8 +554,10 @@ class _FrameEmu:
         self.cell_defs: dict[tuple[int, int], list[tuple]] = {}
         self.strlen_bounds: list[int] = []
 
-    def run(self):
+    def run(self, site: tuple[str, int, int]):
         for bid, idx, ins in self.f.linear():
+            if (bid, idx) == site[1:]:
+                return
             self._step(ins)
 
     def _value(self, v: Varnode) -> tuple:
@@ -648,12 +646,9 @@ class _FrameEmu:
                 self.strlen_bounds.append(b[1])
             elif "strlen" in b[0] and a[0] == "const":
                 self.strlen_bounds.append(a[1])
-            if ins.output is not None:
-                self.env[ins.output] = ("dyn", "cmp")
+            self.env[ins.output] = ("dyn", "cmp")
 
-    def _assign(self, out: Varnode | None, val: tuple):
-        if out is None:
-            return
+    def _assign(self, out: Varnode, val: tuple):
         if out.space == "stack":
             self._write_cell(out.offset, out.size, val)
         else:

@@ -270,6 +270,40 @@ def test_path_walk_takes_each_caller_once(monkeypatch):
     assert len(calls) < 4 * len(p.functions)
 
 
+def test_fd_walk_answers_each_question_once(monkeypatch):
+    # The fd lattice of _path_lattice: ``main`` opens the device and passes
+    # the fd down 12 levels of two helpers each to ``tx``, which writes.
+    fns = [func("tx", params=(("fd", "int"),), blocks=[block(0, [
+        I("CALL", None, (R(0), C(0x2000), C(3)), callee="write"), I("RETURN")])])]
+    below = ["tx"]
+    for level in range(12, 0, -1):
+        here = [f"h{level}a", f"h{level}b"]
+        fns += [func(fid, params=(("fd", "int"),), blocks=[block(0, [
+            *(I("CALL", None, (R(0),), callee=c) for c in below), I("RETURN")])])
+            for fid in here]
+        below = here
+    fns.append(func("main", blocks=[block(0, [
+        I("CALL", U(0), (C(0x2010), C(0)), callee="open"),
+        *(I("CALL", None, (U(0),), callee=c) for c in below), I("RETURN")])]))
+    p = build_program("fd-lattice", functions=fns, externals=["write", "open"],
+                      data=[(0x2000, b"abc\x00"), (0x2010, b"/dev/umts_ipc0\x00")])
+    cg, _, _ = _run(p)
+    walks = []
+    real = channel._fd_walk
+
+    def counted(*args):
+        walks.append(args[2].id)
+        return real(*args)
+
+    monkeypatch.setattr(channel, "_fd_walk", counted)
+    tx = p.fn("tx")
+    fd, pos = tx.arg_at(0, 0, 0)
+    # One question per call site, and the origins as a set: one walk per
+    # call path, or a list of them, would be 2^13.
+    assert channel._trace_fd(p, cg, tx, fd, pos, 16, {}) == {("open", "open", "/dev/umts_ipc0")}
+    assert len(walks) < 4 * len(p.functions)
+
+
 def test_fd_trace_depth_is_bounded():
     p, _ = gen_fig2()
     cg, _, _ = _run(p)
@@ -315,6 +349,61 @@ def test_fd_kept_in_a_stack_cell_by_a_store_is_traced_to_its_open():
     _, db, _ = _run(p)
     want = {("solicited", "write", "IpcTxPing", "07 00 00 01", "/dev/umts_ipc0")}
     assert db_signatures(db) == oracle.analyze(p).commands == want
+
+
+def test_an_fd_helper_called_twice_keeps_its_site():
+    # X calls W(fd) twice, so the walk from W's write goes up through both
+    # calls, and each meets Root's open.
+    w = func("W", params=(("fd", "int"),), blocks=[block(0, [
+        I("COPY", S(16, 1), (C(42, 1),)),
+        I("CALL", None, (R(0), S(16, 1), C(1)), callee="write"), I("RETURN"),
+    ])])
+    x = func("X", params=(("fd", "int"),), blocks=[block(0, [
+        I("CALL", None, (R(0),), callee="W"), I("CALL", None, (R(0),), callee="W"),
+        I("RETURN"),
+    ])])
+    root = func("Root", blocks=[block(0, [
+        I("CALL", U(0), (C(0x2010), C(0)), callee="open"),
+        I("CALL", None, (U(0),), callee="X"), I("RETURN"),
+    ])])
+    p = build_program("twice", functions=[w, x, root], data=[(0x2010, b"/dev/umts_ipc0\x00")],
+                      externals=["open", "write"])
+    _, db, report = _run(p)
+    ref = oracle.analyze(p)
+    assert set(report.discards) == ref.discards == set()
+    want = {("solicited", "write", "W", "2a", "/dev/umts_ipc0")}
+    assert db_signatures(db) == ref.commands == want
+
+
+def _relay(fid, callee):
+    return func(fid, params=(("fd", "int"),), blocks=[block(0, [
+        I("CALL", None, (R(0),), callee=callee), I("RETURN")])])
+
+
+@pytest.mark.parametrize("short,reason", [("a", None), ("z", "depth-bound")])
+def test_an_fd_question_keeps_the_answer_of_the_path_that_reached_it_first(short, reason):
+    # Y passes its fd to W by one relay, ``short``, and by two, m0 and m1;
+    # twelve relays above Y lead to Root's open. Callers are walked in id
+    # order. Within fd_depth (16) of W's write, only the short path reaches
+    # the open from the question at Y's caller. The pipeline keeps the
+    # answer of the first path; the reference analyzer walks both paths.
+    w = func("W", params=(("fd", "int"),), blocks=[block(0, [
+        I("CALL", None, (R(0), C(0x2000), C(3)), callee="write"), I("RETURN")])])
+    y = func("Y", params=(("fd", "int"),), blocks=[block(0, [
+        I("CALL", None, (R(0),), callee=short), I("CALL", None, (R(0),), callee="m1"),
+        I("RETURN")])])
+    up = [_relay(f"u{k:02d}", f"u{k - 1:02d}" if k else "Y") for k in range(12)]
+    root = func("Root", blocks=[block(0, [
+        I("CALL", U(0), (C(0x2010), C(0)), callee="open"),
+        I("CALL", None, (U(0),), callee="u11"), I("RETURN")])])
+    p = build_program("depth", functions=[
+        w, _relay(short, "W"), _relay("m0", "W"), _relay("m1", "m0"), y, *up, root],
+        data=[(0x2000, b"abc\x00"), (0x2010, b"/dev/umts_ipc0\x00")],
+        externals=["open", "write"])
+    cg, _, _ = _run(p)
+    res = resolve_channel(p, cg, ("W", 0, 0), 0)
+    assert (res.reason, res.path) == (reason, None if reason else "/dev/umts_ipc0")
+    assert oracle.analyze(p).discards == {("W@0:0", "fd-ambiguous", None)}
 
 
 # ---------------------------------------------------------------------------

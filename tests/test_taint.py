@@ -243,6 +243,19 @@ def test_stack_payload_longer_than_the_frame_is_truncated_to_it():
     assert db_signatures(db) == oracle.analyze(p).commands == want
 
 
+def test_payload_is_read_at_the_call_that_sends_it():
+    # tx writes 07 01, then stores 02 over byte 1 and writes 07 02.
+    p = _device_writer(
+        I("STORE", None, (S(16, 1), C(7, 1))), I("STORE", None, (S(17, 1), C(1, 1))),
+        I("CALL", None, (U(0), S(16, 2), C(2)), callee="write"),
+        I("STORE", None, (S(17, 1), C(2, 1))),
+        I("CALL", None, (U(0), S(16, 2), C(2)), callee="write"),
+    )
+    db, _ = filter_commands(p, _cg(p))
+    want = {("solicited", "write", "tx", hexs, "/dev/umts_ipc0") for hexs in ("07 01", "07 02")}
+    assert db_signatures(db) == oracle.analyze(p).commands == want
+
+
 def test_immediate_request_code_becomes_word_payload():
     f = func("req", blocks=[block(0, [
         I("CALL", None, (C(3), C(0x55501)), callee="ioctl"), I("RETURN"),
@@ -426,8 +439,9 @@ def test_forward_taint_follows_a_recovered_virtual_call():
 
 
 def test_forward_taint_ends_on_a_recursive_dispatcher():
-    # Nv::Dispatch calls itself twice before its guard: each function is
-    # entered once per trace, so the walk ends instead of branching 2**depth.
+    # Nv::Dispatch calls itself twice before its guard: both calls ask the
+    # question still open, (Nv::Dispatch, pkt tainted), which reads as
+    # untainted, so the walk ends instead of branching 2**depth.
     recurse = [I("CALL", None, (R(0),), callee="Nv::Dispatch")] * 2
     got, ref, _ = _unsolicited_42([
         _read_frame("IpcRxPoll", then=[I("CALL", None, (S(16, 32),), callee="Nv::Dispatch")]),
@@ -435,6 +449,87 @@ def test_forward_taint_ends_on_a_recursive_dispatcher():
     ])
     assert got == ref == {("unsolicited", "read", "Nv::Dispatch", 0x42, "Nv::Handle42",
                            "/dev/umts_ipc0")}
+
+
+def test_forward_taint_walks_a_callee_first_met_inside_a_recursion():
+    # Nv::Dispatch calls itself and then Nv::Guard. Guard's question is
+    # first asked in the outermost Dispatch, so it is answered there, not
+    # past the depth bound at the bottom of a chain of recursive calls.
+    recurse = [I("CALL", None, (R(0),), callee="Nv::Dispatch"),
+               I("CALL", None, (R(0),), callee="Nv::Guard")]
+    dispatch = func("Nv::Dispatch", params=(("pkt", "bytes"),),
+                    blocks=[block(0, [*recurse, I("RETURN")])])
+    got, ref, _ = _unsolicited_42([
+        _read_frame("IpcRxPoll", then=[I("CALL", None, (S(16, 32),), callee="Nv::Dispatch")]),
+        dispatch, _guard_42("Nv::Guard"),
+    ])
+    assert got == ref == {("unsolicited", "read", "Nv::Guard", 0x42, "Nv::Handle42",
+                           "/dev/umts_ipc0")}
+
+
+def test_a_later_round_with_more_tainted_arguments_walks_the_callee_again():
+    # U3 = COPY U2 comes after the call in linear order, so only the second
+    # round passes Nv::Dispatch a tainted parameter 1, the one it guards.
+    dispatch = func("Nv::Dispatch", params=(("a", "int"), ("b", "int")), blocks=[
+        block(0, [I("INT_EQUAL", U(0, 1), (R(1), C(0x42))),
+                  I("CBRANCH", None, (U(0, 1),))], succ=(1, 2)),
+        block(1, [I("CALL", None, (R(1),), callee="Nv::Handle42"), I("RETURN")]),
+        block(2, [I("RETURN")]),
+    ])
+    got, ref, _ = _unsolicited_42([
+        _read_frame("IpcRxPoll", then=[
+            I("COPY", U(2), (U(1),)),
+            I("CALL", None, (U(2), U(3)), callee="Nv::Dispatch"),
+            I("COPY", U(3), (U(2),)),
+        ]),
+        dispatch,
+    ])
+    assert got == ref == {("unsolicited", "read", "Nv::Dispatch", 0x42, "Nv::Handle42",
+                           "/dev/umts_ipc0")}
+
+
+def test_mutual_recursion_is_where_summaries_and_re_walks_differ():
+    # A(pkt) calls B(pkt) and returns pkt; B(pkt) guards on A(pkt). The
+    # pipeline answers B's question inside A, where A's is open and reads
+    # untainted, and keeps that answer for poll's call of B; the reference
+    # analyzer walks B again from poll, where A returns tainted data.
+    poll = _read_frame("poll", then=[I("CALL", None, (S(16, 32),), callee=c) for c in "AB"])
+    a = func("A", params=(("pkt", "bytes"),), ret="int", blocks=[block(0, [
+        I("CALL", None, (R(0),), callee="B"), I("RETURN", None, (R(0),))])])
+    b = func("B", params=(("pkt", "bytes"),), blocks=[
+        block(0, [I("CALL", U(5), (R(0),), callee="A"),
+                  I("INT_EQUAL", U(6, 1), (U(5), C(0x42))),
+                  I("CBRANCH", None, (U(6, 1),))], succ=(1, 2)),
+        block(1, [I("CALL", None, (R(0),), callee="Nv::Handle42"), I("RETURN")]),
+        block(2, [I("RETURN")]),
+    ])
+    got, ref, _ = _unsolicited_42([poll, a, b])
+    assert got == set()
+    assert ref == {("unsolicited", "read", "B", 0x42, "Nv::Handle42", "/dev/umts_ipc0")}
+
+
+@pytest.mark.parametrize("calls", [1, 2])
+def test_an_internal_callee_returning_tainted_data_taints_each_call(calls):
+    # U2 is byte 1 of the packet and ident returns its parameter; the guard
+    # reads the result of the last of ``calls`` calls ident(U2).
+    poll = func("poll", blocks=[
+        block(0, [I("CALL", U(0), (C(0x2000), C(0)), callee="open"),
+                  I("CALL", U(1), (U(0), S(16, 32), C(32)), callee="read"),
+                  I("COPY", U(2, 1), (S(17, 1),)),
+                  *[I("CALL", out, (U(2, 1),), callee="ident")
+                    for out in (U(10), U(11))[-calls:]],
+                  I("INT_EQUAL", U(20, 1), (U(11), C(0x42))),
+                  I("CBRANCH", None, (U(20, 1),))], succ=(1, 2)),
+        block(1, [I("CALL", None, (), callee="h"), I("RETURN")]),
+        block(2, [I("RETURN")]),
+    ])
+    ident = func("ident", params=(("x", "int"),), ret="int",
+                 blocks=[block(0, [I("RETURN", None, (R(0),))])])
+    p = build_program("ident", functions=[poll, ident, ret_stub("h")],
+                      data=[(0x2000, b"/dev/umts_ipc0\x00")], externals=["open", "read"])
+    db, _ = filter_commands(p, _cg(p))
+    want = {("unsolicited", "read", "poll", 0x42, "h", "/dev/umts_ipc0")}
+    assert db_signatures(db) == oracle.analyze(p).commands == want
 
 
 def _dispatcher_sinks(blocks, handlers, externals=()):
