@@ -76,19 +76,18 @@ class CallGraph:
     def __init__(self):
         self.edges: list[CallEdge] = []
         self.unresolved: list[VCallSite] = []
-        self._edge_keys: set[tuple] = set()
         # Edges in ``edges`` order, per callee and per call site.
         self._by_callee: dict[str, list[CallEdge]] = {}
         self._by_site: dict[tuple[str, int, int], list[CallEdge]] = {}
 
     def add_edge(self, e: CallEdge) -> bool:
-        key = (e.caller, e.callee, e.site, e.kind)
-        if key in self._edge_keys:
-            return False
-        self._edge_keys.add(key)
+        at = self._by_site.setdefault(e.site, [])
+        for o in at:
+            if o.caller == e.caller and o.callee == e.callee and o.kind == e.kind:
+                return False
+        at.append(e)
         self.edges.append(e)
         self._by_callee.setdefault(e.callee, []).append(e)
-        self._by_site.setdefault(e.site, []).append(e)
         return True
 
     def callers_of(self, fid: str) -> list[CallEdge]:
@@ -120,9 +119,10 @@ def build_direct_cg(p: IRProgram) -> CallGraph:
     """One edge per CALL instruction."""
     cg = CallGraph()
     for f in p.functions:
-        for bid, idx, ins in f.linear():
-            if ins.op == "CALL" and ins.callee:
-                cg.add_edge(CallEdge(f.id, ins.callee, (f.id, bid, idx), "direct"))
+        for b in f.blocks:
+            for idx, ins in enumerate(b.instructions):
+                if ins.op == "CALL" and ins.callee:
+                    cg.add_edge(CallEdge(f.id, ins.callee, (f.id, b.id, idx), "direct"))
     return cg
 
 
@@ -228,7 +228,7 @@ def defining_store(f: Function, expr: TargetExpr) -> tuple[int, Varnode] | None:
     """The first write in ``f`` to the memory ``expr`` names: a STORE whose
     address canonicalizes to it, or a COPY into that stack slot. Returns
     (linear position, stored varnode)."""
-    for pos, (_, _, ins) in enumerate(f.linear()):
+    for pos, ins in enumerate(f.code):
         if ins.op == "STORE":
             if _canon_store_addr(f, ins.inputs[0], pos) == expr:
                 return pos, ins.inputs[1]
@@ -296,9 +296,10 @@ def recover_vcalls(p: IRProgram, cg: CallGraph) -> CallGraph:
     with its reason, in the same order. Call once per graph."""
     solved: dict[tuple, tuple[list[tuple[str, str]], str | None]] = {}
     for f in p.functions:
-        for pos, (bid, idx, ins) in enumerate(f.linear()):
+        for pos, ins in enumerate(f.code):
             if ins.op != "CALLIND":
                 continue
+            bid, idx = f.loc(pos)
             m = _match_vtable_expr(f, ins.inputs[0], pos)
             if m is None or m[1] < 0 or m[1] % p.word_size != 0:
                 reason = "no-vtable-pattern"

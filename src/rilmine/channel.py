@@ -183,10 +183,9 @@ def _fd_walk(p, cg, f: Function, v: Varnode, pos: int, depth: int, memo: dict) -
                 # fd produced by an internal helper: continue at its returns
                 out: set[tuple] = set()
                 callee_fn = p.fn(callee)
-                for rpos, (_, _, rins) in enumerate(callee_fn.linear()):
+                for rpos, rins in enumerate(callee_fn.code):
                     if rins.op == "RETURN" and rins.inputs:
-                        out |= _trace_fd(p, cg, callee_fn, rins.inputs[0], rpos,
-                                        depth - 1, memo)
+                        out |= _trace_fd(p, cg, callee_fn, rins.inputs[0], rpos, depth - 1, memo)
                 return out or {("unknown", "opaque-return")}
             return {("unknown", f"ext:{callee}")}
         if ins.op == "LOAD":

@@ -16,6 +16,7 @@ import select
 import sys
 import traceback
 from collections import deque
+from functools import cache
 
 from .callgraph import build_direct_cg, recover_vcalls
 from .channel import FilterConfig, filter_commands
@@ -441,6 +442,7 @@ def _cmd_fixtures(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@cache  # built on the first call, then reused: parse_args does not change it
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="rilmine",
                                  description="RIL binary command mining toolkit")

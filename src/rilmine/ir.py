@@ -11,10 +11,10 @@ to resolve virtual calls.
 
 Varnodes and instructions, the cells of the code, are named tuples: small,
 immutable, and hashed and compared in C. The program, its classes,
-functions and blocks are plain dataclasses, but IRProgram and Function
-build their lookup indexes when they are constructed, and no analysis
-writes to a program. To change one, build new objects
-(``dataclasses.replace``): a list edited in place leaves the indexes stale.
+functions and blocks are plain dataclasses. IRProgram builds its lookup
+indexes when constructed, and a Function stores its blocks plus one flat
+tuple of their instructions, which a linear position indexes. No analysis
+writes to a program: build new objects instead (``dataclasses.replace``).
 
 ``load_program`` is built for large binaries. At its peak it holds the
 text, the varnode table, the program and the JSON of one function:
@@ -29,11 +29,11 @@ text, the varnode table, the program and the JSON of one function:
   a time, and each function's JSON is dropped once its Function exists:
   the whole document never exists. docs/ir_format.md says which fault is
   raised when a document has several.
-* The success path runs no Python function per varnode, instruction or
-  linear-order entry. A decoder tests exact types inline and checks a row
-  first, then makes its cell with ``tuple.__new__``, which skips the named
-  tuple's own constructor and its arity check. ``Function`` builds its
-  linear order with ``zip``.
+* The success path runs no Python function per varnode or instruction. A
+  decoder tests exact types inline and checks a row first, then makes its
+  cell with ``tuple.__new__``, which skips the named tuple's own
+  constructor and its arity check. ``Function`` joins its blocks'
+  instructions into its flat tuple with ``chain.from_iterable``.
 * It pauses the cyclic garbage collector while it builds the program,
   and restores the collector's previous state on the way out, whether
   the load succeeds or raises. Each call pauses on its own: where loads
@@ -57,7 +57,7 @@ import json
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import count, repeat
+from itertools import chain
 from typing import NamedTuple
 
 SPACES = ("const", "reg", "stack", "ram", "unique")
@@ -158,9 +158,9 @@ class Param:
 class Function:
     """One lifted function. Parameter k lives in varnode (reg, k, *).
 
-    The linear order and the block indexes are built with the function, so
-    its blocks are not to change afterwards: build a new Function instead
-    (``dataclasses.replace``)."""
+    Beside its blocks it stores ``code``, their instructions in one flat
+    tuple that a linear position indexes, built with the function: to change
+    the blocks, build a new Function (``dataclasses.replace``)."""
 
     id: str
     name: str
@@ -171,32 +171,38 @@ class Function:
     blocks: list[Block]
 
     def __post_init__(self):
-        self._linear: list[tuple[int, int, Instruction]] = []
-        self._block_by_id: dict[int, Block] = {}
-        self._first_pos: dict[int, int] = {}  # block id -> linear position
-        for b in self.blocks:
-            self._block_by_id.setdefault(b.id, b)
-            self._first_pos.setdefault(b.id, len(self._linear))
-            self._linear.extend(zip(repeat(b.id), count(), b.instructions))
+        self.code = tuple(chain.from_iterable(b.instructions for b in self.blocks))
 
     def block(self, bid: int) -> Block:
-        try:
-            return self._block_by_id[bid]
-        except KeyError:
-            raise KeyError(f"{self.id}: no block {bid}") from None
+        for b in self.blocks:
+            if b.id == bid:
+                return b
+        raise KeyError(f"{self.id}: no block {bid}")
+
+    def linear_pos(self, bid: int, idx: int) -> int:
+        for b in self.blocks:
+            if b.id == bid:
+                return idx
+            idx += len(b.instructions)
+        raise KeyError(f"{self.id}: no block {bid}")
+
+    def loc(self, pos: int) -> tuple[int, int]:
+        """The (block id, index) of linear position ``pos``."""
+        for b in self.blocks:
+            if 0 <= pos < len(b.instructions):
+                return b.id, pos
+            pos -= len(b.instructions)
+        raise IndexError(f"{self.id}: linear position out of range")
 
     def linear(self) -> list[tuple[int, int, Instruction]]:
         """Instructions in block declaration order as (block id, index, ins)."""
-        return self._linear
-
-    def linear_pos(self, bid: int, idx: int) -> int:
-        return self._first_pos[bid] + idx
+        return [(b.id, i, ins) for b in self.blocks for i, ins in enumerate(b.instructions)]
 
     def arg_at(self, bid: int, idx: int, k: int) -> tuple[Varnode | None, int]:
         """Argument ``k`` of the call at (bid, idx), or None when the call
         passes fewer, with the call's linear position."""
         pos = self.linear_pos(bid, idx)
-        args = self.linear()[pos][2].args
+        args = self.code[pos].args
         return (args[k] if k < len(args) else None), pos
 
     def param_index(self, v: Varnode) -> int | None:
@@ -863,7 +869,7 @@ def validate(p: IRProgram) -> list[Diagnostic]:
             if not (f.params and f.params[0].name == "this"
                     and f.params[0].type == "class:" + owner):
                 bad("member-this-param", f.id, f"member of {owner} must take this: class:{owner} first")
-        block_ids = f._block_by_id
+        block_ids = {b.id for b in f.blocks}
         if len(block_ids) != len(f.blocks):
             bad("unique-block-ids", f.id, "duplicate block ids")
         size = f.stack_size
@@ -967,11 +973,10 @@ def serialize(p: IRProgram) -> str:
 def reaching_def(f: Function, v: Varnode, before: int) -> tuple[int, Instruction] | None:
     """Nearest instruction writing exactly ``v`` before linear position
     ``before``; None when the value enters the function from outside."""
-    lin = f.linear()
+    code = f.code
     for pos in range(before - 1, -1, -1):
-        ins = lin[pos][2]
-        if ins.output == v:
-            return pos, ins
+        if code[pos].output == v:
+            return pos, code[pos]
     return None
 
 

@@ -201,11 +201,11 @@ def find_sources(p: IRProgram) -> list[TaintQuery]:
     """Every CALL to a backward or forward API, as a TaintQuery."""
     out = []
     for f in p.functions:
-        for bid, idx, ins in f.linear():
+        for pos, ins in enumerate(f.code):
             if ins.op != "CALL" or ins.callee not in IO_APIS:
                 continue
             if IO_APIS[ins.callee][0] in ("backward", "forward"):
-                out.append(TaintQuery(site=(f.id, bid, idx), api=ins.callee))
+                out.append(TaintQuery(site=(f.id, *f.loc(pos)), api=ins.callee))
     out.sort(key=lambda q: q.site)
     return out
 
@@ -329,7 +329,7 @@ def _flow_forward(p, cg, f: Function, seeds, regions, summaries, sinks, depth) -
     changed = True
     while changed:
         changed = False
-        for bid, idx, ins in f.linear():
+        for pos, ins in enumerate(f.code):
             if ins.op in ("COPY", "LOAD", "INT_ADD", "INT_SUB"):
                 if any(is_t(v) for v in ins.inputs):
                     if ins.output.space == "stack":
@@ -355,8 +355,8 @@ def _flow_forward(p, cg, f: Function, seeds, regions, summaries, sinks, depth) -
                 elif is_t(b) and a.is_const:
                     const = a.offset
                 if const is not None:
-                    handler = _dispatch_target(f, bid, idx, ins)
-                    s = Sink(f.id, (bid, idx), const, handler)
+                    at = f.loc(pos)
+                    s = Sink(f.id, at, const, _dispatch_target(f, *at, ins))
                     if s not in sinks:
                         sinks.append(s)
             elif ins.op in ("CALL", "CALLIND"):
@@ -366,7 +366,7 @@ def _flow_forward(p, cg, f: Function, seeds, regions, summaries, sinks, depth) -
                 if ins.op == "CALL" and ins.callee:
                     targets = [ins.callee]
                 else:
-                    targets = [e.callee for e in cg.edges_at((f.id, bid, idx))]
+                    targets = [e.callee for e in cg.edges_at((f.id, *f.loc(pos)))]
                 out_t = False
                 for t in targets:
                     if p.has_fn(t):
@@ -555,9 +555,7 @@ class _FrameEmu:
         self.strlen_bounds: list[int] = []
 
     def run(self, site: tuple[str, int, int]):
-        for bid, idx, ins in self.f.linear():
-            if (bid, idx) == site[1:]:
-                return
+        for ins in self.f.code[:self.f.linear_pos(site[1], site[2])]:
             self._step(ins)
 
     def _value(self, v: Varnode) -> tuple:

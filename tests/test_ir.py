@@ -3,6 +3,7 @@
 import gc
 import json
 import pickle
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -416,13 +417,18 @@ def test_separate_loads_share_no_varnodes():
     assert not {id(v) for v in a} & {id(v) for v in b}
 
 
-def test_load_peaks_below_twice_the_program_it_returns():
-    # The decoded document is dropped function by function as the program
-    # is built, and holds one shared Varnode per distinct cell.
+def _thousand_functions() -> str:
+    """The text of 1000 one-block functions, each seven INT_ADDs and a RETURN."""
     fns = [func(f"F{k:04d}", blocks=[block(0, [I("INT_ADD", U(i), (U(i - 1) if i else C(k), C(i)))
                                                for i in range(7)] + [I("RETURN")])])
            for k in range(1000)]
-    text = ir.serialize(build_program("big", functions=fns))
+    return ir.serialize(build_program("big", functions=fns))
+
+
+def test_load_peaks_below_twice_the_program_it_returns():
+    # The decoded document is dropped function by function as the program
+    # is built, and holds one shared Varnode per distinct cell.
+    text = _thousand_functions()
     tracemalloc.start()
     try:
         p = ir.load_program(text)
@@ -431,6 +437,21 @@ def test_load_peaks_below_twice_the_program_it_returns():
         tracemalloc.stop()
     assert len(p.functions) == 1000
     assert peak <= 2 * size, (peak, size)
+
+
+def test_a_loaded_instruction_costs_at_most_300_bytes():
+    # A function keeps its blocks and one flat tuple of their instructions,
+    # and no per-instruction triples or per-function block dicts.
+    text = _thousand_functions()
+    tracemalloc.start()
+    try:
+        p = ir.load_program(text)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    n = sum(len(f.code) for f in p.functions)
+    assert n == 8000
+    assert size <= 300 * n, size / n
 
 
 def test_load_peaks_near_the_program_it_returns():
@@ -601,12 +622,17 @@ def test_indented_documents_load_and_serialize_compactly(tmp_path, capsys):
         assert ir.serialize(ir.load_program(indented)) == ir.serialize(p), label
 
 
+def _fixture_programs() -> list:
+    """(label, program) for every ``cli._IR_FIXTURES`` kind and for
+    ``gen_random`` seeds 0-49."""
+    programs = [(kind, make(0)[0]) for kind, make in cli._IR_FIXTURES.items()]
+    return programs + [(f"seed {seed}", gen_random(seed=seed)[0]) for seed in range(50)]
+
+
 def test_loaded_cells_are_named_tuples_of_their_arity():
     # the loader makes its cells with tuple.__new__, which skips the named
     # tuple's own arity check
-    programs = [(kind, make(0)[0]) for kind, make in cli._IR_FIXTURES.items()]
-    programs += [(f"seed {seed}", gen_random(seed=seed)[0]) for seed in range(50)]
-    for label, p in programs:
+    for label, p in _fixture_programs():
         q = ir.load_program(ir.serialize(p))
         for f in q.functions:
             for _, _, ins in f.linear():
@@ -614,6 +640,31 @@ def test_loaded_cells_are_named_tuples_of_their_arity():
                 for v in ins.inputs + ((ins.output,) if ins.output is not None else ()):
                     assert type(v) is ir.Varnode and len(v) == 3, label
         assert ir.serialize(q) == ir.serialize(p), label
+
+
+def test_code_and_the_block_lookups_agree_with_the_blocks():
+    # A function stores its blocks and one flat tuple; the lookups scan the
+    # blocks. The hand-built one has an empty block, and a repeated id,
+    # which validate rejects, to show that the first block with an id wins.
+    hand = func("hand", blocks=[block(3, [I("COPY", R(0), (C(1),))]), block(5, []),
+                                block(4, [I("COPY", R(1), (R(0),)), I("RETURN")]),
+                                block(5, [I("RETURN")])])
+    functions = [(label, f) for label, p in _fixture_programs() for f in p.functions]
+    for label, f in functions + [("hand", hand)]:
+        assert f.code == tuple(ins for _, _, ins in f.linear()), label
+        first = {}
+        for b in f.blocks:
+            first.setdefault(b.id, b)
+        for bid, b in first.items():
+            assert f.block(bid) is b, label
+            for idx in range(len(b.instructions)):
+                assert f.loc(f.linear_pos(bid, idx)) == (bid, idx), label
+        unknown = max(first) + 1
+        for lookup in (f.block, lambda bid: f.linear_pos(bid, 0)):
+            with pytest.raises(KeyError, match=re.escape(f"{f.id}: no block {unknown}")):
+                lookup(unknown)
+        with pytest.raises(IndexError, match=re.escape(f.id)):
+            f.loc(len(f.code))
 
 
 # ---------------------------------------------------------------------------
