@@ -296,24 +296,24 @@ def recover_vcalls(p: IRProgram, cg: CallGraph) -> CallGraph:
     with its reason, in the same order. Call once per graph."""
     solved: dict[tuple, tuple[list[tuple[str, str]], str | None]] = {}
     for f in p.functions:
-        for pos, ins in enumerate(f.code):
-            if ins.op != "CALLIND":
-                continue
-            bid, idx = f.loc(pos)
-            m = _match_vtable_expr(f, ins.inputs[0], pos)
-            if m is None or m[1] < 0 or m[1] % p.word_size != 0:
-                reason = "no-vtable-pattern"
-            elif f.owning_class is None:
-                reason = "no-enclosing-class"
-            else:
-                v_t, v_o = m
-                key = (f.owning_class, v_t, v_o)
-                if key not in solved:
-                    solved[key] = _resolve(p, *key)
-                targets, reason = solved[key]
-                for cls_name, callee in targets:
-                    cg.add_edge(CallEdge(f.id, callee, (f.id, bid, idx), "virtual",
-                                         via=(cls_name, str(v_t), v_o)))
-            if reason is not None:
-                cg.unresolved.append(VCallSite(f.id, bid, idx, reason))
+        for b in f.blocks:
+            for idx, ins in enumerate(b.instructions):
+                if ins.op != "CALLIND":
+                    continue
+                m = _match_vtable_expr(f, ins.inputs[0], f.linear_pos(b.id, idx))
+                if m is None or m[1] < 0 or m[1] % p.word_size != 0:
+                    reason = "no-vtable-pattern"
+                elif f.owning_class is None:
+                    reason = "no-enclosing-class"
+                else:
+                    v_t, v_o = m
+                    key = (f.owning_class, v_t, v_o)
+                    if key not in solved:
+                        solved[key] = _resolve(p, *key)
+                    targets, reason = solved[key]
+                    for cls_name, callee in targets:
+                        cg.add_edge(CallEdge(f.id, callee, (f.id, b.id, idx), "virtual",
+                                             via=(cls_name, str(v_t), v_o)))
+                if reason is not None:
+                    cg.unresolved.append(VCallSite(f.id, b.id, idx, reason))
     return cg

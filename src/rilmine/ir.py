@@ -13,8 +13,9 @@ Varnodes and instructions, the cells of the code, are named tuples: small,
 immutable, and hashed and compared in C. The program, its classes,
 functions and blocks are plain dataclasses. IRProgram builds its lookup
 indexes when constructed, and a Function stores its blocks plus one flat
-tuple of their instructions, which a linear position indexes. No analysis
-writes to a program: build new objects instead (``dataclasses.replace``).
+tuple of their instructions, which a linear position indexes, and where
+each block starts in it. No analysis writes to a program: build new
+objects instead (``dataclasses.replace``).
 
 ``load_program`` is built for large binaries. At its peak it holds the
 text, the varnode table, the program and the JSON of one function:
@@ -57,7 +58,7 @@ import json
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 SPACES = ("const", "reg", "stack", "ram", "unique")
@@ -159,8 +160,9 @@ class Function:
     """One lifted function. Parameter k lives in varnode (reg, k, *).
 
     Beside its blocks it stores ``code``, their instructions in one flat
-    tuple that a linear position indexes, built with the function: to change
-    the blocks, build a new Function (``dataclasses.replace``)."""
+    tuple that a linear position indexes, and where each block starts in
+    it. Both are built with the function: to change the blocks, build a new
+    Function (``dataclasses.replace``)."""
 
     id: str
     name: str
@@ -172,27 +174,25 @@ class Function:
 
     def __post_init__(self):
         self.code = tuple(chain.from_iterable(b.instructions for b in self.blocks))
+        # the linear position of each block's first instruction, by block index
+        self._starts = tuple(accumulate((len(b.instructions) for b in self.blocks), initial=0))
+
+    def _index(self, bid: int) -> int:
+        """Where the block with id ``bid`` is in ``blocks``: blocks are numbered
+        by position, if not always, and ``validate`` rejects a repeated id."""
+        blocks = self.blocks
+        if 0 <= bid < len(blocks) and blocks[bid].id == bid:
+            return bid
+        for i, b in enumerate(blocks):
+            if b.id == bid:
+                return i
+        raise KeyError(f"{self.id}: no block {bid}")
 
     def block(self, bid: int) -> Block:
-        for b in self.blocks:
-            if b.id == bid:
-                return b
-        raise KeyError(f"{self.id}: no block {bid}")
+        return self.blocks[self._index(bid)]
 
     def linear_pos(self, bid: int, idx: int) -> int:
-        for b in self.blocks:
-            if b.id == bid:
-                return idx
-            idx += len(b.instructions)
-        raise KeyError(f"{self.id}: no block {bid}")
-
-    def loc(self, pos: int) -> tuple[int, int]:
-        """The (block id, index) of linear position ``pos``."""
-        for b in self.blocks:
-            if 0 <= pos < len(b.instructions):
-                return b.id, pos
-            pos -= len(b.instructions)
-        raise IndexError(f"{self.id}: linear position out of range")
+        return self._starts[self._index(bid)] + idx
 
     def linear(self) -> list[tuple[int, int, Instruction]]:
         """Instructions in block declaration order as (block id, index, ins)."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .callgraph import CallGraph, caller_args
-from .ir import NONCONST_SPACES, Function, IRProgram, Varnode, def_step, format_site
+from .ir import NONCONST_SPACES, Block, Function, IRProgram, Varnode, def_step, format_site
 
 # name -> (role, fd-or-path arg, buffer arg, length arg). Backward calls
 # anchor payload recovery at their buffer; forward calls seed taint with
@@ -201,11 +201,12 @@ def find_sources(p: IRProgram) -> list[TaintQuery]:
     """Every CALL to a backward or forward API, as a TaintQuery."""
     out = []
     for f in p.functions:
-        for pos, ins in enumerate(f.code):
-            if ins.op != "CALL" or ins.callee not in IO_APIS:
-                continue
-            if IO_APIS[ins.callee][0] in ("backward", "forward"):
-                out.append(TaintQuery(site=(f.id, *f.loc(pos)), api=ins.callee))
+        for b in f.blocks:
+            for idx, ins in enumerate(b.instructions):
+                if ins.op != "CALL" or ins.callee not in IO_APIS:
+                    continue
+                if IO_APIS[ins.callee][0] in ("backward", "forward"):
+                    out.append(TaintQuery(site=(f.id, b.id, idx), api=ins.callee))
     out.sort(key=lambda q: q.site)
     return out
 
@@ -329,73 +330,72 @@ def _flow_forward(p, cg, f: Function, seeds, regions, summaries, sinks, depth) -
     changed = True
     while changed:
         changed = False
-        for pos, ins in enumerate(f.code):
-            if ins.op in ("COPY", "LOAD", "INT_ADD", "INT_SUB"):
-                if any(is_t(v) for v in ins.inputs):
-                    if ins.output.space == "stack":
-                        r = (ins.output.offset, ins.output.size)
+        for blk in f.blocks:
+            for idx, ins in enumerate(blk.instructions):
+                if ins.op in ("COPY", "LOAD", "INT_ADD", "INT_SUB"):
+                    if any(is_t(v) for v in ins.inputs):
+                        if ins.output.space == "stack":
+                            r = (ins.output.offset, ins.output.size)
+                            if r not in regions:
+                                regions.add(r)
+                                changed = True
+                        elif ins.output not in tainted:
+                            tainted.add(ins.output)
+                            changed = True
+                elif ins.op == "STORE":
+                    addr, val = ins.inputs[0], ins.inputs[1]
+                    if is_t(val) and addr.space == "stack":
+                        r = (addr.offset, val.size)
                         if r not in regions:
                             regions.add(r)
                             changed = True
-                    elif ins.output not in tainted:
+                elif ins.op in ("INT_EQUAL", "INT_NOTEQUAL"):
+                    a, b = ins.inputs
+                    const = None
+                    if is_t(a) and b.is_const:
+                        const = b.offset
+                    elif is_t(b) and a.is_const:
+                        const = a.offset
+                    if const is not None:
+                        s = Sink(f.id, (blk.id, idx), const, _dispatch_target(f, blk, idx, ins))
+                        if s not in sinks:
+                            sinks.append(s)
+                elif ins.op in ("CALL", "CALLIND"):
+                    t_idx = [k for k, v in enumerate(ins.args) if is_t(v)]
+                    if not t_idx:
+                        continue
+                    if ins.op == "CALL" and ins.callee:
+                        targets = [ins.callee]
+                    else:
+                        targets = [e.callee for e in cg.edges_at((f.id, blk.id, idx))]
+                    out_t = False
+                    for t in targets:
+                        if p.has_fn(t):
+                            child_fn = p.fn(t)
+                            t_params = frozenset(k for k in t_idx if k < len(child_fn.params))
+                            key = (t, t_params)
+                            if key not in summaries:
+                                summaries[key] = False  # open: a recursive call reads untainted
+                                # param varnodes are word sized, whatever width the call passes
+                                child_seeds = {Varnode("reg", k, p.word_size) for k in t_params}
+                                summaries[key] = _flow_forward(p, cg, child_fn, child_seeds, set(),
+                                                               summaries, sinks, depth + 1)
+                            out_t |= summaries[key]
+                        else:
+                            out_t = True  # external consuming tainted data
+                    if out_t and ins.output is not None and ins.output not in tainted:
                         tainted.add(ins.output)
                         changed = True
-            elif ins.op == "STORE":
-                addr, val = ins.inputs[0], ins.inputs[1]
-                if is_t(val) and addr.space == "stack":
-                    r = (addr.offset, val.size)
-                    if r not in regions:
-                        regions.add(r)
-                        changed = True
-            elif ins.op in ("INT_EQUAL", "INT_NOTEQUAL"):
-                a, b = ins.inputs
-                const = None
-                if is_t(a) and b.is_const:
-                    const = b.offset
-                elif is_t(b) and a.is_const:
-                    const = a.offset
-                if const is not None:
-                    at = f.loc(pos)
-                    s = Sink(f.id, at, const, _dispatch_target(f, *at, ins))
-                    if s not in sinks:
-                        sinks.append(s)
-            elif ins.op in ("CALL", "CALLIND"):
-                t_idx = [k for k, v in enumerate(ins.args) if is_t(v)]
-                if not t_idx:
-                    continue
-                if ins.op == "CALL" and ins.callee:
-                    targets = [ins.callee]
-                else:
-                    targets = [e.callee for e in cg.edges_at((f.id, *f.loc(pos)))]
-                out_t = False
-                for t in targets:
-                    if p.has_fn(t):
-                        child_fn = p.fn(t)
-                        t_params = frozenset(k for k in t_idx if k < len(child_fn.params))
-                        key = (t, t_params)
-                        if key not in summaries:
-                            summaries[key] = False  # open: a recursive call reads untainted
-                            # param varnodes are word sized, whatever width the call passes
-                            child_seeds = {Varnode("reg", k, p.word_size) for k in t_params}
-                            summaries[key] = _flow_forward(p, cg, child_fn, child_seeds, set(),
-                                                           summaries, sinks, depth + 1)
-                        out_t |= summaries[key]
-                    else:
-                        out_t = True  # external consuming tainted data
-                if out_t and ins.output is not None and ins.output not in tainted:
-                    tainted.add(ins.output)
-                    changed = True
-            elif ins.op == "RETURN":
-                if ins.inputs and is_t(ins.inputs[0]):
-                    ret_tainted = True
+                elif ins.op == "RETURN":
+                    if ins.inputs and is_t(ins.inputs[0]):
+                        ret_tainted = True
     return ret_tainted
 
 
-def _dispatch_target(f: Function, bid: int, idx: int, cmp_ins) -> str | None:
-    """First CALL on the path guarded by the comparison being true. The
-    CBRANCH consuming the comparison takes successor[0] when its condition
+def _dispatch_target(f: Function, blk: Block, idx: int, cmp_ins) -> str | None:
+    """First CALL on the path taken when the comparison at ``idx`` in ``blk`` holds.
+    The CBRANCH consuming the comparison takes successor[0] when its condition
     holds, so INT_EQUAL guards succ[0] and INT_NOTEQUAL guards succ[1]."""
-    blk = f.block(bid)
     cb = None
     for j in range(idx + 1, len(blk.instructions)):
         nxt = blk.instructions[j]

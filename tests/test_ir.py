@@ -643,28 +643,25 @@ def test_loaded_cells_are_named_tuples_of_their_arity():
 
 
 def test_code_and_the_block_lookups_agree_with_the_blocks():
-    # A function stores its blocks and one flat tuple; the lookups scan the
-    # blocks. The hand-built one has an empty block, and a repeated id,
-    # which validate rejects, to show that the first block with an id wins.
-    hand = func("hand", blocks=[block(3, [I("COPY", R(0), (C(1),))]), block(5, []),
-                                block(4, [I("COPY", R(1), (R(0),)), I("RETURN")]),
-                                block(5, [I("RETURN")])])
+    # A function stores its blocks, one flat tuple of their instructions and
+    # where each block starts in it. Generated blocks are numbered by
+    # position; the hand-built function's are not, except block 1, which is
+    # empty, and its last block's id, -1, is not an index from the end.
+    hand = func("hand", blocks=[block(2, [I("COPY", R(0), (C(1),))]), block(1, []),
+                                block(3, [I("COPY", R(1), (R(0),))]),
+                                block(0, [I("COPY", R(2), (R(1),))]), block(-1, [I("RETURN")])])
     functions = [(label, f) for label, p in _fixture_programs() for f in p.functions]
     for label, f in functions + [("hand", hand)]:
-        assert f.code == tuple(ins for _, _, ins in f.linear()), label
-        first = {}
+        lin = f.linear()
+        assert f.code == tuple(ins for _, _, ins in lin), label
+        assert [f.linear_pos(bid, idx) for bid, idx, _ in lin] == list(range(len(lin))), label
         for b in f.blocks:
-            first.setdefault(b.id, b)
-        for bid, b in first.items():
-            assert f.block(bid) is b, label
-            for idx in range(len(b.instructions)):
-                assert f.loc(f.linear_pos(bid, idx)) == (bid, idx), label
-        unknown = max(first) + 1
-        for lookup in (f.block, lambda bid: f.linear_pos(bid, 0)):
-            with pytest.raises(KeyError, match=re.escape(f"{f.id}: no block {unknown}")):
-                lookup(unknown)
-        with pytest.raises(IndexError, match=re.escape(f.id)):
-            f.loc(len(f.code))
+            assert f.block(b.id) is b, label
+        ids = [b.id for b in f.blocks]
+        for unknown in (min(ids) - 1, max(ids) + 1):
+            for lookup in (f.block, lambda bid: f.linear_pos(bid, 0)):
+                with pytest.raises(KeyError, match=re.escape(f"{f.id}: no block {unknown}")):
+                    lookup(unknown)
 
 
 # ---------------------------------------------------------------------------
