@@ -60,7 +60,7 @@ def I(op: str, out: Varnode | None = None, ins: tuple = (), callee: str | None =
 
 
 def block(bid: int, instructions: list[Instruction], succ: tuple = ()) -> Block:
-    return Block(bid, instructions, tuple(succ))
+    return Block(bid, tuple(instructions), tuple(succ))
 
 
 def func(fid: str, *, cls: str | None = None, params: tuple = (), ret: str = "void",
@@ -69,8 +69,8 @@ def func(fid: str, *, cls: str | None = None, params: tuple = (), ret: str = "vo
     if cls is not None and (not plist or plist[0].name != "this"):
         plist.insert(0, Param("this", f"class:{cls}"))
     return Function(
-        id=fid, name=fid, owning_class=cls, params=plist,
-        return_type=ret, stack_size=stack, blocks=blocks,
+        id=fid, name=fid, owning_class=cls, params=tuple(plist),
+        return_type=ret, stack_size=stack, blocks=tuple(blocks),
     )
 
 
@@ -743,12 +743,11 @@ def gen_random(seed: int = 0, max_functions: int = 200) -> tuple[IRProgram, Mani
             # extra ctor param wiring for a second member object
             have = b.functions[at]
             k = len(have.params)
-            entry = replace(have.blocks[0], instructions=store[:1] + [
-                I("STORE", None, (U(90 + off), R(k)))
-            ] + have.blocks[0].instructions)
+            entry = replace(have.blocks[0], instructions=(
+                store[0], I("STORE", None, (U(90 + off), R(k))), *have.blocks[0].instructions))
             b.functions[at] = replace(
-                have, params=have.params + [Param(f"obj{k}", f"class:{callee_cls}")],
-                blocks=[entry] + have.blocks[1:],
+                have, params=(*have.params, Param(f"obj{k}", f"class:{callee_cls}")),
+                blocks=(entry, *have.blocks[1:]),
             )
         return [
             I("INT_ADD", U(10), (R(0), C(off))),

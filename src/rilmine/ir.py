@@ -10,19 +10,26 @@ lists) rides alongside the code because the downstream analyses need it
 to resolve virtual calls.
 
 Varnodes and instructions, the cells of the code, are named tuples: small,
-immutable, and hashed and compared in C. The program, its classes,
-functions and blocks are plain dataclasses. IRProgram builds its lookup
-indexes when constructed, and a Function stores its blocks plus one flat
-tuple of their instructions, which a linear position indexes, and where
-each block starts in it. No analysis writes to a program: build new
-objects instead (``dataclasses.replace``).
+immutable, and hashed and compared in C. The program is a plain
+dataclass; its classes, functions, parameters and blocks are dataclasses
+with ``__slots__`` and no ``__dict__``, and a loaded function holds its
+parameters and blocks, and a block its instructions, in tuples.
+IRProgram builds its lookup indexes when constructed, and a Function
+stores its blocks plus one flat tuple of their instructions, which a
+linear position indexes, and where each block starts in it. No analysis
+writes to a program: build new objects instead (``dataclasses.replace``).
 
 ``load_program`` is built for large binaries. At its peak it holds the
 text, the varnode table, the program and the JSON of one function:
 
 * Each cell is one shared Varnode per load, whichever instructions use it.
-  Two loads share nothing. The table gives each cell one row, checked
-  once, and a duplicate row is an error.
+  The table gives each cell one row, checked once, and a duplicate row is
+  an error. Likewise each distinct Instruction is one object per load,
+  and so is each distinct name: function ids and names, callees, owning
+  classes, parameter names and types, return types, and the names in
+  classes and ``externals``. One intern dict per load maps each to its
+  object (hash-consing), so equal instructions share their ``inputs``
+  and a function's id is its name. Two loads share nothing.
 * The text is decoded once, one top-level member at a time, by the
   stdlib's own scanner, so a syntax error has ``json.loads``'s message and
   position. A ``functions`` array that comes after ``ir_version`` and
@@ -142,40 +149,50 @@ class Instruction(NamedTuple):
         return self.inputs[1:] if self.op == "CALLIND" else self.inputs
 
 
-@dataclass
+@dataclass(slots=True)
 class Block:
     id: int
-    instructions: list[Instruction] = field(default_factory=list)
+    instructions: tuple[Instruction, ...] = ()
     successors: tuple[int, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class Param:
     name: str
     type: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Function:
     """One lifted function. Parameter k lives in varnode (reg, k, *).
 
     Beside its blocks it stores ``code``, their instructions in one flat
     tuple that a linear position indexes, and where each block starts in
-    it. Both are built with the function: to change the blocks, build a new
-    Function (``dataclasses.replace``)."""
+    it. A function of one block shares that block's tuple as its ``code``.
+    Both are built with the function: to change the blocks, build a new
+    Function (``dataclasses.replace``). The loader gives ``params`` and
+    ``blocks`` as tuples, and each block's instructions; a Function built
+    from lists works the same."""
 
     id: str
     name: str
     owning_class: str | None
-    params: list[Param]
+    params: tuple[Param, ...]
     return_type: str
     stack_size: int
-    blocks: list[Block]
+    blocks: tuple[Block, ...]
+    code: tuple[Instruction, ...] = field(init=False, repr=False, compare=False)
+    _starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.code = tuple(chain.from_iterable(b.instructions for b in self.blocks))
+        blocks = self.blocks
         # the linear position of each block's first instruction, by block index
-        self._starts = tuple(accumulate((len(b.instructions) for b in self.blocks), initial=0))
+        if len(blocks) == 1:
+            self.code = tuple(blocks[0].instructions)  # the block's own tuple, if it is one
+            self._starts = (0,)  # one constant, shared
+        else:
+            self.code = tuple(chain.from_iterable(b.instructions for b in blocks))
+            self._starts = tuple(accumulate((len(b.instructions) for b in blocks[:-1]), initial=0))
 
     def _index(self, bid: int) -> int:
         """Where the block with id ``bid`` is in ``blocks``: blocks are numbered
@@ -211,7 +228,7 @@ class Function:
         return None
 
 
-@dataclass
+@dataclass(slots=True)
 class ClassInfo:
     name: str
     parents: list[str] = field(default_factory=list)
@@ -387,13 +404,15 @@ def _typed(x, kind: type, name: str):
     return x
 
 
-def _all(kind: type, items, name: str) -> list:
-    """The list ``items``, each exactly a ``kind``; a failure in item n is
+def _names(items, name: str, intern: dict) -> list:
+    """The list ``items``, each exactly a string and replaced by the load's
+    one string of its value, from ``intern``; a failure in item n is
     located at ``name[n]``."""
     items = _list(items, name)
     for n, x in enumerate(items):
-        if type(x) is not kind:
-            _typed(x, kind, f"{name}[{n}]")
+        if type(x) is not str:
+            _typed(x, str, f"{name}[{n}]")
+        items[n] = intern.setdefault(x, x)
     return items
 
 
@@ -455,10 +474,12 @@ def _bad_index(i, where: str) -> _Bad:
     return _Bad(f"varnode index {i} out of range", where)
 
 
-def _row_from(row, table: list) -> Instruction:
+def _row_from(row, table: list, intern: dict) -> Instruction:
     """An instruction row, ``[op, out, [in, ...]]`` with an optional
     callee. ``out`` and each input are indexes into ``table``, the load's
-    Varnodes, and ``out`` is None when there is no output."""
+    Varnodes, and ``out`` is None when there is no output. The callee and
+    the Instruction are the load's one object of their value, from
+    ``intern``."""
     if type(row) is not list:
         raise _Bad(f"instruction row must be a list, not {type(row).__name__}")
     if not 3 <= len(row) <= 4:
@@ -486,7 +507,9 @@ def _row_from(row, table: list) -> Instruction:
         callee = row[3]
         if type(callee) is not str:
             raise _Bad(f"callee must be a string, not {type(callee).__name__}", "[3]")
-    return tuple.__new__(Instruction, (op, out, tuple(inputs), callee))
+        callee = intern.setdefault(callee, callee)
+    ins = tuple.__new__(Instruction, (op, out, tuple(inputs), callee))
+    return intern.setdefault(ins, ins)
 
 
 def _check_type_str(t, *where: str) -> str:
@@ -497,20 +520,19 @@ def _check_type_str(t, *where: str) -> str:
     return t
 
 
-def _param_from(obj) -> Param:
+def _check_param(obj) -> None:
+    """Raises the error for ``obj``, which ``_function_from`` found is not
+    a parameter."""
     if not isinstance(obj, dict):
         raise _Bad("param must be an object")
     for key in ("name", "type"):
         if key not in obj:
             raise _Bad(f"param missing key {key!r}")
-    name, t = obj["name"], obj["type"]
-    if type(name) is not str or t not in _SCALAR_TYPES:
-        _typed(name, str, "name")  # the first of these that fails raises
-        _check_type_str(t)
-    return Param(name, t)
+    _typed(obj["name"], str, "name")  # the first of these that fails raises; one of them does
+    _check_type_str(obj["type"])
 
 
-def _block_from(obj, table) -> Block:
+def _block_from(obj, table, intern) -> Block:
     if not isinstance(obj, dict):
         raise _Bad("block must be an object")
     if "id" not in obj:
@@ -522,7 +544,7 @@ def _block_from(obj, table) -> Block:
     instructions = []
     try:
         for x in raw:
-            instructions.append(_row_from(x, table))
+            instructions.append(_row_from(x, table, intern))
     except _Bad as e:
         e.where.append(f"ins[{len(instructions)}]")
         raise
@@ -530,27 +552,43 @@ def _block_from(obj, table) -> Block:
     if type(bid) is not int or type(succ) is not list:
         _typed(bid, int, "id")  # the first of these that fails raises; one of them does
         _list(succ, "succ")
-    for s in succ:
+    for n, s in enumerate(succ):
         if type(s) is not int:
-            _all(int, succ, "succ")
-    return Block(bid, instructions, tuple(succ))
+            _typed(s, int, f"succ[{n}]")
+    return Block(bid, tuple(instructions), tuple(succ))
 
 
-def _function_from(obj, table) -> Function:
+def _function_from(obj, table, intern) -> Function:
+    """The Function of ``obj``. Its id, name, owning class, return type and
+    parameters' names and types are the load's one string of their value,
+    from ``intern``, like the callees and Instructions of its blocks."""
     if not isinstance(obj, dict):
         raise _Bad("function must be an object")
     for key in ("id", "name", "stack_size", "blocks"):
         if key not in obj:
             raise _Bad(f"missing key {key!r}")
-    params = _each(obj.get("params", []), "params", _param_from)
-    # _each, unrolled, like the instructions of a block
+    # _each and the checks of a parameter, unrolled, like the instructions of a block
+    raw = obj.get("params", [])
+    if type(raw) is not list:
+        _list(raw, "params")
+    params = []
+    try:
+        for q in raw:
+            if not (isinstance(q, dict) and type(pname := q.get("name")) is str
+                    and ((ptype := q.get("type")) in _SCALAR_TYPES
+                         or isinstance(ptype, str) and ptype.startswith("class:"))):
+                _check_param(q)
+            params.append(Param(intern.setdefault(pname, pname), intern.setdefault(ptype, ptype)))
+    except _Bad as e:
+        e.where.append(f"params[{len(params)}]")
+        raise
     raw = obj["blocks"]
     if type(raw) is not list:
         _list(raw, "blocks")
     blocks = []
     try:
         for x in raw:
-            blocks.append(_block_from(x, table))
+            blocks.append(_block_from(x, table, intern))
     except _Bad as e:
         e.where.append(f"blocks[{len(blocks)}]")
         raise
@@ -565,21 +603,26 @@ def _function_from(obj, table) -> Function:
         _typed(fid, str, "id")
         _typed(name, str, "name")
         _typed(owning_class, str, "class")
-    return Function(fid, name, owning_class, params, return_type, stack_size, blocks)
+    return Function(intern.setdefault(fid, fid), intern.setdefault(name, name),
+                    intern.setdefault(owning_class, owning_class), tuple(params),
+                    intern.setdefault(return_type, return_type), stack_size, tuple(blocks))
 
 
-def _class_from(obj) -> ClassInfo:
+def _class_from(obj, intern) -> ClassInfo:
+    """The ClassInfo of ``obj``, each of its names the load's one string of
+    its value, from ``intern``."""
     if not isinstance(obj, dict):
         raise _Bad("class must be an object")
     if "name" not in obj:
         raise _Bad("missing class name")
+    name = _typed(obj["name"], str, "name")
     return ClassInfo(
-        name=_typed(obj["name"], str, "name"),
-        parents=_all(str, obj.get("parents", []), "parents"),
+        name=intern.setdefault(name, name),
+        parents=_names(obj.get("parents", []), "parents", intern),
         vtable_addr=_typed(obj.get("vtable_addr", 0), int, "vtable_addr"),
-        vtable=_all(str, obj.get("vtable", []), "vtable"),
-        constructors=_all(str, obj.get("constructors", []), "constructors"),
-        members=_all(str, obj.get("members", []), "members"),
+        vtable=_names(obj.get("vtable", []), "vtable", intern),
+        constructors=_names(obj.get("constructors", []), "constructors", intern),
+        members=_names(obj.get("members", []), "members", intern),
     )
 
 
@@ -641,8 +684,9 @@ def load_program(text: str) -> IRProgram:
 
 
 def _load(text: str) -> IRProgram:
+    intern: dict = {}  # each distinct string and Instruction of the load -> its one object
     try:
-        prog = _program_from(_read(text))
+        prog = _program_from(_read(text, intern), intern)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno} col {e.colno}: {e.msg}") from None
     except _Bad as e:
@@ -678,7 +722,7 @@ def _value(text: str, i: int):
         raise json.JSONDecodeError("Expecting value", text, e.value) from None
 
 
-def _read(text: str):
+def _read(text: str, intern: dict):
     """The document of ``text``, decoded as ``json.loads`` would, with the
     same syntax errors, and with the last of a repeated member winning,
     except for a ``functions`` array that comes after ``ir_version`` and
@@ -704,7 +748,7 @@ def _read(text: str):
             i = _skip(text, i + 1)
             if key == "functions" and text[i:i + 1] == "[" and "ir_version" in doc and "varnodes" in doc:
                 start = i
-                doc[key], i = _functions_at(text, i + 1, doc)
+                doc[key], i = _functions_at(text, i + 1, doc, intern)
             else:
                 if key == "varnodes" and type(doc.get("functions")) is _Built:
                     # built with an earlier table: decoded again, to be built with this one
@@ -727,7 +771,7 @@ class _Built(tuple):
     """What ``_read`` built as it read a member, in place of its JSON."""
 
 
-def _functions_at(text: str, i: int, doc: dict) -> tuple[_Built, int]:
+def _functions_at(text: str, i: int, doc: dict, intern: dict) -> tuple[_Built, int]:
     """The Functions of the array whose items start at ``i``, and the index
     after it. Each item is built once it and the delimiter after it are
     read, so a syntax error just after an item outranks the item's faults,
@@ -753,7 +797,7 @@ def _functions_at(text: str, i: int, doc: dict) -> tuple[_Built, int]:
             if c != "," and c != "]":
                 raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
         try:
-            out.append(_function_from(obj, table))
+            out.append(_function_from(obj, table, intern))
         except _Bad as e:
             e.where.append(f"functions[{len(out)}]")
             raise
@@ -770,7 +814,7 @@ def _check_version(version) -> None:
         raise ParseError(f"unsupported ir_version {version!r}")
 
 
-def _program_from(doc) -> IRProgram:
+def _program_from(doc, intern: dict) -> IRProgram:
     """The program the document ``doc`` (from ``_read``) describes, built
     without ``validate``. Raises ParseError, or _Bad, on a malformed
     document."""
@@ -788,11 +832,11 @@ def _program_from(doc) -> IRProgram:
     return IRProgram(
         name=_typed(doc.get("name", "unnamed"), str, "name"),
         word_size=word_size,
-        classes=_each(doc.get("classes", []), "classes", _class_from),
+        classes=_each(doc.get("classes", []), "classes", _class_from, intern),
         functions=(list(functions) if type(functions) is _Built
-                   else _each(functions, "functions", _function_from, table)),
+                   else _each(functions, "functions", _function_from, table, intern)),
         data=data,
-        externals=_all(str, doc.get("externals", []), "externals"),
+        externals=_names(doc.get("externals", []), "externals", intern),
     )
 
 

@@ -734,7 +734,7 @@ class _Oracle:
         cb = None
         for j in range(idx + 1, len(blk.instructions)):
             nxt = blk.instructions[j]
-            if nxt.output == cmp_ins.output and nxt is not cmp_ins:
+            if nxt.output == cmp_ins.output:
                 break
             if nxt.op == "CBRANCH" and nxt.inputs and nxt.inputs[0] == cmp_ins.output:
                 cb = nxt

@@ -287,7 +287,7 @@ def forward_taint(p: IRProgram, cg: CallGraph, q: TaintQuery) -> list[Sink]:
     f = p.fn(q.site[0])
     ins = f.block(q.site[1]).instructions[q.site[2]]
     args = ins.args
-    sinks: list[Sink] = []
+    sinks: dict[Sink, None] = {}  # in the order found, each once
 
     seeds = set()
     regions: set[tuple[int, int]] = set()
@@ -303,8 +303,7 @@ def forward_taint(p: IRProgram, cg: CallGraph, q: TaintQuery) -> list[Sink]:
         seeds.add(ins.output)  # bytes-read count carries CP data length
 
     _flow_forward(p, cg, f, seeds, regions, {}, sinks, depth=0)
-    sinks.sort(key=lambda s: (s.fn, s.loc))
-    return sinks
+    return sorted(sinks, key=lambda s: (s.fn, s.loc))
 
 
 def _overlaps(v: Varnode, regions) -> bool:
@@ -357,9 +356,8 @@ def _flow_forward(p, cg, f: Function, seeds, regions, summaries, sinks, depth) -
                     elif is_t(b) and a.is_const:
                         const = a.offset
                     if const is not None:
-                        s = Sink(f.id, (blk.id, idx), const, _dispatch_target(f, blk, idx, ins))
-                        if s not in sinks:
-                            sinks.append(s)
+                        sinks.setdefault(Sink(f.id, (blk.id, idx), const,
+                                              _dispatch_target(f, blk, idx, ins)))
                 elif ins.op in ("CALL", "CALLIND"):
                     t_idx = [k for k, v in enumerate(ins.args) if is_t(v)]
                     if not t_idx:
@@ -399,7 +397,7 @@ def _dispatch_target(f: Function, blk: Block, idx: int, cmp_ins) -> str | None:
     cb = None
     for j in range(idx + 1, len(blk.instructions)):
         nxt = blk.instructions[j]
-        if nxt.output == cmp_ins.output and nxt is not cmp_ins:
+        if nxt.output == cmp_ins.output:
             break
         if nxt.op == "CBRANCH" and nxt.inputs and nxt.inputs[0] == cmp_ins.output:
             cb = nxt

@@ -313,8 +313,8 @@ def test_v2_null_out_is_no_output_and_the_callee_is_optional():
     doc["functions"][0]["blocks"][0]["ins"][0] = ["COPY", 3, [1]]
     doc["functions"][0]["blocks"][0]["ins"].insert(0, ["STORE", None, [4, 2]])
     ins = ir.load_program(json.dumps(doc)).fn("IpcRxPoll").blocks[0].instructions
-    assert ins[:2] == [ir.Instruction("STORE", None, (S(16, 32), C(0)), None),
-                       ir.Instruction("COPY", U(1), (C(0x2000),), None)]
+    assert ins[:2] == (ir.Instruction("STORE", None, (S(16, 32), C(0)), None),
+                       ir.Instruction("COPY", U(1), (C(0x2000),), None))
 
 
 def test_v2_table_rows_are_one_object_each():
@@ -329,7 +329,7 @@ def test_a_v2_document_without_varnodes_has_an_empty_table():
     doc = ir.program_to_dict(ir.IRProgram(name="p", functions=[ret_stub("f")]))
     assert doc["varnodes"] == []
     del doc["varnodes"]
-    assert ir.load_program(json.dumps(doc)).fn("f").blocks[0].instructions == [I("RETURN")]
+    assert ir.load_program(json.dumps(doc)).fn("f").blocks[0].instructions == (I("RETURN"),)
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +452,71 @@ def test_a_loaded_instruction_costs_at_most_300_bytes():
     n = sum(len(f.code) for f in p.functions)
     assert n == 8000
     assert size <= 300 * n, size / n
+
+
+def test_a_random_program_costs_at_most_300_bytes_per_loaded_instruction():
+    # Programs of many small functions: each distinct instruction and name
+    # is one object per load, and single-block functions share their
+    # block's tuple as their code.
+    texts = [ir.serialize(gen_random(seed=s)[0]) for s in range(50)]
+    size = n = 0
+    for text in texts:  # one at a time, as the CLI loads binaries
+        tracemalloc.start()
+        try:
+            p = ir.load_program(text)
+            size += tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        n += sum(len(f.code) for f in p.functions)
+    assert size <= 300 * n, size / n
+
+
+def test_loaded_blocks_functions_params_and_classes_have_no_dict():
+    p = ir.load_program(ir.serialize(gen_fig4(with_subclass=True)[0]))
+    f = next(f for f in p.functions if f.params)
+    for x in (f.blocks[0], f, f.params[0], p.classes[0]):
+        assert not hasattr(x, "__dict__"), type(x).__name__
+
+
+def test_loaded_containers_are_tuples():
+    p = ir.load_program(ir.serialize(gen_random(seed=3)[0]))
+    assert any(not f.params for f in p.functions) and any(len(f.blocks) > 1 for f in p.functions)
+    for f in p.functions:
+        assert type(f.blocks) is tuple and type(f.params) is tuple and type(f.code) is tuple
+        assert all(type(b.instructions) is tuple for b in f.blocks)
+        if len(f.blocks) == 1:
+            assert f.code is f.blocks[0].instructions  # shared, not copied
+    assert ir.load_program(json.dumps(_doc(ir.IRProgram(name="p", functions=[
+        func("f", blocks=[block(0, [])])])))).fn("f").params == ()
+
+
+def _repeats() -> str:
+    """The text of a program whose ``main`` copies (reg, 1, 8) into (reg, 0, 8)
+    twice and then calls the member ``Nv::Handle(this, x: int) -> int``
+    twice the same way."""
+    main = func("main", blocks=[block(0, [I("COPY", R(0), (R(1),)), I("COPY", R(0), (R(1),)),
+                                          I("CALL", R(0), (R(1), C(7)), callee="Nv::Handle"),
+                                          I("CALL", R(0), (R(1), C(7)), callee="Nv::Handle"),
+                                          I("RETURN")])])
+    handle = func("Nv::Handle", cls="Nv", params=(("x", "int"),), ret="int",
+                  blocks=[block(0, [I("RETURN", None, (R(1),))])])
+    return ir.serialize(build_program("p", classes=[ir.ClassInfo("Nv", members=["Nv::Handle"])],
+                                      functions=[main, handle]))
+
+
+def test_a_load_makes_one_object_per_distinct_instruction_and_name():
+    p = ir.load_program(_repeats())
+    main, handle = p.fn("main"), p.fn("Nv::Handle")
+    ins = main.blocks[0].instructions
+    assert ins[0] is ins[1] and ins[2] is ins[3]
+    assert main.id is main.name and handle.id is handle.name
+    assert ins[2].callee is handle.id is p.classes[0].members[0]
+    assert handle.owning_class is p.classes[0].name
+    assert handle.params[1].type is handle.return_type
+    q = ir.load_program(_repeats())
+    assert main == q.fn("main") and handle == q.fn("Nv::Handle")
+    assert main.id is not q.fn("main").id
+    assert not {id(x) for f in p.functions for x in f.code} & {id(x) for f in q.functions for x in f.code}
 
 
 def test_load_peaks_near_the_program_it_returns():

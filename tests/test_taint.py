@@ -22,7 +22,8 @@ from rilmine.fixtures import (
     gen_hybrid,
     ret_stub,
 )
-from rilmine.ir import ClassInfo
+from rilmine.fixtures import _ladder
+from rilmine.ir import ClassInfo, load_program, serialize
 from rilmine.taint import (
     LengthSource,
     PayloadBytes,
@@ -436,6 +437,51 @@ def test_forward_taint_follows_a_recovered_virtual_call():
     assert {(e.caller, e.callee) for e in cg.virtual_edges()} == {("Rx::Poll", "Handler::OnPacket")}
     want = {("unsolicited", "read", "Handler::OnPacket", 0x42, "Nv::Handle42", "/dev/umts_ipc0")}
     assert got == ref == want
+
+
+def test_ladder_sinks_come_out_once_each_in_site_order():
+    # Every round of the fixpoint finds each guard's sink again; it is kept
+    # once, and the output is sorted by site. Guards repeat constants.
+    k = 60
+    consts = [0x10 + j % 7 for j in range(k)]
+    handlers = [f"Nv::H{j}" for j in range(k)]
+    p = build_program("ladder", functions=[
+        _read_frame("poll", then=[I("CALL", None, (S(16, 32),), callee="Nv::Dispatch")]),
+        func("Nv::Dispatch", params=(("pkt", "bytes"),), blocks=_ladder(consts, handlers, 1)),
+        *(ret_stub(h, params=(("pkt", "bytes"),)) for h in handlers),
+    ], data=[(0x2000, b"/dev/umts_ipc0\x00")], externals=["open", "read"])
+    (q,) = find_sources(p)
+    got = [(s.fn, s.loc, s.constant, s.handler) for s in forward_taint(p, _cg(p), q)]
+    assert got == [("Nv::Dispatch", (2 * j, 2 if j == 0 else 0), consts[j], handlers[j])
+                   for j in range(k)]
+
+
+def test_a_recomputed_compare_leaves_the_first_without_a_handler():
+    # Block 1 computes U2 = (U1 == 0x42) twice before its CBRANCH, so the
+    # walk from the first compare stops at the second. The loader makes
+    # the two compares one object, which must not change that.
+    text = serialize(build_program("fwd", functions=[
+        func("poll", blocks=[
+            block(0, [I("CALL", U(0), (C(0x2000), C(0)), callee="open")], succ=(1,)),
+            block(1, [I("CALL", U(1), (U(0), S(16, 32), C(32)), callee="read"),
+                      I("INT_EQUAL", U(2, 1), (U(1), C(0x42))),
+                      I("INT_EQUAL", U(2, 1), (U(1), C(0x42))),
+                      I("CBRANCH", None, (U(2, 1),))], succ=(2, 3)),
+            block(2, [I("CALL", None, (), callee="h"), I("RETURN")]),
+            block(3, [I("RETURN")]),
+        ]),
+        ret_stub("h"),
+    ], data=[(0x2000, b"/dev/umts_ipc0\x00")], externals=["open", "read"]))
+    p = load_program(text)
+    f = p.fn("poll")
+    first, second = f.block(1).instructions[1:3]
+    (q,) = find_sources(p)
+    sinks = forward_taint(p, _cg(p), q)
+    assert [(s.loc, s.constant, s.handler) for s in sinks] == [((1, 1), 0x42, None),
+                                                              ((1, 2), 0x42, "h")]
+    ref = oracle._Oracle(p)
+    assert ref._handler_of(f, 1, 1, first) is None
+    assert ref._handler_of(f, 1, 2, second) == "h"
 
 
 def test_forward_taint_ends_on_a_recursive_dispatcher():
